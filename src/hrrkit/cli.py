@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import (
@@ -41,6 +39,7 @@ from .signal_model import (
     LinearRamp,
     RespirationModel,
     WaveformShape,
+    noise_std_for_snr,
     synthesize_trace,
 )
 
@@ -154,8 +153,7 @@ def _cmd_synth(args) -> int:
         heart = HeartbeatModel(traj, args.heart_amp, WaveformShape(args.heart_waveform))
     noise_std = args.noise_std
     if args.snr_db is not None:
-        clean = synthesize_trace(resp, heart, 0.0, args.sample_rate, args.duration, 0)
-        noise_std = float(np.sqrt(np.mean(clean.samples**2))) * 10 ** (-args.snr_db / 20)
+        noise_std = noise_std_for_snr(resp, heart, args.snr_db, args.sample_rate, args.duration)
     trace = synthesize_trace(
         resp, heart, noise_std, args.sample_rate, args.duration, args.seed
     )

@@ -14,39 +14,42 @@ from .vmd import GateThresholds, VmdParams
 
 @dataclass
 class PipelineConfig:
-    """Every stage knob of the estimation pipeline, flattened for the CLI."""
+    """Every stage knob of the estimation pipeline, flattened for the CLI.
+
+    Keys that mirror a stage dataclass field take their default from it.
+    """
 
     # band-pass
-    pass_low: float = 0.2
-    pass_high: float = 3.4
+    pass_low: float = FilterSpec.pass_low
+    pass_high: float = FilterSpec.pass_high
     # decomposition
-    k_modes: int = 6
+    k_modes: int = VmdParams.K
     alpha_lo: float = 10.0
     alpha_hi: float = 1e6
     alpha_ratio_tol: float = 1.1
-    tau: float = 0.0
-    vmd_tolerance: float = 1e-7
-    vmd_max_iters: int = 500
-    mirror_frac: float = 0.1
+    tau: float = VmdParams.tau
+    vmd_tolerance: float = VmdParams.tolerance
+    vmd_max_iters: int = VmdParams.max_iters
+    mirror_frac: float = VmdParams.mirror_frac
     # gates
-    mu1: float = 0.2
-    mu2: float = 1e-4
+    mu1: float = GateThresholds.mu1
+    mu2: float = GateThresholds.mu2
     # mode selection
-    resp_lo: float = 0.167
-    resp_hi: float = 0.7
-    hr_lo: float = 0.6
-    hr_hi: float = 3.4
-    harmonic_tol: float = 0.08
-    noise_prominence: float = 4.0
-    noise_oob_fraction: float = 0.5
-    peak_band_halfwidth: float = 0.3
-    rel_peak_floor: float = 0.2
+    resp_lo: float = ModeSelectConfig.respiration_band[0]
+    resp_hi: float = ModeSelectConfig.respiration_band[1]
+    hr_lo: float = ModeSelectConfig.hr_band[0]
+    hr_hi: float = ModeSelectConfig.hr_band[1]
+    harmonic_tol: float = ModeSelectConfig.harmonic_tol
+    noise_prominence: float = ModeSelectConfig.noise_prominence
+    noise_oob_fraction: float = ModeSelectConfig.noise_oob_fraction
+    peak_band_halfwidth: float = ModeSelectConfig.peak_band_halfwidth
+    rel_peak_floor: float = ModeSelectConfig.rel_peak_floor
     # HR estimation
-    l_min: float = 5.0
-    l_b_max: float = 8.0
-    l_min_lo: float = 3.0
-    l_min_hi: float = 7.0
-    cadence: float = 1.0
+    l_min: float = WindowConfig.l_min
+    l_b_max: float = WindowConfig.l_b_max
+    l_min_lo: float = WindowConfig.l_min_bounds[0]
+    l_min_hi: float = WindowConfig.l_min_bounds[1]
+    cadence: float = WindowConfig.cadence
     smooth_window: float = 0.12
     envelope_floor: float = 0.1
     carry_limit: float = 0.5
@@ -74,10 +77,9 @@ class PipelineConfig:
     def filter_spec(self) -> FilterSpec:
         return FilterSpec(pass_low=self.pass_low, pass_high=self.pass_high)
 
-    def vmd_params(self, alpha: float = 2000.0) -> VmdParams:
+    def vmd_params(self) -> VmdParams:
         return VmdParams(
             K=self.k_modes,
-            alpha=alpha,
             tau=self.tau,
             tolerance=self.vmd_tolerance,
             max_iters=self.vmd_max_iters,

@@ -27,6 +27,7 @@ from .signal_model import (
     LinearRamp,
     RespirationModel,
     WaveformShape,
+    noise_std_for_snr,
     synthesize_trace,
 )
 
@@ -112,11 +113,9 @@ def _noise_std_for(scenario: Scenario, subject: Subject) -> float:
     """Resolve the additive-noise sigma, from a displacement-SNR target if set."""
     if scenario.snr_db is None:
         return scenario.noise_std
-    clean = synthesize_trace(
-        subject.resp, subject.heart, 0.0, scenario.sample_rate, scenario.duration, 0
+    return noise_std_for_snr(
+        subject.resp, subject.heart, scenario.snr_db, scenario.sample_rate, scenario.duration
     )
-    rms = float(np.sqrt(np.mean(clean.samples**2)))
-    return rms * 10.0 ** (-scenario.snr_db / 20.0)
 
 
 def _synth_subject(scenario: Scenario, subject: Subject, seed: int) -> ChestMotionTrace:

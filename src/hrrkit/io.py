@@ -97,7 +97,7 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}")
-    times, values = [], []
+    times, values, linenos = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -107,6 +107,7 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             values.append(float(v_str))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+        linenos.append(lineno)
     if len(values) < 2:
         raise ValueError(f"{path}: needs at least 2 samples")
 
@@ -117,7 +118,18 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             if "=" in line:
                 k, _, v = line.partition("=")
                 meta[k.strip()] = v.strip()
-    sample_rate = float(meta.get("sample_rate", 0.0)) or 1.0 / (times[1] - times[0])
+    if "sample_rate" not in meta and times[-1] <= times[0]:
+        raise ValueError(f"{path}: timestamps do not increase")
+    sample_rate = float(meta.get("sample_rate", 0.0)) or (len(times) - 1) / (times[-1] - times[0])
+    # A dropped or jittered row would silently shift every later sample.
+    grid = times[0] + np.arange(len(times)) / sample_rate
+    off = np.flatnonzero(np.abs(np.array(times) - grid) > 0.01 / sample_rate)
+    if len(off):
+        i = off[0]
+        raise ValueError(
+            f"{path}:{linenos[i]}: time {times[i]!r} s is off the uniform "
+            f"{sample_rate:g} Hz grid (expected {grid[i]:.6f} s)"
+        )
     unit = meta.get("unit", "mm")
 
     ground_truth: Optional[GroundTruth] = None
@@ -201,7 +213,6 @@ def read_cube(path: str | Path) -> RadarCube:
         iq=iq.reshape(frames, samples),
         frame_rate=float(fields["frame_rate"]),
         bin_size=float(fields["bin_size"]),
-        fft_length=samples,
     )
 
 

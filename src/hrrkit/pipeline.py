@@ -30,6 +30,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     decomposition is used and the window is flagged ``gates_relaxed``
     rather than dropped, so the output curve stays continuous.
     """
+    params = cfg.vmd_params()
     gates = cfg.gates()
     select_cfg = cfg.mode_select_config()
 
@@ -41,11 +42,10 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             alpha, ms = select_alpha(
                 segment,
                 fs,
-                cfg.k_modes,
+                params,
                 gates=gates,
                 alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
                 ratio_tol=cfg.alpha_ratio_tol,
-                params=cfg.vmd_params(),
             )
         except AlphaInfeasibleError as exc:
             if exc.best_modeset is None:

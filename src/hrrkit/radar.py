@@ -63,7 +63,6 @@ class RadarConfig:
 class Target:
     base_range: float                  # m
     trace: ChestMotionTrace            # chest displacement, mm
-    angle: float = 0.0                 # degrees; bookkeeping only, no beam model
     drift: float = 0.0                 # slow range drift, m/s
 
 
@@ -87,14 +86,11 @@ class RadarCube:
     iq: np.ndarray                     # (frames, samples_per_chirp), complex
     frame_rate: float
     bin_size: float
-    fft_length: int
 
     def __post_init__(self):
         self.iq = np.asarray(self.iq, dtype=complex)
         if self.iq.ndim != 2:
             raise ValueError("iq must be (frames, samples)")
-        if self.fft_length < self.iq.shape[1]:
-            raise ValueError("fft_length must be >= samples_per_chirp")
 
     @property
     def n_frames(self) -> int:
@@ -167,23 +163,14 @@ def simulate_frames(
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(scene.noise_floor / 2.0)
         iq += rng.normal(0.0, sigma, iq.shape) + 1j * rng.normal(0.0, sigma, iq.shape)
-    return RadarCube(
-        iq=iq,
-        frame_rate=config.frame_rate,
-        bin_size=config.bin_size,
-        fft_length=n,
-    )
+    return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
 
 
 def range_fft(cube: RadarCube) -> np.ndarray:
     """Magnitude range spectra, one row per frame."""
     if cube.n_frames == 0:
         raise ValueError("empty cube")
-    return np.abs(np.fft.fft(cube.iq, n=cube.fft_length, axis=1))
-
-
-def _complex_spectra(cube: RadarCube) -> np.ndarray:
-    return np.fft.fft(cube.iq, n=cube.fft_length, axis=1)
+    return np.abs(np.fft.fft(cube.iq, axis=1))
 
 
 def _wrap_pi(x: float) -> float:
@@ -231,9 +218,9 @@ def track_target(
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
-    spectra = _complex_spectra(cube)
+    spectra = np.fft.fft(cube.iq, axis=1)
     mags = np.abs(spectra)
-    n_bins = cube.fft_length
+    n_bins = cube.iq.shape[1]
     center = round(expected_range / cube.bin_size)
     if not 0 <= center < n_bins:
         raise ValueError(

@@ -276,3 +276,16 @@ def synthesize_trace(
         unit="mm",
         ground_truth=GroundTruth(resp, heart, noise_std, seed),
     )
+
+
+def noise_std_for_snr(
+    resp: Optional[RespirationModel],
+    heart: Optional[HeartbeatModel],
+    snr_db: float,
+    sample_rate: float,
+    duration: float,
+) -> float:
+    """Additive-noise sigma that puts the clean displacement's RMS at ``snr_db``."""
+    clean = synthesize_trace(resp, heart, 0.0, sample_rate, duration, 0)
+    rms = float(np.sqrt(np.mean(clean.samples**2)))
+    return rms * 10.0 ** (-snr_db / 20.0)

@@ -19,7 +19,7 @@ both gates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -99,15 +99,6 @@ class ModeSet:
     def mode_energies(self) -> np.ndarray:
         return np.sum(self.modes**2, axis=1)
 
-    @property
-    def freq_order(self) -> np.ndarray:
-        """Indices that sort the modes by ascending center frequency."""
-        return np.argsort(self.center_freqs, kind="stable")
-
-    def reconstruction_error(self) -> np.ndarray:
-        """Exactly zero by construction; kept as the checkable identity."""
-        return self.input_signal - self.modes.sum(axis=0) - self.residual
-
 
 def vmd_decompose(
     signal: np.ndarray, sample_rate: float, params: VmdParams
@@ -135,16 +126,18 @@ def vmd_decompose(
     ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
     T = len(ext)
 
-    freqs = np.fft.fftfreq(T)          # cycles/sample, unshifted
-    pos = freqs >= 0.0                 # one-sided mask (DC included)
-    f_hat = np.fft.fft(ext)
-    f_plus = np.where(pos, f_hat, 0.0)
+    # Only the non-negative bins are kept: DC up to just below Nyquist, in
+    # cycles/sample. For even T the Nyquist bin (which fftfreq counts as
+    # -0.5) is left out, so every mode is zero there.
+    P = (T + 1) // 2
+    freqs = np.fft.fftfreq(T)[:P]
+    f_plus = np.fft.fft(ext)[:P]
 
     K = params.K
     alpha = params.alpha
-    u_hat = np.zeros((K, T), dtype=complex)
+    u_hat = np.zeros((K, P), dtype=complex)
     omega = (np.arange(K) + 0.5) / K * 0.25   # uniform over [0, fs/4], normalized
-    lam = np.zeros(T, dtype=complex)
+    lam = np.zeros(P, dtype=complex)
     sum_u = u_hat.sum(axis=0)
 
     converged = False
@@ -156,10 +149,10 @@ def vmd_decompose(
             numer = f_plus - sum_u - lam / 2.0
             u_hat[k] = numer / (1.0 + alpha * (freqs - omega[k]) ** 2)
             sum_u = sum_u + u_hat[k]
-            power = np.abs(u_hat[k][pos]) ** 2
+            power = np.abs(u_hat[k]) ** 2
             denom = power.sum()
             if denom > 1e-300:
-                omega[k] = float(np.dot(freqs[pos], power) / denom)
+                omega[k] = float(np.dot(freqs, power) / denom)
         if params.tau != 0.0:
             lam = lam + params.tau * (sum_u - f_plus)
         diff = np.sum(np.abs(u_hat - u_prev) ** 2)
@@ -168,15 +161,8 @@ def vmd_decompose(
             converged = True
             break
 
-    # Hermitian completion and inverse transform, then crop the mirrors.
-    modes = np.empty((K, n))
-    spec = np.zeros(T, dtype=complex)
-    half = (T - 1) // 2
-    for k in range(K):
-        spec[:] = 0.0
-        spec[pos] = u_hat[k][pos]
-        spec[T - half : T] = np.conj(spec[1 : half + 1][::-1])
-        modes[k] = np.real(np.fft.ifft(spec))[m : m + n]
+    # Real inverse transform of the one-sided spectra, then crop the mirrors.
+    modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
 
     energies = np.sum(modes**2, axis=1)
     order = np.argsort(energies, kind="stable")[::-1]
@@ -237,11 +223,10 @@ class AlphaSearchTrace:
 def select_alpha(
     signal: np.ndarray,
     sample_rate: float,
-    K: int,
+    params: VmdParams,
     gates: GateThresholds = GateThresholds(),
     alpha_range: tuple[float, float] = (10.0, 1e6),
     ratio_tol: float = 1.1,
-    params: Optional[VmdParams] = None,
     search_trace: Optional[AlphaSearchTrace] = None,
 ) -> tuple[float, ModeSet]:
     """Find a penalty factor whose decomposition passes both gates.
@@ -252,12 +237,12 @@ def select_alpha(
     at the over-decomposed high end where shrinking alpha restores both
     diagnostics. Stops as soon as a feasible decomposition is found, or
     raises AlphaInfeasibleError once the bracket ratio falls below
-    ``ratio_tol``.
+    ``ratio_tol``. Every decomposition uses ``params`` with its alpha
+    replaced by the bisection midpoint.
     """
     lo, hi = alpha_range
     if not 0 < lo < hi:
         raise ValueError(f"require 0 < alpha_lo < alpha_hi, got {alpha_range}")
-    base = params if params is not None else VmdParams(K=K)
 
     best_r, best_p = math.inf, math.inf
     best: Optional[tuple[float, ModeSet]] = None
@@ -269,7 +254,7 @@ def select_alpha(
 
     while True:
         mid = math.sqrt(lo * hi)
-        ms = vmd_decompose(signal, sample_rate, _with_alpha(base, K, mid))
+        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid))
         r = mode_correlation_max(ms)
         p = energy_loss(ms)
         if search_trace is not None:
@@ -294,14 +279,3 @@ def select_alpha(
             )
             err.best_alpha, err.best_modeset = best
             raise err
-
-
-def _with_alpha(base: VmdParams, K: int, alpha: float) -> VmdParams:
-    return VmdParams(
-        K=K,
-        alpha=alpha,
-        tau=base.tau,
-        tolerance=base.tolerance,
-        max_iters=base.max_iters,
-        mirror_frac=base.mirror_frac,
-    )

@@ -108,7 +108,7 @@ def test_criterion_03_vmd_oracle_equivalence():
             comps = [tone(f, fs, duration, amp=a, phase=p)
                      for f, a, p in zip(freqs, amps, phases)]
             signal = np.sum(comps, axis=0)
-            _, ms = select_alpha(signal, fs, len(freqs))
+            _, ms = select_alpha(signal, fs, VmdParams(K=len(freqs)))
             for f, comp in zip(freqs, comps):
                 k = int(np.argmin(np.abs(ms.center_freqs - f)))
                 assert abs(ms.center_freqs[k] - f) <= 0.05
@@ -152,13 +152,13 @@ def test_criterion_04_gate_soundness_randomized():
                 [a * np.cos(2 * np.pi * f * t + p) for f, a, p in zip(freqs, amps, phases)],
                 axis=0,
             )
-            _, ms = select_alpha(signal, fs, n_tones, gates)
+            _, ms = select_alpha(signal, fs, VmdParams(K=n_tones), gates)
             assert mode_correlation_max(ms) <= gates.mu1
             assert energy_loss(ms) <= gates.mu2
         with pytest.raises(AlphaInfeasibleError):
             select_alpha(
                 np.sum([tone(0.4, fs, 38.4), tone(1.6, fs, 38.4)], axis=0),
-                fs, 2, GateThresholds(mu1=0.2, mu2=0.0),
+                fs, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0),
             )
 
 

@@ -3,8 +3,12 @@ import pytest
 from hrrkit.cli import main
 from hrrkit.config import PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
+from hrrkit.hr_estimate import WindowConfig
 from hrrkit.io import read_trace
+from hrrkit.mode_select import ModeSelectConfig
+from hrrkit.preprocess import FilterSpec
 from hrrkit.signal_model import ExponentialRecovery
+from hrrkit.vmd import GateThresholds, VmdParams
 
 
 class TestParseConfig:
@@ -33,6 +37,14 @@ class TestParseConfig:
     def test_inconsistent_window_bounds_rejected(self):
         with pytest.raises(ConfigError, match="l_min_bounds"):
             parse_config(overrides={"l_b_max": "6"})  # default l_min_hi=7 exceeds it
+
+    def test_defaults_come_from_stage_classes(self):
+        cfg = PipelineConfig()
+        assert cfg.filter_spec() == FilterSpec()
+        assert cfg.vmd_params() == VmdParams()
+        assert cfg.gates() == GateThresholds()
+        assert cfg.mode_select_config() == ModeSelectConfig()
+        assert cfg.window_config() == WindowConfig()
 
     def test_echo_round_trip(self, tmp_path):
         cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5"})
@@ -108,6 +120,16 @@ class TestCliFlows:
         cube = synth_dir / "cube.bin"
         rc = main(["estimate", str(cube), "-o", str(synth_dir / "y")])
         assert rc == 1
+
+    def test_nonuniform_trace_is_input_error(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "trace.csv").read_text().splitlines()
+        del lines[1001]  # data row 1000 (t = 10 s) sat on line 1002
+        gap = tmp_path / "gap.csv"
+        gap.write_text("\n".join(lines) + "\n")
+        (tmp_path / "gap.meta").write_bytes((synth_dir / "trace.meta").read_bytes())
+        rc = main(["estimate", str(gap), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "gap.csv:1002:" in capsys.readouterr().err
 
     def test_missing_input_is_input_error(self, synth_dir):
         rc = main(["estimate", str(synth_dir / "nope.csv"), "-o", str(synth_dir / "z")])

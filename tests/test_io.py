@@ -52,6 +52,37 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="bad.csv:3"):
             read_trace(path)
 
+    def test_dropped_row_reports_line(self, tmp_path):
+        trace = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 100.0, 2.0, 0)
+        path = tmp_path / "gap.csv"
+        write_trace(trace, path)
+        lines = path.read_text().splitlines()
+        del lines[49]  # data row 48 (t = 0.48 s) sat on line 50
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="gap.csv:50: .*uniform"):
+            read_trace(path)
+
+    def test_jittered_row_reports_line(self, tmp_path):
+        path = tmp_path / "jit.csv"
+        rows = [f"{i / 100:.6f},0.0" for i in range(200)]
+        rows[120] = f"{1.2 + 0.0003:.6f},0.0"  # 3% of a sample period late
+        path.write_text("\n".join(["time_s,displacement_mm"] + rows) + "\n")
+        with pytest.raises(ValueError, match="jit.csv:122:"):
+            read_trace(path)
+
+    def test_missing_sidecar_constant_times_rejected(self, tmp_path):
+        path = tmp_path / "flat_t.csv"
+        path.write_text("time_s,displacement_mm\n0.0,1.0\n0.0,2.0\n")
+        with pytest.raises(ValueError, match="timestamps do not increase"):
+            read_trace(path)
+
+    def test_missing_sidecar_non_round_rate_accepted(self, tmp_path):
+        trace = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 30.0, 66.0, 0)
+        path = tmp_path / "t30.csv"
+        write_trace(trace, path)
+        (tmp_path / "t30.meta").unlink()
+        assert read_trace(path).sample_rate == pytest.approx(30.0)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0,1\n")

@@ -33,7 +33,7 @@ def make_tone_cube(bins, amps, n=256, frames=4):
     iq = np.zeros((frames, n), dtype=complex)
     for b, a in zip(bins, amps):
         iq += a * np.exp(2j * np.pi * b * t / n)
-    return RadarCube(iq=iq, frame_rate=100.0, bin_size=0.05, fft_length=n)
+    return RadarCube(iq=iq, frame_rate=100.0, bin_size=0.05)
 
 
 class TestRadarConfig:
@@ -126,7 +126,7 @@ class TestRangeFft:
         assert spec[20] / spec[90] == pytest.approx(2.0, rel=1e-6)
 
     def test_zero_input(self):
-        cube = RadarCube(np.zeros((3, 64), dtype=complex), 100.0, 0.05, 64)
+        cube = RadarCube(np.zeros((3, 64), dtype=complex), 100.0, 0.05)
         assert np.all(range_fft(cube) == 0.0)
 
     def test_peak_location_error_within_one_bin(self):
@@ -175,7 +175,7 @@ class TestTracking:
         # clears 3x the median level, so tracking dies after one second
         iq = np.zeros((300, 128), dtype=complex)
         iq[:, 0] = 1.0
-        cube = RadarCube(iq, 100.0, 0.05, 128)
+        cube = RadarCube(iq, 100.0, 0.05)
         with pytest.raises(TrackingLostError):
             track_target(cube, 1.0)
 

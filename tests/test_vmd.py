@@ -43,6 +43,72 @@ def modeset_from(modes, residual=None, input_signal=None, fs=FS):
     )
 
 
+def two_sided_reference(signal, fs, params):
+    """The same ADMM run over the full two-sided spectrum.
+
+    The negative half is held at zero throughout and each mode is inverted
+    after Hermitian completion; the one-sided core must match it.
+    """
+    f = np.asarray(signal, dtype=float)
+    n = len(f)
+    m = max(1, round(params.mirror_frac * n))
+    ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
+    T = len(ext)
+    freqs = np.fft.fftfreq(T)
+    pos = freqs >= 0.0
+    f_plus = np.where(pos, np.fft.fft(ext), 0.0)
+    K = params.K
+    u_hat = np.zeros((K, T), dtype=complex)
+    lam = np.zeros(T, dtype=complex)
+    omega = (np.arange(K) + 0.5) / K * 0.25
+    sum_u = u_hat.sum(axis=0)
+    converged = False
+    for it in range(1, params.max_iters + 1):
+        u_prev = u_hat.copy()
+        for k in range(K):
+            sum_u = sum_u - u_hat[k]
+            u_hat[k] = (f_plus - sum_u - lam / 2.0) / (1.0 + params.alpha * (freqs - omega[k]) ** 2)
+            sum_u = sum_u + u_hat[k]
+            power = np.abs(u_hat[k][pos]) ** 2
+            if power.sum() > 1e-300:
+                omega[k] = float(np.dot(freqs[pos], power) / power.sum())
+        if params.tau != 0.0:
+            lam = lam + params.tau * (sum_u - f_plus)
+        diff = np.sum(np.abs(u_hat - u_prev) ** 2)
+        if diff <= params.tolerance * max(np.sum(np.abs(u_prev) ** 2), 1e-300):
+            converged = True
+            break
+    half = (T - 1) // 2
+    modes = np.empty((K, n))
+    for k in range(K):
+        spec = np.where(pos, u_hat[k], 0.0)
+        spec[T - half :] = np.conj(spec[1 : half + 1][::-1])
+        modes[k] = np.real(np.fft.ifft(spec))[m : m + n]
+    order = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
+    return modes[order], omega[order] * fs, converged, it
+
+
+class TestSpectrumConvention:
+    # n = 768 extends to an even T = 922 (Nyquist bin present), n = 769 to
+    # an odd T = 923.
+    @pytest.mark.parametrize("n", [768, 769])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_one_sided_core_matches_two_sided_reference(self, n, tau):
+        duration = n / FS
+        sig = (
+            tone(0.35, FS, duration, phase=0.3)
+            + tone(1.5, FS, duration, amp=0.7, phase=1.1)
+            + tone(4.0, FS, duration, amp=0.2, phase=0.5)
+        )
+        assert len(sig) == n
+        params = VmdParams(K=3, alpha=2000.0, tau=tau)
+        modes, center_freqs, converged, n_iters = two_sided_reference(sig, FS, params)
+        ms = vmd_decompose(sig, FS, params)
+        assert ms.n_iters == n_iters and ms.converged == converged
+        assert np.array_equal(ms.center_freqs, center_freqs)
+        assert np.max(np.abs(ms.modes - modes)) <= 1e-12 * np.max(np.abs(modes))
+
+
 class TestDecompose:
     def test_pure_tone_single_mode(self):
         sig = tone(1.0, FS, DURATION)
@@ -164,7 +230,7 @@ class TestGateDiagnostics:
 class TestSelectAlpha:
     def test_returned_decomposition_passes_gates(self):
         gates = GateThresholds()
-        alpha, ms = select_alpha(two_tone(), FS, 2, gates)
+        alpha, ms = select_alpha(two_tone(), FS, VmdParams(K=2), gates)
         assert mode_correlation_max(ms) <= gates.mu1
         assert energy_loss(ms) <= gates.mu2
 
@@ -174,12 +240,12 @@ class TestSelectAlpha:
 
     def test_impossible_energy_gate_is_infeasible(self):
         with pytest.raises(AlphaInfeasibleError) as exc_info:
-            select_alpha(two_tone(), FS, 2, GateThresholds(mu1=0.2, mu2=0.0))
+            select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
         assert exc_info.value.best_p > 0.0
 
     def test_search_cost_bounded(self):
         trace = AlphaSearchTrace()
-        select_alpha(two_tone(), FS, 2, search_trace=trace)
+        select_alpha(two_tone(), FS, VmdParams(K=2), search_trace=trace)
         budget = math.ceil(math.log2(math.log(1e6 / 10.0) / math.log(1.1))) + 1
         assert len(trace.alphas) <= budget
 
