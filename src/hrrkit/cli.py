@@ -5,7 +5,8 @@ estimate (trace or cube to HR series + recovery report), eval (scenario
 sweep), dump-modes (per-window decomposition diagnostics).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
-quality.
+quality. Only InputError and a missing file are input errors; any other
+ValueError is a pipeline failure.
 """
 from __future__ import annotations
 
@@ -15,11 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, parse_config
-from .errors import (
-    ConfigError,
-    DegradedQualityError,
-    TrackingLostError,
-)
+from .errors import ConfigError, DegradedQualityError, InputError
 from .evaluate import default_scenarios, sweep
 from .io import (
     read_cube,
@@ -136,7 +133,8 @@ def _resolve_config(args) -> PipelineConfig:
     return parse_config(getattr(args, "config", None), overrides)
 
 
-def _cmd_synth(args) -> int:
+def _synth_models(args):
+    """Respiration and heartbeat models parsed from the synth arguments."""
     resp = None
     if not args.no_resp:
         amps = tuple(float(a) for a in args.resp_amps.split(","))
@@ -151,6 +149,14 @@ def _cmd_synth(args) -> int:
         else:
             traj = ExponentialRecovery(args.hr_initial, args.hr_final, args.hr_tau)
         heart = HeartbeatModel(traj, args.heart_amp, WaveformShape(args.heart_waveform))
+    return resp, heart
+
+
+def _cmd_synth(args) -> int:
+    try:
+        resp, heart = _synth_models(args)
+    except ValueError as exc:
+        raise InputError(f"bad model argument: {exc}") from exc
     noise_std = args.noise_std
     if args.snr_db is not None:
         noise_std = noise_std_for_snr(resp, heart, args.snr_db, args.sample_rate, args.duration)
@@ -164,15 +170,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = read_trace(args.trace)
-    config = RadarConfig(
-        carrier_freq=args.carrier,
-        bandwidth=args.bandwidth,
-        frame_rate=trace.sample_rate,
-    )
-    scene = TargetScene(
-        (Target(args.base_range, trace, drift=args.drift),),
-        noise_floor=args.noise_floor,
-    )
+    try:
+        config = RadarConfig(
+            carrier_freq=args.carrier,
+            bandwidth=args.bandwidth,
+            frame_rate=trace.sample_rate,
+        )
+        scene = TargetScene(
+            (Target(args.base_range, trace, drift=args.drift),),
+            noise_floor=args.noise_floor,
+        )
+    except ValueError as exc:
+        raise InputError(f"bad radar argument: {exc}") from exc
     cube = simulate_frames(config, scene, trace.duration, args.seed)
     write_cube(cube, args.output)
     print(f"wrote {args.output} ({cube.n_frames} frames x {cube.iq.shape[1]} samples)")
@@ -195,9 +204,11 @@ def _load_input_trace(args):
 def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     trace = _load_input_trace(args)
+    if trace.unit != "mm":
+        raise InputError(f"estimate needs a displacement trace in mm, got {trace.unit!r}")
     wcfg = cfg.window_config()
     if trace.duration < wcfg.l_a:
-        raise ValueError(
+        raise InputError(
             f"input lasts {trace.duration:.2f} s but the analysis window "
             f"needs at least {wcfg.l_a:.2f} s"
         )
@@ -266,13 +277,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"hrrkit: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"hrrkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegradedQualityError as exc:
         print(f"hrrkit: degraded quality: {exc}", file=sys.stderr)
         return EXIT_DEGRADED
-    except (TrackingLostError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"hrrkit: pipeline failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

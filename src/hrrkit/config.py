@@ -8,15 +8,16 @@ from typing import Mapping, Optional
 from .errors import ConfigError
 from .mode_select import ModeSelectConfig
 from .preprocess import FilterSpec
-from .hr_estimate import WindowConfig
-from .vmd import GateThresholds, VmdParams
+from .hr_estimate import CARRY_LIMIT, ENVELOPE_FLOOR, SMOOTH_WINDOW, WindowConfig
+from .vmd import ALPHA_HI, ALPHA_LO, ALPHA_RATIO_TOL, GateThresholds, VmdParams
 
 
 @dataclass
 class PipelineConfig:
     """Every stage knob of the estimation pipeline, flattened for the CLI.
 
-    Keys that mirror a stage dataclass field take their default from it.
+    Keys that mirror a stage dataclass field or a stage function default
+    take their default from it.
     """
 
     # band-pass
@@ -24,9 +25,9 @@ class PipelineConfig:
     pass_high: float = FilterSpec.pass_high
     # decomposition
     k_modes: int = VmdParams.K
-    alpha_lo: float = 10.0
-    alpha_hi: float = 1e6
-    alpha_ratio_tol: float = 1.1
+    alpha_lo: float = ALPHA_LO
+    alpha_hi: float = ALPHA_HI
+    alpha_ratio_tol: float = ALPHA_RATIO_TOL
     tau: float = VmdParams.tau
     vmd_tolerance: float = VmdParams.tolerance
     vmd_max_iters: int = VmdParams.max_iters
@@ -50,9 +51,9 @@ class PipelineConfig:
     l_min_lo: float = WindowConfig.l_min_bounds[0]
     l_min_hi: float = WindowConfig.l_min_bounds[1]
     cadence: float = WindowConfig.cadence
-    smooth_window: float = 0.12
-    envelope_floor: float = 0.1
-    carry_limit: float = 0.5
+    smooth_window: float = SMOOTH_WINDOW
+    envelope_floor: float = ENVELOPE_FLOOR
+    carry_limit: float = CARRY_LIMIT
 
     def validate(self) -> "PipelineConfig":
         # Constructing the stage objects runs their invariant checks.

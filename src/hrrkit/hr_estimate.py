@@ -29,6 +29,10 @@ PEAK_MIN_INTERVAL_S = 0.27   # 220 bpm ceiling
 HR_MIN_BPM = 36.0
 HR_MAX_BPM = 220.0
 
+SMOOTH_WINDOW = 0.12    # s, heartbeat smoother length
+ENVELOPE_FLOOR = 0.1    # envelope floor, fraction of its median
+CARRY_LIMIT = 0.5       # largest tolerated fraction of carried points
+
 FLAG_OK = "ok"
 FLAG_CARRY = "carry"
 FLAG_CLAMPED = "clamped"
@@ -102,8 +106,8 @@ class WindowConfig:
 def condition_heartbeat(
     mode: np.ndarray,
     fs: float,
-    smooth_window: float = 0.12,
-    envelope_floor: float = 0.1,
+    smooth_window: float = SMOOTH_WINDOW,
+    envelope_floor: float = ENVELOPE_FLOOR,
 ) -> np.ndarray:
     """Smooth the heartbeat mode and normalize its amplitude by the envelope.
 
@@ -257,7 +261,7 @@ def run_composite_windows(
     trace: ChestMotionTrace,
     cfg: WindowConfig,
     stage: StageFn,
-    carry_limit: float = 0.5,
+    carry_limit: float = CARRY_LIMIT,
 ) -> HrSeries:
     """Sweep W_b at the output cadence, advancing W_a per the containment rule.
 

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InputError
 from .hr_estimate import HrrReport, HrSeries
 from .radar import RadarCube
 from .signal_model import (
@@ -91,12 +92,44 @@ def write_trace(trace: ChestMotionTrace, path: str | Path) -> None:
     )
 
 
+def _parse_ground_truth(meta: dict[str, str]) -> Optional[GroundTruth]:
+    if "seed" not in meta:
+        return None
+    resp = None
+    if "resp_fundamental_freq" in meta:
+        resp = RespirationModel(
+            fundamental_freq=float(meta["resp_fundamental_freq"]),
+            harmonic_amplitudes=tuple(
+                float(a) for a in meta["resp_harmonic_amplitudes"].split(",")
+            ),
+            phase_offset=float(meta.get("resp_phase_offset", 0.0)),
+        )
+    heart = None
+    if "heart_amplitude" in meta:
+        traj = _parse_trajectory(meta.get("heart_trajectory", "custom"))
+        if traj is not None:
+            heart = HeartbeatModel(
+                rate_trajectory=traj,
+                amplitude=float(meta["heart_amplitude"]),
+                waveform_shape=WaveformShape(meta["heart_waveform"]),
+            )
+    return GroundTruth(
+        respiration=resp,
+        heartbeat=heart,
+        noise_std=float(meta.get("noise_std", 0.0)),
+        seed=int(meta["seed"]),
+    )
+
+
 def read_trace(path: str | Path) -> ChestMotionTrace:
-    """Read a trace CSV; the sidecar, when present, restores rate and truth."""
+    """Read a trace CSV; the sidecar, when present, restores rate and truth.
+
+    Every defect of the files raises InputError naming the file.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(errors="replace").splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
-        raise ValueError(f"{path}:1: expected header {TRACE_HEADER!r}")
+        raise InputError(f"{path}:1: expected header {TRACE_HEADER!r}")
     times, values, linenos = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -106,64 +139,43 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             times.append(float(t_str))
             values.append(float(v_str))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            raise InputError(f"{path}:{lineno}: malformed row {line!r}") from exc
         linenos.append(lineno)
     if len(values) < 2:
-        raise ValueError(f"{path}: needs at least 2 samples")
+        raise InputError(f"{path}: needs at least 2 samples")
 
     meta: dict[str, str] = {}
     mp = meta_path(path)
     if mp.exists():
-        for line in mp.read_text().splitlines():
+        for line in mp.read_text(errors="replace").splitlines():
             if "=" in line:
                 k, _, v = line.partition("=")
                 meta[k.strip()] = v.strip()
     if "sample_rate" not in meta and times[-1] <= times[0]:
-        raise ValueError(f"{path}: timestamps do not increase")
-    sample_rate = float(meta.get("sample_rate", 0.0)) or (len(times) - 1) / (times[-1] - times[0])
+        raise InputError(f"{path}: timestamps do not increase")
+    try:
+        sample_rate = float(meta.get("sample_rate", 0.0)) or (len(times) - 1) / (times[-1] - times[0])
+        ground_truth = _parse_ground_truth(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{mp}: bad sidecar entry: {exc}") from exc
     # A dropped or jittered row would silently shift every later sample.
     grid = times[0] + np.arange(len(times)) / sample_rate
     off = np.flatnonzero(np.abs(np.array(times) - grid) > 0.01 / sample_rate)
     if len(off):
         i = off[0]
-        raise ValueError(
+        raise InputError(
             f"{path}:{linenos[i]}: time {times[i]!r} s is off the uniform "
             f"{sample_rate:g} Hz grid (expected {grid[i]:.6f} s)"
         )
-    unit = meta.get("unit", "mm")
-
-    ground_truth: Optional[GroundTruth] = None
-    if "seed" in meta:
-        resp = None
-        if "resp_fundamental_freq" in meta:
-            resp = RespirationModel(
-                fundamental_freq=float(meta["resp_fundamental_freq"]),
-                harmonic_amplitudes=tuple(
-                    float(a) for a in meta["resp_harmonic_amplitudes"].split(",")
-                ),
-                phase_offset=float(meta.get("resp_phase_offset", 0.0)),
-            )
-        heart = None
-        if "heart_amplitude" in meta:
-            traj = _parse_trajectory(meta.get("heart_trajectory", "custom"))
-            if traj is not None:
-                heart = HeartbeatModel(
-                    rate_trajectory=traj,
-                    amplitude=float(meta["heart_amplitude"]),
-                    waveform_shape=WaveformShape(meta["heart_waveform"]),
-                )
-        ground_truth = GroundTruth(
-            respiration=resp,
-            heartbeat=heart,
-            noise_std=float(meta.get("noise_std", 0.0)),
-            seed=int(meta["seed"]),
+    try:
+        return ChestMotionTrace(
+            samples=np.array(values),
+            sample_rate=sample_rate,
+            unit=meta.get("unit", "mm"),
+            ground_truth=ground_truth,
         )
-    return ChestMotionTrace(
-        samples=np.array(values),
-        sample_rate=sample_rate,
-        unit=unit,
-        ground_truth=ground_truth,
-    )
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_cube(cube: RadarCube, path: str | Path) -> None:
@@ -186,34 +198,36 @@ def write_cube(cube: RadarCube, path: str | Path) -> None:
 
 
 def read_cube(path: str | Path) -> RadarCube:
+    """Read a cube file; every defect raises InputError naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").strip()
+        magic = fh.readline().decode("ascii", errors="replace").strip()
         if magic != _CUBE_MAGIC:
-            raise ValueError(f"{path}: not a radar cube file (got {magic!r})")
+            raise InputError(f"{path}: not a radar cube file (got {magic!r})")
         fields = {}
         while True:
-            line = fh.readline().decode("ascii").strip()
+            line = fh.readline().decode("ascii", errors="replace").strip()
             if line == "end-header":
                 break
             if not line or "=" not in line:
-                raise ValueError(f"{path}: malformed cube header line {line!r}")
+                raise InputError(f"{path}: malformed cube header line {line!r}")
             k, _, v = line.partition("=")
             fields[k] = v
         payload = np.frombuffer(fh.read(), dtype="<f4")
-    frames = int(fields["frames"])
-    samples = int(fields["samples_per_chirp"])
+    try:
+        frames = int(fields["frames"])
+        samples = int(fields["samples_per_chirp"])
+        frame_rate = float(fields["frame_rate"])
+        bin_size = float(fields["bin_size"])
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"{path}: bad or missing cube header field {exc}") from exc
     if payload.size != frames * samples * 2:
-        raise ValueError(
+        raise InputError(
             f"{path}: payload holds {payload.size} floats, expected "
             f"{frames * samples * 2}"
         )
     iq = payload[0::2].astype(float) + 1j * payload[1::2].astype(float)
-    return RadarCube(
-        iq=iq.reshape(frames, samples),
-        frame_rate=float(fields["frame_rate"]),
-        bin_size=float(fields["bin_size"]),
-    )
+    return RadarCube(iq=iq.reshape(frames, samples), frame_rate=frame_rate, bin_size=bin_size)
 
 
 def write_hr_series(series: HrSeries, path: str | Path) -> None:

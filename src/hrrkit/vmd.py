@@ -28,6 +28,11 @@ from .errors import AlphaInfeasibleError
 
 MIN_SIGNAL_LENGTH = 64
 
+# Default bracket and stopping ratio of the alpha bisection.
+ALPHA_LO = 10.0
+ALPHA_HI = 1e6
+ALPHA_RATIO_TOL = 1.1
+
 # Modes whose variance falls below this fraction of the input variance are
 # numerical dust (surplus modes on clean signals); they are excluded from
 # the pairwise-correlation gate.
@@ -135,29 +140,55 @@ def vmd_decompose(
 
     K = params.K
     alpha = params.alpha
-    u_hat = np.zeros((K, P), dtype=complex)
     omega = (np.arange(K) + 0.5) / K * 0.25   # uniform over [0, fs/4], normalized
     lam = np.zeros(P, dtype=complex)
-    sum_u = u_hat.sum(axis=0)
+    half_lam = None   # lam / 2; stays None while lam is zero (always when tau == 0)
+
+    # Work buffers, allocated once and written in place. u_hat and u_prev
+    # swap roles at the start of each sweep. power[k] keeps |u_hat[k]|^2
+    # from the omega update, so at the start of the next sweep power.sum()
+    # is the norm of u_prev.
+    u_hat = np.zeros((K, P), dtype=complex)
+    u_prev = np.zeros((K, P), dtype=complex)
+    sum_u = np.zeros(P, dtype=complex)
+    numer = np.empty(P, dtype=complex)
+    gain = np.empty(P)
+    power = np.zeros((K, P))
+    delta = np.empty((K, P), dtype=complex)
+    delta_power = np.empty((K, P))
 
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
-        u_prev = u_hat.copy()
+        u_hat, u_prev = u_prev, u_hat
+        norm = power.sum()
         for k in range(K):
-            sum_u = sum_u - u_hat[k]
-            numer = f_plus - sum_u - lam / 2.0
-            u_hat[k] = numer / (1.0 + alpha * (freqs - omega[k]) ** 2)
-            sum_u = sum_u + u_hat[k]
-            power = np.abs(u_hat[k]) ** 2
-            denom = power.sum()
+            uk, pk = u_hat[k], power[k]
+            np.subtract(sum_u, u_prev[k], out=sum_u)
+            np.subtract(f_plus, sum_u, out=numer)
+            if half_lam is not None:
+                np.subtract(numer, half_lam, out=numer)
+            # Multiplying by the real reciprocal of 1 + alpha (f - omega_k)^2
+            # is what numpy's complex divide by a real does.
+            np.subtract(freqs, omega[k], out=gain)
+            np.square(gain, out=gain)
+            np.multiply(gain, alpha, out=gain)
+            np.add(gain, 1.0, out=gain)
+            np.divide(1.0, gain, out=gain)
+            np.multiply(numer, gain, out=uk)
+            np.add(sum_u, uk, out=sum_u)
+            np.abs(uk, out=pk)
+            np.square(pk, out=pk)
+            denom = pk.sum()
             if denom > 1e-300:
-                omega[k] = float(np.dot(freqs, power) / denom)
+                omega[k] = float(np.dot(freqs, pk) / denom)
         if params.tau != 0.0:
             lam = lam + params.tau * (sum_u - f_plus)
-        diff = np.sum(np.abs(u_hat - u_prev) ** 2)
-        norm = np.sum(np.abs(u_prev) ** 2)
-        if diff <= params.tolerance * max(norm, 1e-300):
+            half_lam = lam / 2.0
+        np.subtract(u_hat, u_prev, out=delta)
+        np.abs(delta, out=delta_power)
+        np.square(delta_power, out=delta_power)
+        if delta_power.sum() <= params.tolerance * max(norm, 1e-300):
             converged = True
             break
 
@@ -225,8 +256,8 @@ def select_alpha(
     sample_rate: float,
     params: VmdParams,
     gates: GateThresholds = GateThresholds(),
-    alpha_range: tuple[float, float] = (10.0, 1e6),
-    ratio_tol: float = 1.1,
+    alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
+    ratio_tol: float = ALPHA_RATIO_TOL,
     search_trace: Optional[AlphaSearchTrace] = None,
 ) -> tuple[float, ModeSet]:
     """Find a penalty factor whose decomposition passes both gates.

@@ -1,14 +1,17 @@
+import inspect
+
 import pytest
 
+from hrrkit import cli
 from hrrkit.cli import main
 from hrrkit.config import PipelineConfig, parse_config
-from hrrkit.errors import ConfigError
-from hrrkit.hr_estimate import WindowConfig
+from hrrkit.errors import ConfigError, DegenerateSignalError
+from hrrkit.hr_estimate import WindowConfig, condition_heartbeat, run_composite_windows
 from hrrkit.io import read_trace
 from hrrkit.mode_select import ModeSelectConfig
 from hrrkit.preprocess import FilterSpec
 from hrrkit.signal_model import ExponentialRecovery
-from hrrkit.vmd import GateThresholds, VmdParams
+from hrrkit.vmd import GateThresholds, VmdParams, select_alpha
 
 
 class TestParseConfig:
@@ -45,6 +48,14 @@ class TestParseConfig:
         assert cfg.gates() == GateThresholds()
         assert cfg.mode_select_config() == ModeSelectConfig()
         assert cfg.window_config() == WindowConfig()
+        alpha_search = inspect.signature(select_alpha).parameters
+        assert alpha_search["alpha_range"].default == (cfg.alpha_lo, cfg.alpha_hi)
+        assert alpha_search["ratio_tol"].default == cfg.alpha_ratio_tol
+        conditioning = inspect.signature(condition_heartbeat).parameters
+        assert conditioning["smooth_window"].default == cfg.smooth_window
+        assert conditioning["envelope_floor"].default == cfg.envelope_floor
+        sweep = inspect.signature(run_composite_windows).parameters
+        assert sweep["carry_limit"].default == cfg.carry_limit
 
     def test_echo_round_trip(self, tmp_path):
         cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5"})
@@ -133,6 +144,40 @@ class TestCliFlows:
 
     def test_missing_input_is_input_error(self, synth_dir):
         rc = main(["estimate", str(synth_dir / "nope.csv"), "-o", str(synth_dir / "z")])
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "exc", [ValueError("internal"), DegenerateSignalError("internal")]
+    )
+    def test_internal_value_error_is_pipeline_failure(
+        self, synth_dir, monkeypatch, capsys, exc
+    ):
+        def broken(trace, cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "estimate_trace", broken)
+        rc = main(["estimate", str(synth_dir / "trace.csv"), "-o", str(synth_dir / "v")])
+        assert rc == 3
+        assert "input error" not in capsys.readouterr().err
+
+    def test_phase_trace_is_input_error(self, synth_dir, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes((synth_dir / "trace.csv").read_bytes())
+        meta = (synth_dir / "trace.meta").read_text()
+        assert "unit=mm" in meta
+        (tmp_path / "t.meta").write_text(meta.replace("unit=mm", "unit=rad"))
+        rc = main(["estimate", str(tmp_path / "t.csv"), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "displacement trace in mm" in capsys.readouterr().err
+
+    def test_bad_synth_argument_is_input_error(self, tmp_path):
+        rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--resp-amps", "1.0,x"])
+        assert rc == 2
+
+    def test_bad_radar_argument_is_input_error(self, synth_dir, tmp_path):
+        rc = main([
+            "simulate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "c.bin"),
+            "--noise-floor", "-1",
+        ])
         assert rc == 2
 
     def test_bad_config_value_is_usage_error(self, synth_dir):

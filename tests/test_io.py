@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hrrkit.errors import InputError
 from hrrkit.io import (
     read_cube,
     read_trace,
@@ -89,6 +90,21 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace(path)
 
+    def test_binary_file_is_input_error(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        with pytest.raises(InputError, match="bin.csv:1: expected header"):
+            read_trace(path)
+
+    def test_malformed_sidecar_is_input_error(self, tmp_path):
+        trace = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 50.0, 10.0, 4)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        meta = tmp_path / "t.meta"
+        meta.write_text(meta.read_text().replace("seed=4", "seed=four"))
+        with pytest.raises(InputError, match="t.meta: bad sidecar entry"):
+            read_trace(path)
+
 
 class TestCubeFile:
     def test_round_trip(self, tmp_path):
@@ -119,6 +135,12 @@ class TestCubeFile:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="payload"):
+            read_cube(path)
+
+    def test_missing_header_field_is_input_error(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        path.write_bytes(b"hrrkit-cube v1\nframes=1\nend-header\n")
+        with pytest.raises(InputError, match="samples_per_chirp"):
             read_cube(path)
 
     def test_writes_are_deterministic(self, tmp_path):

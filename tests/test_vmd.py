@@ -88,6 +88,85 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
+def allocating_reference(signal, fs, params):
+    """The one-sided sweep as first written, one fresh array per operation.
+
+    The in-place core must reproduce it bit for bit.
+    """
+    f = np.asarray(signal, dtype=float)
+    n = len(f)
+    m = max(1, round(params.mirror_frac * n))
+    ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
+    T = len(ext)
+    P = (T + 1) // 2
+    freqs = np.fft.fftfreq(T)[:P]
+    f_plus = np.fft.fft(ext)[:P]
+    K = params.K
+    alpha = params.alpha
+    u_hat = np.zeros((K, P), dtype=complex)
+    omega = (np.arange(K) + 0.5) / K * 0.25
+    lam = np.zeros(P, dtype=complex)
+    sum_u = u_hat.sum(axis=0)
+    converged = False
+    it = 0
+    for it in range(1, params.max_iters + 1):
+        u_prev = u_hat.copy()
+        for k in range(K):
+            sum_u = sum_u - u_hat[k]
+            numer = f_plus - sum_u - lam / 2.0
+            u_hat[k] = numer / (1.0 + alpha * (freqs - omega[k]) ** 2)
+            sum_u = sum_u + u_hat[k]
+            power = np.abs(u_hat[k]) ** 2
+            denom = power.sum()
+            if denom > 1e-300:
+                omega[k] = float(np.dot(freqs, power) / denom)
+        if params.tau != 0.0:
+            lam = lam + params.tau * (sum_u - f_plus)
+        diff = np.sum(np.abs(u_hat - u_prev) ** 2)
+        norm = np.sum(np.abs(u_prev) ** 2)
+        if diff <= params.tolerance * max(norm, 1e-300):
+            converged = True
+            break
+    modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
+    order = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
+    return modes[order], omega[order] * fs, converged, it
+
+
+def three_tone(n):
+    duration = n / FS
+    return (
+        tone(0.35, FS, duration, phase=0.3)
+        + tone(1.5, FS, duration, amp=0.7, phase=1.1)
+        + tone(4.0, FS, duration, amp=0.2, phase=0.5)
+    )
+
+
+# (n, tau, alpha, tolerance, max_iters). n = 768 extends to an even T = 922,
+# n = 769 to an odd T = 923. Loose tolerances stop in the first sweeps, where
+# the norms of u_prev and u_hat still differ enough to move the stopping
+# sweep; max_iters = 5 stops unconverged.
+IN_PLACE_CASES = (
+    [(n, tau, alpha, 1e-7, 500) for n in (768, 769) for tau in (0.0, 0.1)
+     for alpha in (10.0, 2000.0, 1e6)]
+    + [(768, 0.0, alpha, tol, 500) for alpha in (2000.0, 1e6) for tol in (1e-1, 3e-2, 1e-3)]
+    + [(768, tau, 2000.0, 1e-7, 5) for tau in (0.0, 0.1)]
+)
+
+
+class TestInPlaceSweep:
+    @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    def test_matches_allocating_reference_bit_for_bit(self, n, tau, alpha, tolerance, max_iters):
+        sig = three_tone(n)
+        params = VmdParams(K=4, alpha=alpha, tau=tau, tolerance=tolerance, max_iters=max_iters)
+        modes, center_freqs, converged, n_iters = allocating_reference(sig, FS, params)
+        ms = vmd_decompose(sig, FS, params)
+        assert ms.n_iters == n_iters and ms.converged == converged
+        assert np.array_equal(ms.center_freqs, center_freqs)
+        assert np.array_equal(ms.modes, modes)
+        if max_iters == 5:
+            assert not converged and n_iters == 5
+
+
 class TestSpectrumConvention:
     # n = 768 extends to an even T = 922 (Nyquist bin present), n = 769 to
     # an odd T = 923.
