@@ -11,7 +11,6 @@ from .signal_model import (
     LinearRamp,
     RespirationModel,
     WaveformShape,
-    exponential_recovery,
     synthesize_trace,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "RespirationModel",
     "WaveformShape",
     "estimate_trace",
-    "exponential_recovery",
     "parse_config",
     "synthesize_trace",
     "__version__",

@@ -1,8 +1,8 @@
 """Command-line entry point wiring all stages.
 
 Subcommands: synth (make a ground-truth trace), simulate (radar front end),
-estimate (trace or cube to HR series + recovery report), eval (scenario
-sweep), dump-modes (per-window decomposition diagnostics).
+estimate (trace or cube to HR series + recovery report, optionally the
+per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
 quality. Only InputError and a missing file are input errors; any other
@@ -101,7 +101,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--expected-range", type=float, help="m, required for cube input")
     p.add_argument("--wavelength", type=float, default=RadarConfig().wavelength,
                    help="m, used for cube input")
-    p.add_argument("--dump-modes", action="store_true")
+    p.add_argument("--dump-modes", action="store_true",
+                   help="also write the per-window decomposition table modes.csv")
 
     p = sub.add_parser("eval", help="run the scenario suite")
     p.add_argument("-o", "--output-dir", required=True)
@@ -113,12 +114,6 @@ def _build_parser() -> _Parser:
         "--scenario", action="append", default=[],
         help="run only the named scenario(s); repeatable",
     )
-
-    p = sub.add_parser("dump-modes", help="per-window decomposition tables only")
-    p.add_argument("input", help="trace CSV")
-    p.add_argument("-o", "--output", required=True, help="modes CSV path")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     return parser
 
@@ -252,21 +247,11 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dump_modes(args) -> int:
-    cfg = _resolve_config(args)
-    trace = read_trace(args.input)
-    series, _ = estimate_trace(trace, cfg)
-    write_mode_dump(series, args.output)
-    print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
     "eval": _cmd_eval,
-    "dump-modes": _cmd_dump_modes,
 }
 
 

@@ -15,17 +15,19 @@ class TrackingLostError(RuntimeError):
 class AlphaInfeasibleError(RuntimeError):
     """No penalty factor in the search range satisfied both decomposition gates.
 
-    Carries the best (r_max, p) pair observed during the search; when the
-    search ran at least one decomposition, ``best_alpha``/``best_modeset``
-    hold the least-violating attempt so callers can degrade gracefully.
+    Carries the best (r_max, p) pair observed during the search and the
+    least-violating attempt (``best_alpha``, ``best_modeset``), so callers
+    can degrade gracefully.
     """
 
-    def __init__(self, message: str, best_r_max: float, best_p: float):
+    def __init__(
+        self, message: str, best_r_max: float, best_p: float, best_alpha: float, best_modeset
+    ):
         super().__init__(message)
         self.best_r_max = best_r_max
         self.best_p = best_p
-        self.best_alpha = None
-        self.best_modeset = None
+        self.best_alpha = best_alpha
+        self.best_modeset = best_modeset
 
 
 class NoHeartbeatError(RuntimeError):

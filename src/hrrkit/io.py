@@ -7,6 +7,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -140,6 +141,8 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             values.append(float(v_str))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed row {line!r}") from exc
+        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+            raise InputError(f"{path}:{lineno}: non-finite value in row {line!r}")
         linenos.append(lineno)
     if len(values) < 2:
         raise InputError(f"{path}: needs at least 2 samples")

@@ -48,8 +48,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
                 ratio_tol=cfg.alpha_ratio_tol,
             )
         except AlphaInfeasibleError as exc:
-            if exc.best_modeset is None:
-                return WindowResult(t0, None, status="no_heartbeat")
             alpha, ms = exc.best_alpha, exc.best_modeset
             status = "gates_relaxed"
         r_max = mode_correlation_max(ms)

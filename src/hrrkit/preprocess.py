@@ -20,11 +20,10 @@ _FILTER_ORDER = 4  # per band edge; applied twice (forward-backward)
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Pass band and the attenuation target at the probe stop frequencies."""
+    """Pass band of the vital-band filter, in Hz."""
 
     pass_low: float = 0.2
     pass_high: float = 3.4
-    stop_attenuation_db: float = 20.0
 
     def __post_init__(self):
         if not 0 < self.pass_low < self.pass_high:
@@ -32,8 +31,6 @@ class FilterSpec:
                 f"require 0 < pass_low < pass_high, got "
                 f"({self.pass_low}, {self.pass_high})"
             )
-        if self.stop_attenuation_db <= 0:
-            raise ValueError("stop_attenuation_db must be > 0")
 
 
 def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestMotionTrace:

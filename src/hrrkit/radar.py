@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrackingLostError
+from .errors import InputError, TrackingLostError
 from .signal_model import ChestMotionTrace
 
 SPEED_OF_LIGHT = 299792458.0
@@ -121,22 +121,22 @@ def simulate_frames(
     """
     n_frames = round(duration * config.frame_rate)
     if n_frames < 1:
-        raise ValueError("duration too short for a single frame")
+        raise InputError("duration too short for a single frame")
     frame_times = np.arange(n_frames) / config.frame_rate
 
     ranges = np.empty((len(scene.targets), n_frames))
     for ti, tgt in enumerate(scene.targets):
         if tgt.trace.unit != "mm":
-            raise ValueError("target traces must be displacement in mm")
+            raise InputError("target traces must be displacement in mm")
         if tgt.trace.duration < duration - 1e-9:
-            raise ValueError(
+            raise InputError(
                 f"target trace ({tgt.trace.duration:.2f} s) shorter than the "
                 f"simulation duration ({duration:.2f} s)"
             )
         disp_m = np.interp(frame_times, tgt.trace.times, tgt.trace.samples) / 1000.0
         ranges[ti] = tgt.base_range + tgt.drift * frame_times + disp_m
         if ranges[ti].min() <= 0 or ranges[ti].max() >= config.unambiguous_range:
-            raise ValueError(
+            raise InputError(
                 f"target {ti} leaves (0, {config.unambiguous_range:.2f}) m "
                 f"unambiguous range"
             )
@@ -144,7 +144,7 @@ def simulate_frames(
         for a in range(len(scene.targets)):
             for b in range(a + 1, len(scene.targets)):
                 if np.min(np.abs(ranges[a] - ranges[b])) < config.bin_size:
-                    raise ValueError(
+                    raise InputError(
                         f"targets {a} and {b} come closer than one range bin"
                     )
 
@@ -223,7 +223,7 @@ def track_target(
     n_bins = cube.iq.shape[1]
     center = round(expected_range / cube.bin_size)
     if not 0 <= center < n_bins:
-        raise ValueError(
+        raise InputError(
             f"expected_range {expected_range} m is outside the spectrum"
         )
 

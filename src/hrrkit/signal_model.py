@@ -17,6 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .errors import InputError
+
 MIN_RESP_FREQ_HZ = 10.0 / 60.0  # adult respiratory floor, 10 breaths/min
 MAX_RESP_HARMONICS = 5          # nonzero harmonics allowed above the fundamental
 HR_FLOOR_BPM = 40.0
@@ -76,11 +78,23 @@ class RespirationModel:
 
 @dataclass(frozen=True)
 class ExponentialRecovery:
-    """HR(t) = hr_final + (hr_initial - hr_final) * exp(-t / time_constant)."""
+    """HR(t) = hr_final + (hr_initial - hr_final) * exp(-t / time_constant).
+
+    ``hr_initial == hr_final`` degenerates to a constant rate and is allowed.
+    """
 
     hr_initial: float
     hr_final: float
     time_constant: float
+
+    def __post_init__(self):
+        if not self.hr_initial >= self.hr_final > 0:
+            raise ValueError(
+                f"require hr_initial >= hr_final > 0, got "
+                f"({self.hr_initial}, {self.hr_final})"
+            )
+        if self.time_constant <= 0:
+            raise ValueError(f"time_constant must be > 0, got {self.time_constant}")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -107,26 +121,14 @@ class LinearRamp:
     end_bpm: float
     t_end: float
 
+    def __post_init__(self):
+        if self.t_end <= 0:
+            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         frac = np.clip(t / self.t_end, 0.0, 1.0)
         return self.start_bpm + (self.end_bpm - self.start_bpm) * frac
-
-
-def exponential_recovery(
-    hr_initial: float, hr_final: float, time_constant: float
-) -> ExponentialRecovery:
-    """Build the post-exercise exponential recovery trajectory.
-
-    ``hr_initial == hr_final`` degenerates to a constant rate and is allowed.
-    """
-    if not hr_initial >= hr_final > 0:
-        raise ValueError(
-            f"require hr_initial >= hr_final > 0, got ({hr_initial}, {hr_final})"
-        )
-    if time_constant <= 0:
-        raise ValueError(f"time_constant must be > 0, got {time_constant}")
-    return ExponentialRecovery(hr_initial, hr_final, time_constant)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class HeartbeatModel:
         t_fine = np.linspace(t[0], t[-1], n_fine)
         rate = np.asarray(self.rate_trajectory(t_fine), dtype=float)
         if rate.min() < HR_FLOOR_BPM or rate.max() > HR_CEILING_BPM:
-            raise ValueError(
+            raise InputError(
                 f"rate_trajectory must stay within [{HR_FLOOR_BPM:.0f}, "
                 f"{HR_CEILING_BPM:.0f}] bpm over the window, got "
                 f"[{rate.min():.2f}, {rate.max():.2f}]"
@@ -250,12 +252,12 @@ def synthesize_trace(
     traces equals the combined noiseless trace sample-for-sample.
     """
     if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+        raise InputError(f"duration must be > 0, got {duration}")
     if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+        raise InputError(f"noise_std must be >= 0, got {noise_std}")
     if resp is not None and heart is not None:
         if heart.amplitude >= resp.harmonic_amplitudes[0]:
-            raise ValueError(
+            raise InputError(
                 "heartbeat amplitude must be smaller than the respiration "
                 f"fundamental amplitude ({heart.amplitude} >= "
                 f"{resp.harmonic_amplitudes[0]})"

@@ -139,56 +139,34 @@ def vmd_decompose(
     f_plus = np.fft.fft(ext)[:P]
 
     K = params.K
-    alpha = params.alpha
     omega = (np.arange(K) + 0.5) / K * 0.25   # uniform over [0, fs/4], normalized
-    lam = np.zeros(P, dtype=complex)
-    half_lam = None   # lam / 2; stays None while lam is zero (always when tau == 0)
-
-    # Work buffers, allocated once and written in place. u_hat and u_prev
-    # swap roles at the start of each sweep. power[k] keeps |u_hat[k]|^2
-    # from the omega update, so at the start of the next sweep power.sum()
-    # is the norm of u_prev.
     u_hat = np.zeros((K, P), dtype=complex)
-    u_prev = np.zeros((K, P), dtype=complex)
     sum_u = np.zeros(P, dtype=complex)
-    numer = np.empty(P, dtype=complex)
-    gain = np.empty(P)
-    power = np.zeros((K, P))
-    delta = np.empty((K, P), dtype=complex)
-    delta_power = np.empty((K, P))
+    lam = np.zeros(P, dtype=complex)
+    power = np.zeros((K, P))   # |u_hat|^2 after the previous sweep
 
     converged = False
-    it = 0
     for it in range(1, params.max_iters + 1):
-        u_hat, u_prev = u_prev, u_hat
+        u_prev = u_hat.copy()
         norm = power.sum()
+        # Mode k's Wiener gain reads omega_k from the previous sweep, so all
+        # K gains are formed up front; only the mode updates are sequential.
+        gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
         for k in range(K):
-            uk, pk = u_hat[k], power[k]
-            np.subtract(sum_u, u_prev[k], out=sum_u)
-            np.subtract(f_plus, sum_u, out=numer)
-            if half_lam is not None:
-                np.subtract(numer, half_lam, out=numer)
-            # Multiplying by the real reciprocal of 1 + alpha (f - omega_k)^2
-            # is what numpy's complex divide by a real does.
-            np.subtract(freqs, omega[k], out=gain)
-            np.square(gain, out=gain)
-            np.multiply(gain, alpha, out=gain)
-            np.add(gain, 1.0, out=gain)
-            np.divide(1.0, gain, out=gain)
-            np.multiply(numer, gain, out=uk)
-            np.add(sum_u, uk, out=sum_u)
-            np.abs(uk, out=pk)
-            np.square(pk, out=pk)
-            denom = pk.sum()
-            if denom > 1e-300:
-                omega[k] = float(np.dot(freqs, pk) / denom)
+            sum_u -= u_prev[k]
+            rhs = f_plus - sum_u
+            if params.tau != 0.0:
+                rhs -= lam / 2.0
+            u_hat[k] = rhs * gain[k]
+            sum_u += u_hat[k]
+        power = np.abs(u_hat) ** 2
+        denom = power.sum(axis=1)
+        for k in range(K):
+            if denom[k] > 1e-300:
+                omega[k] = np.dot(freqs, power[k]) / denom[k]
         if params.tau != 0.0:
             lam = lam + params.tau * (sum_u - f_plus)
-            half_lam = lam / 2.0
-        np.subtract(u_hat, u_prev, out=delta)
-        np.abs(delta, out=delta_power)
-        np.square(delta_power, out=delta_power)
-        if delta_power.sum() <= params.tolerance * max(norm, 1e-300):
+        if np.sum(np.abs(u_hat - u_prev) ** 2) <= params.tolerance * max(norm, 1e-300):
             converged = True
             break
 
@@ -301,12 +279,12 @@ def select_alpha(
         else:
             lo = mid
         if hi / lo < ratio_tol:
-            err = AlphaInfeasibleError(
+            raise AlphaInfeasibleError(
                 f"alpha search exhausted in [{alpha_range[0]:.1f}, "
                 f"{alpha_range[1]:.1f}] without satisfying r_max <= {gates.mu1} "
                 f"and p <= {gates.mu2} (best r_max={best_r:.3f}, p={best_p:.2e})",
                 best_r_max=best_r,
                 best_p=best_p,
+                best_alpha=best[0],
+                best_modeset=best[1],
             )
-            err.best_alpha, err.best_modeset = best
-            raise err

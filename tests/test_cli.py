@@ -89,6 +89,9 @@ class TestCliFlows:
         assert (out / "config_echo.txt").exists()
         header = (out / "hr.csv").read_text().splitlines()[0]
         assert header == "time_s,hr_bpm,l_b_s,flag"
+        modes = (out / "modes.csv").read_text().splitlines()
+        assert modes[0].startswith("window_start_s,mode_idx,omega_hz")
+        assert len(modes) > 10
 
     def test_estimate_recovery_accuracy(self, synth_dir):
         out = synth_dir / "est_acc"
@@ -173,6 +176,53 @@ class TestCliFlows:
         rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--resp-amps", "1.0,x"])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [["--hr-tau", "0"], ["--hr-ramp", "100,55,0"]])
+    def test_bad_trajectory_is_input_error(self, tmp_path, args):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "-o", str(out), "--duration", "20", *args]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--duration", "0"], "duration"),
+            (["--noise-std", "-1"], "noise_std"),
+            (["--heart-amp", "1.5"], "heartbeat amplitude"),
+            (["--hr-const", "300"], "rate_trajectory"),
+        ],
+    )
+    def test_bad_synthesis_argument_is_input_error(self, tmp_path, capsys, args, message):
+        rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--duration", "20", *args])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_trace_is_input_error(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "trace.csv").read_text().splitlines()
+        lines[501] = lines[501].split(",")[0] + ",nan"
+        (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", str(tmp_path / "nan.csv"), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "nan.csv:502: non-finite" in capsys.readouterr().err
+
+    def test_range_outside_spectrum_is_input_error(self, synth_dir, tmp_path, capsys):
+        cube = tmp_path / "cube.bin"
+        assert main([
+            "simulate", str(synth_dir / "trace.csv"), "-o", str(cube), "--base-range", "1.2",
+        ]) == 0
+        rc = main([
+            "estimate", str(cube), "-o", str(tmp_path / "out"), "--expected-range", "500",
+        ])
+        assert rc == 2
+        assert "outside the spectrum" in capsys.readouterr().err
+
+    def test_target_outside_range_is_input_error(self, synth_dir, tmp_path, capsys):
+        rc = main([
+            "simulate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "c.bin"),
+            "--base-range", "100",
+        ])
+        assert rc == 2
+        assert "unambiguous range" in capsys.readouterr().err
+
     def test_bad_radar_argument_is_input_error(self, synth_dir, tmp_path):
         rc = main([
             "simulate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "c.bin"),
@@ -186,14 +236,6 @@ class TestCliFlows:
             "--set", "mu2=1.5",
         ])
         assert rc == 1
-
-    def test_dump_modes_subcommand(self, synth_dir):
-        out_csv = synth_dir / "modes_only.csv"
-        rc = main(["dump-modes", str(synth_dir / "trace.csv"), "-o", str(out_csv)])
-        assert rc == 0
-        lines = out_csv.read_text().splitlines()
-        assert lines[0].startswith("window_start_s,mode_idx,omega_hz")
-        assert len(lines) > 10
 
     def test_synth_writes_ground_truth(self, synth_dir):
         trace = read_trace(synth_dir / "trace.csv")

@@ -84,6 +84,13 @@ class TestTraceCsv:
         (tmp_path / "t30.meta").unlink()
         assert read_trace(path).sample_rate == pytest.approx(30.0)
 
+    @pytest.mark.parametrize("row", ["0.010000,nan", "0.010000,-inf", "nan,1.0"])
+    def test_non_finite_row_reports_line(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"time_s,displacement_mm\n0.000000,1.0\n{row}\n0.020000,1.0\n")
+        with pytest.raises(InputError, match="nan.csv:3: non-finite"):
+            read_trace(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0,1\n")

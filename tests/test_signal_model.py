@@ -11,7 +11,6 @@ from hrrkit.signal_model import (
     LinearRamp,
     RespirationModel,
     WaveformShape,
-    exponential_recovery,
     synthesize_trace,
 )
 
@@ -33,25 +32,31 @@ def dominant_freqs(x, fs, n_peaks):
 
 class TestExponentialRecovery:
     def test_closed_form_at_60s(self):
-        traj = exponential_recovery(152.0, 120.0, 30.0)
+        traj = ExponentialRecovery(152.0, 120.0, 30.0)
         expected = 120.0 + 32.0 * math.exp(-2.0)  # ~124.33, echoes a 32 bpm drop
         assert traj(60.0) == pytest.approx(expected, abs=1e-12)
 
     def test_flat_degenerate_case(self):
-        traj = exponential_recovery(120.0, 120.0, 5.0)
+        traj = ExponentialRecovery(120.0, 120.0, 5.0)
         t = np.linspace(0.0, 100.0, 50)
         assert np.all(traj(t) == 120.0)
 
     def test_boundary_value(self):
-        assert exponential_recovery(160.0, 100.0, 30.0)(0.0) == pytest.approx(160.0)
+        assert ExponentialRecovery(160.0, 100.0, 30.0)(0.0) == pytest.approx(160.0)
 
     def test_rejects_nonpositive_time_constant(self):
         with pytest.raises(ValueError, match="time_constant"):
-            exponential_recovery(150.0, 120.0, 0.0)
+            ExponentialRecovery(150.0, 120.0, 0.0)
 
     def test_rejects_inverted_rates(self):
         with pytest.raises(ValueError, match="hr_initial"):
-            exponential_recovery(100.0, 120.0, 30.0)
+            ExponentialRecovery(100.0, 120.0, 30.0)
+
+
+class TestLinearRamp:
+    def test_rejects_nonpositive_t_end(self):
+        with pytest.raises(ValueError, match="t_end"):
+            LinearRamp(100.0, 55.0, 0.0)
 
 
 class TestModelInvariants:

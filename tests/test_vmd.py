@@ -322,6 +322,18 @@ class TestSelectAlpha:
             select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
         assert exc_info.value.best_p > 0.0
 
+    def test_infeasible_error_carries_best_attempt(self):
+        trace = AlphaSearchTrace()
+        with pytest.raises(AlphaInfeasibleError) as exc_info:
+            select_alpha(
+                two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0),
+                search_trace=trace,
+            )
+        exc = exc_info.value
+        assert exc.best_alpha in trace.alphas
+        assert energy_loss(exc.best_modeset) == exc.best_p
+        assert exc.best_modeset.n_modes == 2
+
     def test_search_cost_bounded(self):
         trace = AlphaSearchTrace()
         select_alpha(two_tone(), FS, VmdParams(K=2), search_trace=trace)
