@@ -18,6 +18,7 @@ from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import ConfigError, DegradedQualityError, InputError
 from .evaluate import default_scenarios, sweep
+from .hr_estimate import REPORT_TIME_S, output_times, reaches_report_time
 from .io import (
     read_cube,
     read_trace,
@@ -206,6 +207,13 @@ def _cmd_estimate(args) -> int:
         raise InputError(
             f"input lasts {trace.duration:.2f} s but the analysis window "
             f"needs at least {wcfg.l_a:.2f} s"
+        )
+    grid = output_times(trace.duration, wcfg.cadence)
+    last = grid[-1] if len(grid) else 0.0
+    if not reaches_report_time(last, wcfg.cadence):
+        raise InputError(
+            f"input lasts {trace.duration:.2f} s but the recovery report needs "
+            f"HR up to {REPORT_TIME_S:g} s (last output at {last:.2f} s)"
         )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,6 +32,7 @@ HR_MAX_BPM = 220.0
 SMOOTH_WINDOW = 0.12    # s, heartbeat smoother length
 ENVELOPE_FLOOR = 0.1    # envelope floor, fraction of its median
 CARRY_LIMIT = 0.5       # largest tolerated fraction of carried points
+REPORT_TIME_S = 60.0    # s, the report's recovery is the HR drop up to this time
 
 FLAG_OK = "ok"
 FLAG_CARRY = "carry"
@@ -299,8 +300,7 @@ def run_composite_windows(
         except NoEstimateError:
             return None
 
-    n_steps = int(math.floor(duration / cfg.cadence + 1e-9))
-    grid = np.arange(1, n_steps + 1) * cfg.cadence
+    grid = output_times(duration, cfg.cadence)
 
     def sweep(lmin_at: Callable[[float], float]) -> list[HrPoint]:
         k = 0
@@ -366,6 +366,21 @@ def run_composite_windows(
     return HrSeries(points=points, cadence=cfg.cadence, window_results=cache)
 
 
+def output_times(duration: float, cadence: float) -> np.ndarray:
+    """The output grid: every ``cadence`` step within ``duration``.
+
+    Once the series has started, a point is emitted at every grid time, so
+    the last grid time is the series' last point.
+    """
+    n_steps = int(math.floor(duration / cadence + 1e-9))
+    return np.arange(1, n_steps + 1) * cadence
+
+
+def reaches_report_time(last_time: float, cadence: float) -> bool:
+    """Whether a series ending at ``last_time`` has a point at REPORT_TIME_S."""
+    return last_time >= REPORT_TIME_S - cadence / 2
+
+
 @dataclass
 class HrrReport:
     """Recovery summary over the observation window."""
@@ -403,12 +418,13 @@ def build_report(
     """
     if not series.points:
         raise ValueError("empty HR series")
-    if series.times[-1] < 60.0 - series.cadence / 2:
+    if not reaches_report_time(series.times[-1], series.cadence):
         raise ValueError(
-            f"series must span at least 60 s, last point at {series.times[-1]:.1f} s"
+            f"series must span at least {REPORT_TIME_S:g} s, last point at "
+            f"{series.times[-1]:.1f} s"
         )
     initial = next(p.hr_bpm for p in series.points if p.flag != FLAG_CARRY)
-    at60 = series.value_at(60.0).hr_bpm
+    at60 = series.value_at(REPORT_TIME_S).hr_bpm
     mae = None
     if truth is not None:
         truth_hr = np.asarray(truth(series.times), dtype=float)

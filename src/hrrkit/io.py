@@ -17,6 +17,7 @@ from .errors import InputError
 from .hr_estimate import HrrReport, HrSeries
 from .radar import RadarCube
 from .signal_model import (
+    MIN_SAMPLE_RATE_HZ,
     ChestMotionTrace,
     ConstantRate,
     ExponentialRecovery,
@@ -192,16 +193,18 @@ def write_cube(cube: RadarCube, path: str | Path) -> None:
         f"bin_size={cube.bin_size!r}\n"
         f"end-header\n"
     )
-    flat = np.empty(cube.iq.size * 2, dtype="<f4")
-    flat[0::2] = cube.iq.real.ravel()
-    flat[1::2] = cube.iq.imag.ravel()
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(flat.tobytes())
+        fh.write(np.ascontiguousarray(cube.iq, dtype="<c8"))
 
 
 def read_cube(path: str | Path) -> RadarCube:
-    """Read a cube file; every defect raises InputError naming the file."""
+    """Read a cube file; every defect raises InputError naming the file.
+
+    Besides a well-formed header and payload, the radar stage needs at
+    least one frame of at least two samples, a finite frame rate of at
+    least MIN_SAMPLE_RATE_HZ, a finite positive bin size and finite samples.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii", errors="replace").strip()
@@ -224,12 +227,27 @@ def read_cube(path: str | Path) -> RadarCube:
         bin_size = float(fields["bin_size"])
     except (KeyError, ValueError) as exc:
         raise InputError(f"{path}: bad or missing cube header field {exc}") from exc
+    if frames < 1 or samples < 2:
+        raise InputError(
+            f"{path}: needs frames >= 1 and samples_per_chirp >= 2, got "
+            f"{frames} x {samples}"
+        )
+    if not MIN_SAMPLE_RATE_HZ <= frame_rate < math.inf:
+        raise InputError(
+            f"{path}: frame_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, "
+            f"got {frame_rate}"
+        )
+    if not 0 < bin_size < math.inf:
+        raise InputError(f"{path}: bin_size must be finite and > 0, got {bin_size}")
     if payload.size != frames * samples * 2:
         raise InputError(
             f"{path}: payload holds {payload.size} floats, expected "
             f"{frames * samples * 2}"
         )
-    iq = payload[0::2].astype(float) + 1j * payload[1::2].astype(float)
+    if not np.isfinite(payload).all():
+        frame = int(np.argmin(np.isfinite(payload))) // (2 * samples)
+        raise InputError(f"{path}: frame {frame} holds a non-finite I/Q sample")
+    iq = payload.view("<c8").astype(complex)
     return RadarCube(iq=iq.reshape(frames, samples), frame_rate=frame_rate, bin_size=bin_size)
 
 

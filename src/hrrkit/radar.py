@@ -11,13 +11,12 @@ displacement through delta_d = wavelength * delta_phi / (4*pi).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, TrackingLostError
-from .signal_model import ChestMotionTrace
+from .signal_model import MIN_SAMPLE_RATE_HZ, ChestMotionTrace
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -42,8 +41,10 @@ class RadarConfig:
             raise ValueError("carrier_freq and bandwidth must be > 0")
         if self.chirp_duration <= 0 or self.samples_per_chirp < 2:
             raise ValueError("invalid chirp geometry")
-        if self.frame_rate < 20.0:
-            raise ValueError(f"frame_rate must be >= 20 Hz, got {self.frame_rate}")
+        if self.frame_rate < MIN_SAMPLE_RATE_HZ:
+            raise ValueError(
+                f"frame_rate must be >= {MIN_SAMPLE_RATE_HZ} Hz, got {self.frame_rate}"
+            )
 
     @property
     def wavelength(self) -> float:
@@ -162,7 +163,8 @@ def simulate_frames(
     if scene.noise_floor > 0:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(scene.noise_floor / 2.0)
-        iq += rng.normal(0.0, sigma, iq.shape) + 1j * rng.normal(0.0, sigma, iq.shape)
+        iq.real += rng.normal(0.0, sigma, iq.shape)
+        iq.imag += rng.normal(0.0, sigma, iq.shape)
     return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
 
 
@@ -171,10 +173,6 @@ def range_fft(cube: RadarCube) -> np.ndarray:
     if cube.n_frames == 0:
         raise ValueError("empty cube")
     return np.abs(np.fft.fft(cube.iq, axis=1))
-
-
-def _wrap_pi(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def stitch_phase(
@@ -190,17 +188,12 @@ def stitch_phase(
     """
     raw_phase = np.asarray(raw_phase, dtype=float)
     source_bins = np.asarray(source_bins, dtype=int)
-    n = len(raw_phase)
-    phase = np.empty(n)
-    phase[0] = raw_phase[0]
-    recent: deque = deque(maxlen=_STITCH_MEDIAN_FRAMES)
-    for i in range(1, n):
-        if source_bins[i] == source_bins[i - 1]:
-            delta = _wrap_pi(raw_phase[i] - raw_phase[i - 1])
-        else:
-            delta = float(np.median(recent)) if recent else 0.0
-        phase[i] = phase[i - 1] + delta
-        recent.append(delta)
+    delta = (np.diff(raw_phase) + math.pi) % (2.0 * math.pi) - math.pi
+    # In frame order, so a switch's median sees earlier replacements.
+    for j in np.flatnonzero(np.diff(source_bins)):
+        recent = delta[max(0, j - _STITCH_MEDIAN_FRAMES):j]
+        delta[j] = float(np.median(recent)) if len(recent) else 0.0
+    phase = np.cumsum(np.concatenate((raw_phase[:1], delta)))
     return PhaseSequence(phase=phase, source_bins=source_bins, sample_rate=sample_rate)
 
 
@@ -218,14 +211,16 @@ def track_target(
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
-    spectra = np.fft.fft(cube.iq, axis=1)
-    mags = np.abs(spectra)
     n_bins = cube.iq.shape[1]
     center = round(expected_range / cube.bin_size)
     if not 0 <= center < n_bins:
         raise InputError(
             f"expected_range {expected_range} m is outside the spectrum"
         )
+    spectra = np.fft.fft(cube.iq, axis=1)
+    # One median pass for all frames; it may partition its own magnitudes.
+    floor = _SNR_PEAK_FACTOR * np.median(np.abs(spectra), axis=1, overwrite_input=True)
+    mags = np.abs(spectra)
 
     bins = np.empty(cube.n_frames, dtype=int)
     raw = np.empty(cube.n_frames)
@@ -237,9 +232,10 @@ def track_target(
         hi = min(n_bins, prev + search_width + 1)
         k = lo + int(np.argmax(mags[i, lo:hi]))
         bins[i] = k
-        raw[i] = math.atan2(spectra[i, k].imag, spectra[i, k].real)
+        peak = spectra[i, k]
+        raw[i] = math.atan2(peak.imag, peak.real)
         prev = k
-        if mags[i, k] < _SNR_PEAK_FACTOR * np.median(mags[i]):
+        if mags[i, k] < floor[i]:
             low_snr_run += 1
             if low_snr_run > max_low_run:
                 raise TrackingLostError(

@@ -11,6 +11,7 @@ are recoverable for evaluation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -251,8 +252,17 @@ def synthesize_trace(
     synthesizes the other in isolation; the sum of the two single-component
     traces equals the combined noiseless trace sample-for-sample.
     """
-    if duration <= 0:
-        raise InputError(f"duration must be > 0, got {duration}")
+    if not 0 < duration < math.inf:
+        raise InputError(f"duration must be finite and > 0, got {duration}")
+    if not MIN_SAMPLE_RATE_HZ <= sample_rate < math.inf:
+        raise InputError(
+            f"sample_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, got {sample_rate}"
+        )
+    n = round(sample_rate * duration)
+    if n < 2:
+        raise InputError(
+            f"{duration} s at {sample_rate} Hz gives {n} sample(s); at least 2 are needed"
+        )
     if noise_std < 0:
         raise InputError(f"noise_std must be >= 0, got {noise_std}")
     if resp is not None and heart is not None:
@@ -262,7 +272,6 @@ def synthesize_trace(
                 f"fundamental amplitude ({heart.amplitude} >= "
                 f"{resp.harmonic_amplitudes[0]})"
             )
-    n = round(sample_rate * duration)
     t = np.arange(n) / sample_rate
     x = np.zeros(n)
     if resp is not None:

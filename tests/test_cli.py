@@ -1,5 +1,6 @@
 import inspect
 
+import numpy as np
 import pytest
 
 from hrrkit import cli
@@ -195,6 +196,53 @@ class TestCliFlows:
         rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--duration", "20", *args])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sample-rate", "10"], "sample_rate must be"),
+            (["--duration", "0.001"], "at least 2 are needed"),
+        ],
+    )
+    def test_unsamplable_synthesis_is_input_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "-o", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_short_of_report_time_is_input_error(self, tmp_path, capsys):
+        trace = tmp_path / "t20.csv"
+        assert main(["synth", "-o", str(trace), "--duration", "20"]) == 0
+        capsys.readouterr()
+        rc = main(["estimate", str(trace), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "recovery report needs HR up to 60 s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bin_size", "0.0"), ("frames", "0"), ("frame_rate", "10.0"),
+         ("frame_rate", "-100.0"), ("sample", "nan")],
+    )
+    def test_unusable_cube_is_input_error(self, synth_dir, tmp_path, capsys, field, value):
+        cube = tmp_path / "cube.bin"
+        assert main([
+            "simulate", str(synth_dir / "trace.csv"), "-o", str(cube), "--base-range", "1.0",
+        ]) == 0
+        data = bytearray(cube.read_bytes())
+        end = data.index(b"end-header\n") + len(b"end-header\n")
+        if field == "sample":
+            data[end + 4000 * 8:end + 4000 * 8 + 4] = np.float32(value).tobytes()
+        else:
+            start = data.index(f"\n{field}=".encode()) + 1
+            stop = data.index(b"\n", start)
+            data[start:stop] = f"{field}={value}".encode()
+            if field == "frames":
+                data = data[:data.index(b"end-header\n") + len(b"end-header\n")]
+        cube.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(["estimate", str(cube), "-o", str(tmp_path / "out"), "--expected-range", "1.0"])
+        assert rc == 2
+        assert "input error: " + str(cube) in capsys.readouterr().err
 
     def test_non_finite_trace_is_input_error(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "trace.csv").read_text().splitlines()

@@ -18,6 +18,19 @@ from hrrkit.signal_model import (
 )
 
 
+def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", nan_at=None):
+    """A small hand-made cube file; ``nan_at`` poisons one payload float."""
+    payload = np.ones(frames * samples * 2, dtype="<f4")
+    if nan_at is not None:
+        payload[nan_at] = np.nan
+    header = (
+        f"hrrkit-cube v1\nframes={frames}\nsamples_per_chirp={samples}\n"
+        f"frame_rate={frame_rate}\nbin_size={bin_size}\nend-header\n"
+    )
+    path.write_bytes(header.encode("ascii") + payload.tobytes())
+    return path
+
+
 class TestTraceCsv:
     def test_round_trip_with_metadata(self, tmp_path):
         resp = RespirationModel(0.35, (1.0, 0.25), phase_offset=0.4)
@@ -148,6 +161,41 @@ class TestCubeFile:
         path = tmp_path / "cube.bin"
         path.write_bytes(b"hrrkit-cube v1\nframes=1\nend-header\n")
         with pytest.raises(InputError, match="samples_per_chirp"):
+            read_cube(path)
+
+    def test_bytes_match_strided_interleave(self, tmp_path):
+        trace = synthesize_trace(RespirationModel(0.3, (0.5,)), None, 0.0, 100.0, 2.0, 0)
+        cube = simulate_frames(
+            RadarConfig(), TargetScene((Target(1.0, trace),), noise_floor=0.01), 2.0, 7
+        )
+        path = tmp_path / "cube.bin"
+        write_cube(cube, path)
+        flat = np.empty(cube.iq.size * 2, dtype="<f4")
+        flat[0::2] = cube.iq.real.ravel()
+        flat[1::2] = cube.iq.imag.ravel()
+        data = path.read_bytes()
+        assert data.endswith(b"end-header\n" + flat.tobytes())
+        assert np.array_equal(read_cube(path).iq, cube.iq.astype(np.complex64))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"frames": 0}, "frames >= 1"),
+            ({"samples": 1}, "samples_per_chirp >= 2"),
+            ({"frame_rate": "10.0"}, "frame_rate"),
+            ({"frame_rate": "-100.0"}, "frame_rate"),
+            ({"frame_rate": "inf"}, "frame_rate"),
+            ({"frame_rate": "nan"}, "frame_rate"),
+            ({"bin_size": "0.0"}, "bin_size"),
+            ({"bin_size": "-0.05"}, "bin_size"),
+            ({"bin_size": "nan"}, "bin_size"),
+            ({"nan_at": 13}, "frame 1 holds a non-finite"),
+            ({"nan_at": 0}, "frame 0 holds a non-finite"),
+        ],
+    )
+    def test_unusable_cube_is_input_error(self, tmp_path, fields, message):
+        path = cube_file(tmp_path / "bad.bin", **fields)
+        with pytest.raises(InputError, match=f"bad.bin: .*{message}"):
             read_cube(path)
 
     def test_writes_are_deterministic(self, tmp_path):

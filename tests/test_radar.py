@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,53 @@ CFG_50MM = RadarConfig(bandwidth=299792458.0 / (2 * 0.05))  # bin size exactly 0
 
 def static_trace(duration=5.0, fs=100.0):
     return synthesize_trace(RespirationModel(0.3, (1e-9,)), None, 0.0, fs, duration, 0)
+
+
+def reference_stitch(raw_phase, source_bins):
+    """The frame-by-frame deque stitcher that ``stitch_phase`` replaced (test-only)."""
+    n = len(raw_phase)
+    phase = np.empty(n)
+    phase[0] = raw_phase[0]
+    recent = deque(maxlen=5)
+    for i in range(1, n):
+        if source_bins[i] == source_bins[i - 1]:
+            delta = (raw_phase[i] - raw_phase[i - 1] + math.pi) % (2.0 * math.pi) - math.pi
+        else:
+            delta = float(np.median(recent)) if recent else 0.0
+        phase[i] = phase[i - 1] + delta
+        recent.append(delta)
+    return phase
+
+
+def reference_track(cube, expected_range, search_width=2):
+    """``track_target`` with one median per frame, as it was (test-only).
+
+    Returns (phase, source_bins) from the deque stitcher.
+    """
+    spectra = np.fft.fft(cube.iq, axis=1)
+    mags = np.abs(spectra)
+    n_bins = cube.iq.shape[1]
+    bins = np.empty(cube.n_frames, dtype=int)
+    raw = np.empty(cube.n_frames)
+    low_snr_run = 0
+    prev = round(expected_range / cube.bin_size)
+    for i in range(cube.n_frames):
+        lo = max(0, prev - search_width)
+        hi = min(n_bins, prev + search_width + 1)
+        k = lo + int(np.argmax(mags[i, lo:hi]))
+        bins[i] = k
+        raw[i] = math.atan2(spectra[i, k].imag, spectra[i, k].real)
+        prev = k
+        if mags[i, k] < 3.0 * np.median(mags[i]):
+            low_snr_run += 1
+            if low_snr_run > int(cube.frame_rate):
+                raise TrackingLostError(
+                    f"peak below 3.0x median spectrum level for "
+                    f"more than 1 s around frame {i}"
+                )
+        else:
+            low_snr_run = 0
+    return reference_stitch(raw, bins), bins
 
 
 def make_tone_cube(bins, amps, n=256, frames=4):
@@ -189,6 +239,87 @@ class TestTracking:
         bins2[10:] = 1
         seq = stitch_phase(raw2, bins2, 100.0)
         assert np.allclose(np.diff(seq.phase), 0.1, atol=1e-12)
+
+
+class TestMatchesFrameByFrameReference:
+    """The array-form tracker and stitcher reproduce the per-frame ones bit for bit."""
+
+    @staticmethod
+    def assert_same_track(cube, expected_range):
+        seq = track_target(cube, expected_range)
+        phase, bins = reference_track(cube, expected_range)
+        assert np.array_equal(seq.source_bins, bins)
+        assert np.array_equal(seq.phase, phase)
+        return seq
+
+    def test_drifting_scene_with_bin_switches(self):
+        cfg = RadarConfig()
+        trace = synthesize_trace(
+            RespirationModel(0.3, (0.4,)),
+            HeartbeatModel(ConstantRate(100.0), 0.1),
+            0.0, 100.0, 20.0, 0,
+        )
+        scene = TargetScene((Target(1.0, trace, drift=0.02),), noise_floor=1e-3)
+        seq = self.assert_same_track(simulate_frames(cfg, scene, 20.0, 4), 1.0)
+        assert np.count_nonzero(np.diff(seq.source_bins)) >= 8
+
+    def test_random_bins_with_fifty_switches(self):
+        rng = np.random.default_rng(8)
+        raw = rng.uniform(-np.pi, np.pi, 400)
+        switch_at = np.sort(rng.choice(np.arange(1, 400), 50, replace=False))
+        switch_at[:3] = [1, 2, 3]  # no history at frame 1, then back-to-back switches
+        bins = np.zeros(400, dtype=int)
+        for j in switch_at:
+            bins[j:] += rng.choice([-1, 1])
+        assert np.count_nonzero(np.diff(bins)) == 50
+        seq = stitch_phase(raw, bins, 100.0)
+        assert np.array_equal(seq.phase, reference_stitch(raw, bins))
+
+    def test_noisy_two_target_scene(self):
+        tr_a = synthesize_trace(
+            RespirationModel(0.25, (0.8,)),
+            HeartbeatModel(ConstantRate(90.0), 0.12),
+            0.05, 100.0, 20.0, 1,
+        )
+        tr_b = synthesize_trace(
+            RespirationModel(0.35, (1.0,)),
+            HeartbeatModel(ConstantRate(130.0), 0.2),
+            0.05, 100.0, 20.0, 2,
+        )
+        scene = TargetScene(
+            (Target(1.0, tr_a, drift=0.01), Target(2.2, tr_b, drift=-0.01)),
+            noise_floor=1e-2,
+        )
+        cube = simulate_frames(RadarConfig(), scene, 20.0, 3)
+        for expected_range in (1.0, 2.2):
+            seq = self.assert_same_track(cube, expected_range)
+            assert np.count_nonzero(np.diff(seq.source_bins)) >= 3
+
+    def test_fading_target_lost_at_same_frame(self):
+        # The peak sinks through the floor over a hundred-odd frames, where
+        # noise makes each frame's low/high call flip, so the frame named
+        # depends on every per-frame comparison (a 1% higher floor moves it).
+        cube = simulate_frames(
+            CFG_50MM, TargetScene((Target(1.0, static_trace(30.0)),)), 30.0, 0
+        )
+        fade = np.clip(1.0 - np.arange(cube.n_frames) / 2500.0, 0.0, None)
+        noise = np.random.default_rng(2).normal(0.0, 1.0, cube.iq.shape)
+        faded = RadarCube(cube.iq * fade[:, None] + noise, 100.0, 0.05)
+        with pytest.raises(TrackingLostError) as expected:
+            reference_track(faded, 1.0)
+        with pytest.raises(TrackingLostError) as got:
+            track_target(faded, 1.0)
+        assert str(got.value) == str(expected.value)
+
+    def test_noise_added_in_place_equals_complex_sum(self):
+        trace = static_trace()
+        scene = TargetScene((Target(1.0, trace),), noise_floor=0.01)
+        noisy = simulate_frames(CFG_50MM, scene, 5.0, 11)
+        iq = simulate_frames(CFG_50MM, TargetScene((Target(1.0, trace),)), 5.0, 11).iq
+        rng = np.random.default_rng(11)
+        sigma = math.sqrt(0.01 / 2.0)
+        iq += rng.normal(0.0, sigma, iq.shape) + 1j * rng.normal(0.0, sigma, iq.shape)
+        assert np.array_equal(noisy.iq, iq)
 
 
 class TestPhaseToDisplacement:
