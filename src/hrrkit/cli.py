@@ -11,6 +11,7 @@ ValueError is a pipeline failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -192,6 +193,8 @@ def _load_input_trace(args):
         cube = read_cube(path)
         if args.expected_range is None:
             raise ConfigError("cube input requires --expected-range")
+        if not 0 < args.wavelength < math.inf:
+            raise InputError(f"--wavelength must be finite and > 0, got {args.wavelength}")
         seq = track_target(cube, args.expected_range)
         return phase_to_displacement(seq, args.wavelength)
     return read_trace(path)

@@ -1,6 +1,7 @@
 """Flat run configuration: defaults, key=value parsing, validation, echo."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
@@ -9,7 +10,7 @@ from .errors import ConfigError
 from .mode_select import ModeSelectConfig
 from .preprocess import FilterSpec
 from .hr_estimate import CARRY_LIMIT, ENVELOPE_FLOOR, SMOOTH_WINDOW, WindowConfig
-from .vmd import ALPHA_HI, ALPHA_LO, ALPHA_RATIO_TOL, GateThresholds, VmdParams
+from .vmd import ALPHA_HI, ALPHA_LO, ALPHA_RATIO_TOL, GateThresholds, VmdParams, check_alpha_bracket
 
 
 @dataclass
@@ -56,6 +57,10 @@ class PipelineConfig:
     carry_limit: float = CARRY_LIMIT
 
     def validate(self) -> "PipelineConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         # Constructing the stage objects runs their invariant checks.
         try:
             self.filter_spec()
@@ -63,16 +68,13 @@ class PipelineConfig:
             self.gates()
             self.mode_select_config()
             self.window_config()
+            check_alpha_bracket((self.alpha_lo, self.alpha_hi), self.alpha_ratio_tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not 0 < self.carry_limit <= 1:
             raise ConfigError(f"carry_limit must be in (0, 1], got {self.carry_limit}")
-        if not 0 < self.alpha_lo < self.alpha_hi:
-            raise ConfigError(
-                f"require 0 < alpha_lo < alpha_hi, got ({self.alpha_lo}, {self.alpha_hi})"
-            )
-        if self.alpha_ratio_tol <= 1.0:
-            raise ConfigError(f"alpha_ratio_tol must be > 1, got {self.alpha_ratio_tol}")
+        if not self.smooth_window > 0:
+            raise ConfigError(f"smooth_window must be > 0, got {self.smooth_window}")
         return self
 
     def filter_spec(self) -> FilterSpec:

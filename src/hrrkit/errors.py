@@ -12,24 +12,6 @@ class TrackingLostError(RuntimeError):
     """Target SNR stayed below the tracking floor for longer than allowed."""
 
 
-class AlphaInfeasibleError(RuntimeError):
-    """No penalty factor in the search range satisfied both decomposition gates.
-
-    Carries the best (r_max, p) pair observed during the search and the
-    least-violating attempt (``best_alpha``, ``best_modeset``), so callers
-    can degrade gracefully.
-    """
-
-    def __init__(
-        self, message: str, best_r_max: float, best_p: float, best_alpha: float, best_modeset
-    ):
-        super().__init__(message)
-        self.best_r_max = best_r_max
-        self.best_p = best_p
-        self.best_alpha = best_alpha
-        self.best_modeset = best_modeset
-
-
 class NoHeartbeatError(RuntimeError):
     """No decomposition mode qualified as a heartbeat candidate in this window."""
 

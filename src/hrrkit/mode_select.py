@@ -43,6 +43,10 @@ class ModeSelectConfig:
             raise ValueError(f"bad hr_band {self.hr_band}")
         if not 0 < self.harmonic_tol < 0.5:
             raise ValueError(f"harmonic_tol must be in (0, 0.5), got {self.harmonic_tol}")
+        if not self.peak_band_halfwidth > 0:
+            raise ValueError(
+                f"peak_band_halfwidth must be > 0, got {self.peak_band_halfwidth}"
+            )
 
 
 @dataclass

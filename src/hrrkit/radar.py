@@ -211,6 +211,8 @@ def track_target(
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
+    if not math.isfinite(expected_range):
+        raise InputError(f"expected_range must be finite, got {expected_range}")
     n_bins = cube.iq.shape[1]
     center = round(expected_range / cube.bin_size)
     if not 0 <= center < n_bins:

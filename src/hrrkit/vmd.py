@@ -14,17 +14,14 @@ modes narrow, residual grows). Two diagnostics quantify the trade-off:
 * ``energy_loss`` -- residual-to-input energy ratio; must stay below mu2.
 
 ``select_alpha`` bisects alpha in log space until a decomposition passes
-both gates.
+both gates, and reports the least-violating one when none does.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .errors import AlphaInfeasibleError
 
 MIN_SIGNAL_LENGTH = 64
 
@@ -74,7 +71,7 @@ class GateThresholds:
         if not 0.0 < self.mu1 < 1.0:
             raise ValueError(f"mu1 must be in (0, 1), got {self.mu1}")
         # mu2 == 0 is permitted so an unsatisfiable energy gate can be
-        # expressed; it always yields AlphaInfeasibleError.
+        # expressed; the search then always ends infeasible.
         if not 0.0 <= self.mu2 < 1.0:
             raise ValueError(f"mu2 must be in [0, 1), got {self.mu2}")
 
@@ -220,13 +217,34 @@ def energy_loss(ms: ModeSet) -> float:
     return float(np.dot(ms.residual, ms.residual)) / ms.input_energy
 
 
-@dataclass
-class AlphaSearchTrace:
-    """Diagnostics of one select_alpha run (one row per decomposition)."""
+def check_alpha_bracket(alpha_range: tuple[float, float], ratio_tol: float) -> None:
+    """Reject a bisection bracket or stopping ratio the search cannot finish.
 
-    alphas: list = field(default_factory=list)
-    r_max_values: list = field(default_factory=list)
-    p_values: list = field(default_factory=list)
+    Requires ``0 < lo < hi < inf`` and ``ratio_tol > 1``; NaN fails both.
+    """
+    lo, hi = alpha_range
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"require 0 < alpha_lo < alpha_hi < inf, got {alpha_range}")
+    if not ratio_tol > 1.0:
+        raise ValueError(f"alpha_ratio_tol must be > 1, got {ratio_tol}")
+
+
+@dataclass
+class AlphaSearch:
+    """Outcome of one select_alpha run.
+
+    ``alpha``, ``modes``, ``r_max`` and ``p`` describe the first
+    decomposition that passed both gates or, when ``feasible`` is False, the
+    least-violating one. ``path`` holds one ``(alpha, r_max, p)`` tuple per
+    decomposition, in search order.
+    """
+
+    alpha: float
+    modes: ModeSet
+    r_max: float
+    p: float
+    feasible: bool
+    path: list[tuple[float, float, float]]
 
 
 def select_alpha(
@@ -236,55 +254,39 @@ def select_alpha(
     gates: GateThresholds = GateThresholds(),
     alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
     ratio_tol: float = ALPHA_RATIO_TOL,
-    search_trace: Optional[AlphaSearchTrace] = None,
-) -> tuple[float, ModeSet]:
+) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
 
     Bisects alpha in log space: too much mode correlation pushes the lower
     bound up, too much energy loss pushes the upper bound down. Energy loss
     takes priority when both gates fail at once, because that regime sits
     at the over-decomposed high end where shrinking alpha restores both
-    diagnostics. Stops as soon as a feasible decomposition is found, or
-    raises AlphaInfeasibleError once the bracket ratio falls below
-    ``ratio_tol``. Every decomposition uses ``params`` with its alpha
-    replaced by the bisection midpoint.
+    diagnostics. Stops as soon as a feasible decomposition is found. Once
+    the bracket ratio falls below ``ratio_tol`` it returns the
+    least-violating attempt (the earliest on ties) with ``feasible=False``.
+    Every decomposition uses ``params`` with its alpha replaced by the
+    bisection midpoint.
     """
+    check_alpha_bracket(alpha_range, ratio_tol)
     lo, hi = alpha_range
-    if not 0 < lo < hi:
-        raise ValueError(f"require 0 < alpha_lo < alpha_hi, got {alpha_range}")
-
-    best_r, best_p = math.inf, math.inf
-    best: Optional[tuple[float, ModeSet]] = None
-
-    def violation(r: float, p: float) -> float:
-        return max(r / gates.mu1 - 1.0, 0.0) + (
-            max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
-        )
-
+    path = []
+    best = None   # (violation, alpha, modes, r_max, p) of the least-violating attempt
     while True:
         mid = math.sqrt(lo * hi)
         ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid))
         r = mode_correlation_max(ms)
         p = energy_loss(ms)
-        if search_trace is not None:
-            search_trace.alphas.append(mid)
-            search_trace.r_max_values.append(r)
-            search_trace.p_values.append(p)
-        if best is None or violation(r, p) < violation(best_r, best_p):
-            best_r, best_p, best = r, p, (mid, ms)
+        path.append((mid, r, p))
         if r <= gates.mu1 and p <= gates.mu2:
-            return mid, ms
+            return AlphaSearch(mid, ms, r, p, True, path)
+        violation = max(r / gates.mu1 - 1.0, 0.0) + (
+            max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
+        )
+        if best is None or violation < best[0]:
+            best = (violation, mid, ms, r, p)
         if p > gates.mu2:
             hi = mid
         else:
             lo = mid
         if hi / lo < ratio_tol:
-            raise AlphaInfeasibleError(
-                f"alpha search exhausted in [{alpha_range[0]:.1f}, "
-                f"{alpha_range[1]:.1f}] without satisfying r_max <= {gates.mu1} "
-                f"and p <= {gates.mu2} (best r_max={best_r:.3f}, p={best_p:.2e})",
-                best_r_max=best_r,
-                best_p=best_p,
-                best_alpha=best[0],
-                best_modeset=best[1],
-            )
+            return AlphaSearch(*best[1:], feasible=False, path=path)

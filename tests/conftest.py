@@ -22,12 +22,18 @@ def heart_recovery():
     )
 
 
-@pytest.fixture
-def recovery_trace(resp_full, heart_recovery):
+def noisy_recovery(seed):
     """The standard noisy recovery trace: 66 s at 100 Hz, 15 dB SNR."""
-    clean = synthesize_trace(resp_full, heart_recovery, 0.0, 100.0, 66.0, 0)
+    resp = RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04))
+    heart = HeartbeatModel(ExponentialRecovery(152.0, 120.0, 30.0), 0.15, WaveformShape.SINUSOID)
+    clean = synthesize_trace(resp, heart, 0.0, 100.0, 66.0, 0)
     noise_std = float(np.sqrt(np.mean(clean.samples**2))) * 10 ** (-15 / 20)
-    return synthesize_trace(resp_full, heart_recovery, noise_std, 100.0, 66.0, 1)
+    return synthesize_trace(resp, heart, noise_std, 100.0, 66.0, seed)
+
+
+@pytest.fixture
+def recovery_trace():
+    return noisy_recovery(1)
 
 
 def tone(freq, fs, duration, amp=1.0, phase=0.0):

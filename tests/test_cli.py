@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,6 +59,32 @@ class TestParseConfig:
         sweep = inspect.signature(run_composite_windows).parameters
         assert sweep["carry_limit"].default == cfg.carry_limit
 
+    def test_non_finite_values_rejected(self):
+        for key in (f.name for f in fields(PipelineConfig)):
+            for raw in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(overrides={key: raw})
+                with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                    PipelineConfig(**{key: float(raw)}).validate()
+
+    @pytest.mark.parametrize("key", ["smooth_window", "peak_band_halfwidth"])
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_non_positive_width_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+            parse_config(overrides={key: raw})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"alpha_lo": "2e6"}, "alpha_lo < alpha_hi"),
+            ({"alpha_lo": "0"}, "alpha_lo < alpha_hi"),
+            ({"alpha_ratio_tol": "1.0"}, "alpha_ratio_tol must be > 1"),
+        ],
+    )
+    def test_bad_alpha_bracket_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(overrides=overrides)
+
     def test_echo_round_trip(self, tmp_path):
         cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5"})
         f = tmp_path / "echo.txt"
@@ -74,6 +101,15 @@ def synth_dir(tmp_path_factory):
     ])
     assert rc == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def cube_1m(synth_dir):
+    cube = synth_dir / "cube_1m.bin"
+    assert main([
+        "simulate", str(synth_dir / "trace.csv"), "-o", str(cube), "--base-range", "1.0",
+    ]) == 0
+    return cube
 
 
 class TestCliFlows:
@@ -243,6 +279,23 @@ class TestCliFlows:
         rc = main(["estimate", str(cube), "-o", str(tmp_path / "out"), "--expected-range", "1.0"])
         assert rc == 2
         assert "input error: " + str(cube) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_range_is_input_error(self, cube_1m, tmp_path, capsys, value):
+        rc = main([
+            "estimate", str(cube_1m), "-o", str(tmp_path / "out"), "--expected-range", value,
+        ])
+        assert rc == 2
+        assert "expected_range must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.004"])
+    def test_bad_wavelength_is_input_error(self, cube_1m, tmp_path, capsys, value):
+        rc = main([
+            "estimate", str(cube_1m), "-o", str(tmp_path / "out"),
+            "--expected-range", "1.0", "--wavelength", value,
+        ])
+        assert rc == 2
+        assert "--wavelength must be finite and > 0" in capsys.readouterr().err
 
     def test_non_finite_trace_is_input_error(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "trace.csv").read_text().splitlines()

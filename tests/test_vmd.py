@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hrrkit.errors import AlphaInfeasibleError
+from hrrkit import vmd
+from hrrkit.config import PipelineConfig
+from hrrkit.pipeline import preprocess_trace
 from hrrkit.vmd import (
-    AlphaSearchTrace,
     GateThresholds,
     ModeSet,
     VmdParams,
@@ -15,7 +17,7 @@ from hrrkit.vmd import (
     vmd_decompose,
 )
 
-from conftest import tone
+from conftest import noisy_recovery, tone
 
 FS = 20.0
 DURATION = 38.4  # 768 samples
@@ -306,10 +308,73 @@ class TestGateDiagnostics:
             energy_loss(ms)
 
 
+class ReferenceInfeasible(Exception):
+    """The raising reference's exhausted search and its least-violating attempt."""
+
+    def __init__(self, best_r_max, best_p, best_alpha, best_modeset):
+        super().__init__("alpha search exhausted")
+        self.best_r_max = best_r_max
+        self.best_p = best_p
+        self.best_alpha = best_alpha
+        self.best_modeset = best_modeset
+
+
+def raising_reference(signal, sample_rate, params, gates, alphas,
+                      alpha_range=(10.0, 1e6), ratio_tol=1.1):
+    """The alpha search as it was when exhaustion raised; test-only.
+
+    Returns ``(alpha, modes)`` of the first feasible decomposition, raises
+    ReferenceInfeasible with the least-violating attempt once the bracket is
+    exhausted, and appends every tried alpha to ``alphas``. ``select_alpha``
+    must reproduce it bit for bit.
+    """
+    lo, hi = alpha_range
+    best_r, best_p = math.inf, math.inf
+    best = None
+
+    def violation(r, p):
+        return max(r / gates.mu1 - 1.0, 0.0) + (
+            max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
+        )
+
+    while True:
+        mid = math.sqrt(lo * hi)
+        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid))
+        r = mode_correlation_max(ms)
+        p = energy_loss(ms)
+        alphas.append(mid)
+        if best is None or violation(r, p) < violation(best_r, best_p):
+            best_r, best_p, best = r, p, (mid, ms)
+        if r <= gates.mu1 and p <= gates.mu2:
+            return mid, ms
+        if p > gates.mu2:
+            hi = mid
+        else:
+            lo = mid
+        if hi / lo < ratio_tol:
+            raise ReferenceInfeasible(best_r, best_p, best[0], best[1])
+
+
+def relaxed_recovery_window():
+    """The first 16 s analysis window of recovery seed 120, whose gates relax."""
+    prepared = preprocess_trace(noisy_recovery(120), PipelineConfig())
+    fs = prepared.sample_rate
+    return prepared.samples[: round(16.0 * fs)], fs, VmdParams(), GateThresholds()
+
+
+SEARCH_CASES = {
+    "feasible_two_tone": lambda: (two_tone(), FS, VmdParams(K=2), GateThresholds()),
+    "zero_energy_gate": lambda: (
+        two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0)
+    ),
+    "relaxed_recovery_window": relaxed_recovery_window,
+}
+
+
 class TestSelectAlpha:
     def test_returned_decomposition_passes_gates(self):
         gates = GateThresholds()
-        alpha, ms = select_alpha(two_tone(), FS, VmdParams(K=2), gates)
+        ms = select_alpha(two_tone(), FS, VmdParams(K=2), gates).modes
         assert mode_correlation_max(ms) <= gates.mu1
         assert energy_loss(ms) <= gates.mu2
 
@@ -318,33 +383,68 @@ class TestSelectAlpha:
         assert gates.mu1 == 0.2 and gates.mu2 == 1e-4
 
     def test_impossible_energy_gate_is_infeasible(self):
-        with pytest.raises(AlphaInfeasibleError) as exc_info:
-            select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
-        assert exc_info.value.best_p > 0.0
+        search = select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
+        assert not search.feasible
+        assert search.p > 0.0
 
-    def test_infeasible_error_carries_best_attempt(self):
-        trace = AlphaSearchTrace()
-        with pytest.raises(AlphaInfeasibleError) as exc_info:
-            select_alpha(
-                two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0),
-                search_trace=trace,
-            )
-        exc = exc_info.value
-        assert exc.best_alpha in trace.alphas
-        assert energy_loss(exc.best_modeset) == exc.best_p
-        assert exc.best_modeset.n_modes == 2
+    def test_infeasible_search_carries_best_attempt(self):
+        search = select_alpha(
+            two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0)
+        )
+        assert not search.feasible
+        assert search.alpha in [alpha for alpha, _, _ in search.path]
+        assert energy_loss(search.modes) == search.p
+        assert search.modes.n_modes == 2
 
     def test_search_cost_bounded(self):
-        trace = AlphaSearchTrace()
-        select_alpha(two_tone(), FS, VmdParams(K=2), search_trace=trace)
+        search = select_alpha(two_tone(), FS, VmdParams(K=2))
         budget = math.ceil(math.log2(math.log(1e6 / 10.0) / math.log(1.1))) + 1
-        assert len(trace.alphas) <= budget
+        assert len(search.path) <= budget
 
     def test_gate_threshold_validation(self):
         with pytest.raises(ValueError):
             GateThresholds(mu1=0.0)
         with pytest.raises(ValueError):
             GateThresholds(mu2=1.5)
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_matches_raising_reference_bit_for_bit(self, case):
+        signal, fs, params, gates = SEARCH_CASES[case]()
+        search = select_alpha(signal, fs, params, gates)
+        ref_alphas = []
+        try:
+            alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas)
+            raised = False
+        except ReferenceInfeasible as exc:
+            alpha, modes = exc.best_alpha, exc.best_modeset
+            assert (search.r_max, search.p) == (exc.best_r_max, exc.best_p)
+            raised = True
+        assert search.feasible == (not raised) == (case == "feasible_two_tone")
+        assert search.alpha == alpha
+        assert np.array_equal(search.modes.modes, modes.modes)
+        assert np.array_equal(search.modes.center_freqs, modes.center_freqs)
+        # The window stage used to recompute both diagnostics on the chosen modes.
+        assert search.r_max == mode_correlation_max(modes)
+        assert search.p == energy_loss(modes)
+        assert [a for a, _, _ in search.path] == ref_alphas
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"ratio_tol": math.nan}, "alpha_ratio_tol must be > 1"),
+            ({"ratio_tol": 1.0}, "alpha_ratio_tol must be > 1"),
+            ({"alpha_range": (10.0, math.inf)}, "alpha_lo < alpha_hi < inf"),
+            ({"alpha_range": (math.nan, 1e6)}, "alpha_lo < alpha_hi < inf"),
+            ({"alpha_range": (1e6, 10.0)}, "alpha_lo < alpha_hi < inf"),
+        ],
+    )
+    def test_unfinishable_bracket_raises_before_decomposing(self, monkeypatch, kwargs, match):
+        def no_decomposition(*args):
+            raise AssertionError("decomposed before checking the bracket")
+
+        monkeypatch.setattr(vmd, "vmd_decompose", no_decomposition)
+        with pytest.raises(ValueError, match=match):
+            select_alpha(two_tone(), FS, VmdParams(K=2), **kwargs)
 
 
 class TestMonotonicity:
