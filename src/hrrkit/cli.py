@@ -11,7 +11,6 @@ ValueError is a pipeline failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -193,8 +192,6 @@ def _load_input_trace(args):
         cube = read_cube(path)
         if args.expected_range is None:
             raise ConfigError("cube input requires --expected-range")
-        if not 0 < args.wavelength < math.inf:
-            raise InputError(f"--wavelength must be finite and > 0, got {args.wavelength}")
         seq = track_target(cube, args.expected_range)
         return phase_to_displacement(seq, args.wavelength)
     return read_trace(path)

@@ -18,7 +18,8 @@ class PipelineConfig:
     """Every stage knob of the estimation pipeline, flattened for the CLI.
 
     Keys that mirror a stage dataclass field or a stage function default
-    take their default from it.
+    take their default from it. Construction checks every value and raises
+    ConfigError for the first bad one.
     """
 
     # band-pass
@@ -56,7 +57,7 @@ class PipelineConfig:
     envelope_floor: float = ENVELOPE_FLOOR
     carry_limit: float = CARRY_LIMIT
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
@@ -75,7 +76,6 @@ class PipelineConfig:
             raise ConfigError(f"carry_limit must be in (0, 1], got {self.carry_limit}")
         if not self.smooth_window > 0:
             raise ConfigError(f"smooth_window must be > 0, got {self.smooth_window}")
-        return self
 
     def filter_spec(self) -> FilterSpec:
         return FilterSpec(pass_low=self.pass_low, pass_high=self.pass_high)
@@ -151,4 +151,4 @@ def parse_config(
     if overrides:
         for key, raw in overrides.items():
             values[key] = _coerce(key, str(raw))
-    return PipelineConfig(**values).validate()
+    return PipelineConfig(**values)

@@ -161,7 +161,6 @@ class HrEstimate:
     l_b: float
     window_start: float   # time of the first peak in W_b
     window_end: float     # time of the last peak in W_b
-    n_peaks: int
 
 
 def count_hr(train: PeakTrain, cfg: WindowConfig, t: float, l_min: Optional[float] = None) -> HrEstimate:
@@ -183,13 +182,11 @@ def count_hr(train: PeakTrain, cfg: WindowConfig, t: float, l_min: Optional[floa
             f"no peak at least l_min={floor:.2f} s before the window end"
         )
     l_b = float(times[end] - times[start])
-    n = end - start + 1
     return HrEstimate(
-        hr_bpm=(n - 1) * 60.0 / l_b,
+        hr_bpm=(end - start) * 60.0 / l_b,
         l_b=l_b,
         window_start=float(times[start]),
         window_end=float(times[end]),
-        n_peaks=n,
     )
 
 
@@ -226,7 +223,6 @@ class HrPoint:
     wa_end: float
     wb_start: float
     wb_end: float
-    l_min_used: float
     hr_first_pass: float = math.nan  # default-l_min estimate at this time
 
 
@@ -283,16 +279,13 @@ def run_composite_windows(
     k_max = int(math.floor((duration - cfg.l_a) / cfg.stride + 1e-9))
     cache: dict[int, WindowResult] = {}
 
-    def window_result(k: int) -> WindowResult:
+    def estimate_at(k: int, t: float, l_min: float) -> Optional[HrEstimate]:
         if k not in cache:
             t0 = k * cfg.stride
             i0 = round(t0 * fs)
             i1 = min(round((t0 + cfg.l_a) * fs), len(x))
             cache[k] = stage(x[i0:i1], fs, t0)
-        return cache[k]
-
-    def estimate_at(k: int, t: float, l_min: float) -> Optional[HrEstimate]:
-        res = window_result(k)
+        res = cache[k]
         if res.peaks is None or len(res.peaks) < 2:
             return None
         try:
@@ -302,12 +295,13 @@ def run_composite_windows(
 
     grid = output_times(duration, cfg.cadence)
 
-    def sweep(lmin_at: Callable[[float], float]) -> list[HrPoint]:
+    # One l_min per grid time in, one entry per grid time out: None before
+    # the pass's first estimate, a point at every grid time after it.
+    def sweep(l_mins: list[float]) -> list[Optional[HrPoint]]:
         k = 0
-        points: list[HrPoint] = []
+        points: list[Optional[HrPoint]] = []
         last_valid: Optional[float] = None
-        for t in grid:
-            l_min = lmin_at(float(t))
+        for t, l_min in zip(grid, l_mins):
             est = estimate_at(k, t, l_min)
             # Advance W_a while the (nominal) left endpoint of W_b has
             # entered the next placement's range, or the window has gone
@@ -324,39 +318,32 @@ def run_composite_windows(
             wa_end = wa_start + cfg.l_a
             if est is None:
                 if last_valid is None:
-                    continue  # nothing to carry yet; series starts later
-                points.append(
-                    HrPoint(float(t), last_valid, math.nan, FLAG_CARRY, k,
-                            wa_start, wa_end, math.nan, math.nan, l_min)
-                )
+                    points.append(None)  # nothing to carry yet; series starts later
+                else:
+                    points.append(
+                        HrPoint(float(t), last_valid, math.nan, FLAG_CARRY, k,
+                                wa_start, wa_end, math.nan, math.nan)
+                    )
                 continue
-            hr = est.hr_bpm
-            flag = FLAG_OK
-            if hr < HR_MIN_BPM or hr > HR_MAX_BPM:
-                hr = min(max(hr, HR_MIN_BPM), HR_MAX_BPM)
-                flag = FLAG_CLAMPED
+            hr = min(max(est.hr_bpm, HR_MIN_BPM), HR_MAX_BPM)
+            flag = FLAG_OK if hr == est.hr_bpm else FLAG_CLAMPED
             last_valid = hr
             points.append(
                 HrPoint(float(t), hr, est.l_b, flag, k, wa_start, wa_end,
-                        est.window_start, est.window_end, l_min)
+                        est.window_start, est.window_end)
             )
         return points
 
-    first = sweep(lambda t: cfg.l_min)
-    if not first:
+    first = sweep([cfg.l_min] * len(grid))
+    start = next((i for i, p in enumerate(first) if p is not None), None)
+    if start is None:
         raise DegradedQualityError("no window produced a usable HR estimate")
-    first_times = np.array([p.time for p in first])
-    first_hr = np.array([p.hr_bpm for p in first])
-
-    def adapted_lmin(t: float) -> float:
-        i = int(np.argmin(np.abs(first_times - t)))
-        return adapt_lmin(float(first_hr[i]), cfg)
-
-    points = sweep(adapted_lmin)
-    for p in points:
-        i = int(np.argmin(np.abs(first_times - p.time)))
-        if abs(first_times[i] - p.time) <= cfg.cadence / 2 + 1e-9:
-            p.hr_first_pass = float(first_hr[i])
+    # Grid index i identifies the first-pass point: first[max(i, start)].
+    second = sweep([adapt_lmin(first[max(i, start)].hr_bpm, cfg) for i in range(len(grid))])
+    points = [p for p in second if p is not None]
+    for p, q in zip(second[start:], first[start:]):
+        if p is not None:
+            p.hr_first_pass = q.hr_bpm
     n_carry = sum(1 for p in points if p.flag == FLAG_CARRY)
     if points and n_carry > carry_limit * len(points):
         raise DegradedQualityError(

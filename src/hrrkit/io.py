@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -40,26 +41,28 @@ def meta_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".meta")
 
 
+# Sidecar name of each trajectory class; its arguments follow the field order.
+_TRAJECTORIES = {
+    "exponential_recovery": ExponentialRecovery,
+    "constant": ConstantRate,
+    "linear": LinearRamp,
+}
+
+
 def _trajectory_str(traj) -> str:
-    if isinstance(traj, ExponentialRecovery):
-        return f"exponential_recovery({traj.hr_initial},{traj.hr_final},{traj.time_constant})"
-    if isinstance(traj, ConstantRate):
-        return f"constant({traj.bpm})"
-    if isinstance(traj, LinearRamp):
-        return f"linear({traj.start_bpm},{traj.end_bpm},{traj.t_end})"
+    for name, cls in _TRAJECTORIES.items():
+        if isinstance(traj, cls):
+            args = ",".join(str(getattr(traj, f.name)) for f in fields(cls))
+            return f"{name}({args})"
     return "custom"
 
 
 def _parse_trajectory(text: str):
     name, _, args = text.partition("(")
-    values = [float(v) for v in args.rstrip(")").split(",")] if args else []
-    if name == "exponential_recovery":
-        return ExponentialRecovery(*values)
-    if name == "constant":
-        return ConstantRate(*values)
-    if name == "linear":
-        return LinearRamp(*values)
-    return None
+    cls = _TRAJECTORIES.get(name)
+    if cls is None:
+        return None
+    return cls(*(float(v) for v in args.rstrip(")").split(",")))
 
 
 def write_trace(trace: ChestMotionTrace, path: str | Path) -> None:

@@ -251,6 +251,8 @@ def track_target(
 
 def phase_to_displacement(seq: PhaseSequence, wavelength: float) -> ChestMotionTrace:
     """Relative displacement in mm from a stitched phase sequence."""
+    if not 0 < wavelength < math.inf:
+        raise InputError(f"wavelength must be finite and > 0, got {wavelength}")
     disp_m = wavelength * (seq.phase - seq.phase[0]) / (4.0 * np.pi)
     return ChestMotionTrace(
         samples=disp_m * 1000.0,

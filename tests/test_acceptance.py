@@ -19,6 +19,7 @@ from hrrkit.signal_model import (
     LinearRamp,
     RespirationModel,
     WaveformShape,
+    noise_std_for_snr,
     synthesize_trace,
 )
 from hrrkit.vmd import (
@@ -89,6 +90,22 @@ def test_criterion_02_harmonic_coincidence_stress():
                 assert n_hb <= 1
                 if res.status in ("ok", "gates_relaxed") and res.peaks is not None:
                     assert n_hb == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open item 3: from about 25 s the estimate locks onto the 2x "
+    "respiration harmonic (60 bpm) while the truth falls to 55 bpm",
+)
+def test_criterion_02_harmonic_coincidence_seed_133():
+    # The harmonic_coincidence evaluation scene (20 dB) at its fourth seed.
+    resp = RespirationModel(0.5, (1.0, 0.25, 0.1))
+    heart = HeartbeatModel(LinearRamp(100.0, 55.0, 60.0), 0.15, WaveformShape.SINUSOID)
+    noise_std = noise_std_for_snr(resp, heart, 20.0, FS, 66.0)
+    series, _ = estimate_trace(synthesize_trace(resp, heart, noise_std, FS, 66.0, 133))
+    err = np.abs(heart.rate_trajectory(series.times) - series.hr_bpm)
+    assert float(np.mean(err)) <= 6.0, f"mean {np.mean(err):.2f}"
+    assert float(np.max(err)) <= 20.0, f"max {np.max(err):.2f}"
 
 
 def test_criterion_03_vmd_oracle_equivalence():

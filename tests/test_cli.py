@@ -65,7 +65,16 @@ class TestParseConfig:
                 with pytest.raises(ConfigError, match=key):
                     parse_config(overrides={key: raw})
                 with pytest.raises(ConfigError, match=f"{key} must be finite"):
-                    PipelineConfig(**{key: float(raw)}).validate()
+                    PipelineConfig(**{key: float(raw)})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [({"smooth_window": -1.0}, "smooth_window must be > 0"),
+         ({"carry_limit": 5.0}, "carry_limit must be in")],
+    )
+    def test_config_built_in_code_is_checked(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig(**overrides)
 
     @pytest.mark.parametrize("key", ["smooth_window", "peak_band_halfwidth"])
     @pytest.mark.parametrize("raw", ["0", "-1"])
@@ -295,7 +304,7 @@ class TestCliFlows:
             "--expected-range", "1.0", "--wavelength", value,
         ])
         assert rc == 2
-        assert "--wavelength must be finite and > 0" in capsys.readouterr().err
+        assert "wavelength must be finite and > 0" in capsys.readouterr().err
 
     def test_non_finite_trace_is_input_error(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "trace.csv").read_text().splitlines()

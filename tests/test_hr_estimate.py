@@ -259,6 +259,33 @@ class TestCompositeWindows:
         ]
         assert deltas and max(deltas) <= 10.0
 
+    def test_second_pass_starting_before_first(self):
+        # Window 0 has no peaks, so both passes start once W_a advances. The
+        # shorter adapted l_min lets the second pass start a step earlier.
+        beats = HeartbeatModel(LinearRamp(150.0, 100.0, 66.0), 1.0).beat_times(66.0)
+
+        def late_stage(segment, fs, t0):
+            if t0 == 0.0:
+                return WindowResult(t0, PeakTrain(np.array([])))
+            inside = beats[(beats >= t0) & (beats <= t0 + len(segment) / fs)]
+            return WindowResult(t0, PeakTrain(inside))
+
+        cfg = WindowConfig()
+        series = run_composite_windows(self.make_trace(), cfg, late_stage)
+        # With l_min pinned at its default, the second pass is the first.
+        fixed = WindowConfig(l_min_bounds=(cfg.l_min, cfg.l_min))
+        first_start = run_composite_windows(self.make_trace(), fixed, late_stage).points[0].time
+        assert series.points[0].time == 13.0 and first_start == 14.0
+        for p in series.points:
+            assert math.isnan(p.hr_first_pass) == (p.time < first_start)
+        h_start = next(p.hr_first_pass for p in series.points if p.time == first_start)
+        assert set(series.flags) == {"ok"}
+        for p in series.points:
+            h = h_start if p.time < first_start else p.hr_first_pass
+            est = count_hr(series.window_results[p.wa_index].peaks, cfg, p.time,
+                           l_min=adapt_lmin(h, cfg))
+            assert (p.hr_bpm, p.wb_start) == (est.hr_bpm, est.window_start)
+
     def test_out_of_band_rate_clamped(self):
         series = run_composite_windows(
             self.make_trace(), WindowConfig(l_min_bounds=(3.0, 7.0)),
@@ -301,7 +328,7 @@ class TestBuildReport:
         truth = LinearRamp(152.0, 120.0, 60.0)
         points = [
             HrPoint(float(t), float(truth(float(t))), 5.0, "ok", 0,
-                    0.0, 16.0, t - 5.0, float(t), 5.0)
+                    0.0, 16.0, t - 5.0, float(t))
             for t in np.arange(0.0, 66.0, 1.0)
         ]
         series = HrSeries(points=points, cadence=1.0, window_results={})

@@ -10,8 +10,10 @@ from hrrkit.io import (
 )
 from hrrkit.radar import RadarConfig, Target, TargetScene, simulate_frames
 from hrrkit.signal_model import (
+    ConstantRate,
     ExponentialRecovery,
     HeartbeatModel,
+    LinearRamp,
     RespirationModel,
     WaveformShape,
     synthesize_trace,
@@ -32,11 +34,14 @@ def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", na
 
 
 class TestTraceCsv:
-    def test_round_trip_with_metadata(self, tmp_path):
+    @pytest.mark.parametrize(
+        "trajectory",
+        [ConstantRate(130.0), LinearRamp(100.0, 55.0, 60.0), ExponentialRecovery(150.0, 118.0, 28.0)],
+        ids=["constant", "linear", "exponential_recovery"],
+    )
+    def test_round_trip_with_metadata(self, tmp_path, trajectory):
         resp = RespirationModel(0.35, (1.0, 0.25), phase_offset=0.4)
-        heart = HeartbeatModel(
-            ExponentialRecovery(150.0, 118.0, 28.0), 0.2, WaveformShape.PULSE
-        )
+        heart = HeartbeatModel(trajectory, 0.2, WaveformShape.PULSE)
         trace = synthesize_trace(resp, heart, 0.05, 100.0, 20.0, 9)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
@@ -48,8 +53,18 @@ class TestTraceCsv:
         gt = restored.ground_truth
         assert gt.seed == 9 and gt.noise_std == 0.05
         assert gt.respiration.harmonic_amplitudes == (1.0, 0.25)
-        assert gt.heartbeat.rate_trajectory == ExponentialRecovery(150.0, 118.0, 28.0)
+        assert gt.heartbeat.rate_trajectory == trajectory
         assert gt.heartbeat.waveform_shape is WaveformShape.PULSE
+
+    def test_custom_trajectory_reads_back_without_heartbeat_truth(self, tmp_path):
+        heart = HeartbeatModel(lambda t: np.full_like(t, 90.0), 0.2)
+        trace = synthesize_trace(RespirationModel(0.3, (1.0,)), heart, 0.0, 50.0, 10.0, 3)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert "heart_trajectory=custom\n" in (tmp_path / "t.meta").read_text()
+        gt = read_trace(path).ground_truth
+        assert gt.seed == 3 and gt.respiration is not None
+        assert gt.heartbeat is None
 
     def test_missing_sidecar_infers_rate(self, tmp_path):
         trace = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 50.0, 10.0, 0)

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hrrkit.errors import TrackingLostError
+from hrrkit.errors import InputError, TrackingLostError
 from hrrkit.radar import (
     PhaseSequence,
     RadarConfig,
@@ -331,6 +331,12 @@ class TestPhaseToDisplacement:
     def test_zero_change(self):
         seq = PhaseSequence(np.full(10, 1.23), np.zeros(10, dtype=int), 100.0)
         assert np.all(phase_to_displacement(seq, 0.004).samples == 0.0)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, 0.0, -0.004])
+    def test_bad_wavelength_is_input_error(self, wavelength):
+        seq = PhaseSequence(np.linspace(0.0, 1.0, 100), np.zeros(100, dtype=int), 100.0)
+        with pytest.raises(InputError, match="wavelength must be finite and > 0"):
+            phase_to_displacement(seq, wavelength)
 
     def test_round_trip_half_millimeter(self):
         cfg = RadarConfig()
