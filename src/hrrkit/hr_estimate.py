@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import find_peaks
 
 from .errors import DegradedQualityError, DegenerateSignalError, NoEstimateError
 from .signal_model import ChestMotionTrace
@@ -123,9 +120,9 @@ def condition_heartbeat(
     win = max(1, round(smooth_window * fs))
     if win % 2 == 0:
         win += 1  # odd length keeps the smoother zero-phase
-    smoothed = uniform_filter1d(x, size=win, mode="nearest")
+    smoothed = _running_mean(x, win)
     magnitude = np.abs(smoothed)
-    maxima, _ = find_peaks(magnitude)
+    maxima = _find_peaks(magnitude)
     if len(maxima) < 2:
         raise DegenerateSignalError(
             f"too few envelope support points ({len(maxima)} maxima)"
@@ -134,8 +131,7 @@ def condition_heartbeat(
     knots_v = magnitude[knots_i]
     knots_v[0] = magnitude[maxima[0]]
     knots_v[-1] = magnitude[maxima[-1]]
-    spline = CubicSpline(knots_i, knots_v, bc_type="natural")
-    envelope = spline(np.arange(len(x)))
+    envelope = _natural_spline(knots_i, knots_v, np.arange(len(x)))
     floor = envelope_floor * np.median(envelope)
     if floor <= 0.0:
         raise DegenerateSignalError("envelope has non-positive median")
@@ -151,8 +147,115 @@ def detect_peaks(signal: np.ndarray, fs: float) -> PeakTrain:
     """
     x = np.asarray(signal, dtype=float)
     distance = max(1, math.ceil(PEAK_MIN_INTERVAL_S * fs))
-    idx, _ = find_peaks(x, height=PEAK_AMPLITUDE_FLOOR, distance=distance)
+    idx = _find_peaks(x, height=PEAK_AMPLITUDE_FLOOR, distance=distance)
     return PeakTrain(idx / fs)
+
+
+def _running_mean(x: np.ndarray, size: int) -> np.ndarray:
+    """Centred mean over an odd ``size`` samples, the ends extended by repetition.
+
+    A running sum starts from the first window, summed in order, and adds
+    (entering - leaving sample) per step; each output is that sum / size.
+    """
+    half = size // 2
+    ext = np.concatenate((np.full(half, x[0]), x, np.full(half, x[-1])))
+    first = np.cumsum(ext[:size])[-1]
+    return np.cumsum(np.concatenate(([first], ext[size:] - ext[:-size]))) / size
+
+
+def _find_peaks(x: np.ndarray, height: Optional[float] = None,
+                distance: Optional[int] = None) -> np.ndarray:
+    """Indices of the local maxima of ``x``, in increasing order.
+
+    A maximum is a sample, or a flat run of equal samples, with a strictly
+    smaller neighbour on each side; a flat run counts once, at its midpoint
+    (rounded down). Maxima below ``height`` are dropped. With ``distance``,
+    maxima are visited from the highest down, and each one still kept
+    removes every other maximum less than ``distance`` samples away.
+    """
+    n = len(x)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:] - 1, n - 1)
+    inner = (starts > 0) & (ends < n - 1)
+    starts, ends = starts[inner], ends[inner]
+    is_peak = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
+    peaks = (starts[is_peak] + ends[is_peak]) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    if distance is not None:
+        keep = np.ones(len(peaks), dtype=bool)
+        for j in np.argsort(x[peaks])[::-1].tolist():
+            if keep[j]:
+                lo = np.searchsorted(peaks, peaks[j] - distance, side="right")
+                hi = np.searchsorted(peaks, peaks[j] + distance, side="left")
+                keep[lo:j] = False
+                keep[j + 1:hi] = False
+        peaks = peaks[keep]
+    return peaks
+
+
+def _natural_spline(knots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through (knots, values), evaluated at ``at``.
+
+    The knot slopes solve the tridiagonal continuity system with zero
+    second derivative at both ends; each interval is then the cubic Hermite
+    polynomial on its end values and slopes.
+    """
+    knots = np.asarray(knots, dtype=float)
+    at = np.asarray(at, dtype=float)
+    h = np.diff(knots)
+    secant = np.diff(values) / h
+    diag = np.empty(len(knots))
+    diag[0], diag[-1] = 2 * h[0], 2 * h[-1]
+    diag[1:-1] = 2 * (h[:-1] + h[1:])
+    upper = np.concatenate((h[:1], h[:-1]))
+    lower = np.concatenate((h[1:], h[-1:]))
+    rhs = np.empty(len(knots))
+    rhs[0] = 3 * (values[1] - values[0])
+    rhs[-1] = 3 * (values[-1] - values[-2])
+    rhs[1:-1] = 3 * (h[1:] * secant[:-1] + h[:-1] * secant[1:])
+    slope = _solve_tridiagonal(lower, diag, upper, rhs)
+    t = (slope[:-1] + slope[1:] - 2 * secant) / h
+    c3, c2, c1, c0 = t / h, (secant - slope[:-1]) / h - t, slope[:-1], values[:-1]
+    i = np.clip(np.searchsorted(knots, at, side="right") - 1, 0, len(knots) - 2)
+    s = at - knots[i]
+    s2 = s * s
+    return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
+
+
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system by elimination with partial pivoting.
+
+    ``lower[i]`` is row i+1's entry left of the diagonal and ``upper[i]`` row
+    i's entry right of it. A row swap at step i puts a fill-in entry two
+    places right of the diagonal, kept in ``lower[i]``.
+    """
+    dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    # Back substitution, in place of the right-hand side.
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
 
 
 @dataclass(frozen=True)

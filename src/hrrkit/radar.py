@@ -156,10 +156,18 @@ def simulate_frames(
     fast_t = (np.arange(n) - (n - 1) / 2.0) * (config.chirp_duration / n)
     slope = config.bandwidth / config.chirp_duration
     iq = np.zeros((n_frames, n), dtype=complex)
+    # Each target's tone exp(1j * argument) is built in one reused buffer:
+    # the argument goes into its imaginary part and exp runs in place.
+    tone = np.empty_like(iq)
     for ti in range(len(scene.targets)):
         beat = 2.0 * slope * ranges[ti] / SPEED_OF_LIGHT            # (frames,)
         phase0 = 4.0 * np.pi * ranges[ti] / config.wavelength       # (frames,)
-        iq += np.exp(1j * (2.0 * np.pi * beat[:, None] * fast_t[None, :] + phase0[:, None]))
+        np.multiply(2.0 * np.pi * beat[:, None], fast_t[None, :], out=tone.imag)
+        tone.imag += phase0[:, None]
+        tone.real = 0.0
+        np.exp(tone, out=tone)
+        iq += tone
+    del tone  # released before the noise draws allocate theirs
     if scene.noise_floor > 0:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(scene.noise_floor / 2.0)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import InputError
 
@@ -165,7 +164,10 @@ class HeartbeatModel:
                 f"{HR_CEILING_BPM:.0f}] bpm over the window, got "
                 f"[{rate.min():.2f}, {rate.max():.2f}]"
             )
-        phase_fine = 2.0 * np.pi * cumulative_trapezoid(rate / 60.0, t_fine, initial=0.0)
+        # Running trapezoid-rule integral of the rate in beats per second.
+        beats = rate / 60.0
+        steps = np.diff(t_fine) * (beats[1:] + beats[:-1]) / 2.0
+        phase_fine = 2.0 * np.pi * np.concatenate(([0.0], np.cumsum(steps)))
         return phase_fine[::_PHASE_OVERSAMPLE]
 
     def waveform(self, t: np.ndarray) -> np.ndarray:

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
+from scipy.ndimage import uniform_filter1d
+from scipy.signal import find_peaks
 
 from hrrkit.errors import DegenerateSignalError, NoEstimateError
 from hrrkit.hr_estimate import (
+    _find_peaks,
+    _natural_spline,
+    _running_mean,
     FLAG_CARRY,
     HrPoint,
     HrSeries,
@@ -104,6 +110,77 @@ class TestDetectPeaks:
     def test_peak_train_validation(self):
         with pytest.raises(ValueError, match="closer"):
             PeakTrain(np.array([0.0, 0.1]))
+
+
+class TestMatchesScipy:
+    """The numpy smoother, peak finder and spline reproduce scipy's bit for bit."""
+
+    # Few distinct levels, so plateaus and equal-height peaks are common.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.lists(st.integers(min_value=0, max_value=4), max_size=80),
+        scale=st.sampled_from([0.25, 1.0, 0.3]),
+        height=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 0.75, 1.0])),
+        distance=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    def test_find_peaks(self, levels, scale, height, distance):
+        x = np.asarray(levels, dtype=float) * scale
+        ref, _ = find_peaks(x, height=height, distance=distance)
+        assert np.array_equal(_find_peaks(x, height=height, distance=distance), ref)
+
+    def test_find_peaks_tie_order(self):
+        # Which of two equal maxima closer than ``distance`` survives depends
+        # on the order in which ties are visited.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            x = rng.integers(0, 3, 120).astype(float)
+            distance = int(rng.integers(2, 13))
+            ref, _ = find_peaks(x, distance=distance)
+            assert np.array_equal(_find_peaks(x, distance=distance), ref)
+
+    def test_detect_peaks_on_noise(self):
+        x = np.abs(np.random.default_rng(3).normal(0.0, 0.6, 4000))
+        ref, _ = find_peaks(x, height=0.5, distance=27)
+        assert np.array_equal(detect_peaks(x, FS).peak_times, ref / FS)
+
+    @pytest.mark.parametrize("size", [1, 3, 13, 59, 301])
+    def test_running_mean(self, size):
+        x = np.random.default_rng(size).normal(0.0, 10.0, 150)
+        ref = uniform_filter1d(x, size=size, mode="nearest")
+        assert np.array_equal(_running_mean(x, size), ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_natural_spline(self, seed):
+        rng = np.random.default_rng(seed)
+        knots = np.cumsum(rng.integers(1, 60, 40))
+        values = np.abs(rng.normal(0.0, 1.0, 40))
+        at = np.arange(knots[0], knots[-1] + 1)
+        ref = CubicSpline(knots, values, bc_type="natural")(at)
+        assert np.array_equal(_natural_spline(knots, values, at), ref)
+
+    def test_natural_spline_with_row_swaps(self):
+        # Spacings 1, 9, 1, 19: elimination swaps rows where a knot gap
+        # exceeds twice the one before it.
+        knots = np.array([0, 1, 10, 11, 30])
+        values = np.array([0.5, 0.5, 2.0, 0.1, 0.1])
+        at = np.arange(31)
+        ref = CubicSpline(knots, values, bc_type="natural")(at)
+        assert np.array_equal(_natural_spline(knots, values, at), ref)
+
+    def test_condition_heartbeat(self):
+        t = np.arange(round(16 * FS)) / FS
+        rng = np.random.default_rng(5)
+        x = (1.0 + 0.5 * np.sin(2 * np.pi * 0.1 * t)) * np.sin(2 * np.pi * 1.7 * t)
+        x += rng.normal(0.0, 0.2, len(t))
+        smoothed = uniform_filter1d(x, size=13, mode="nearest")
+        magnitude = np.abs(smoothed)
+        maxima, _ = find_peaks(magnitude)
+        knots = np.concatenate(([0], maxima, [len(x) - 1]))
+        values = magnitude[knots]
+        values[0], values[-1] = magnitude[maxima[0]], magnitude[maxima[-1]]
+        envelope = CubicSpline(knots, values, bc_type="natural")(np.arange(len(x)))
+        envelope = np.maximum(envelope, 0.1 * np.median(envelope))
+        assert np.array_equal(condition_heartbeat(x, FS), smoothed / envelope)
 
 
 class TestCountHr:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
-from hrrkit.preprocess import FilterSpec, bandpass, difference
+from hrrkit.preprocess import FilterSpec, bandpass, butter_bandpass_sos, difference, sosfiltfilt
 from hrrkit.signal_model import ChestMotionTrace
 
 from conftest import tone
@@ -69,6 +70,44 @@ class TestBandpass:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FilterSpec(pass_low=2.0, pass_high=1.0)
+
+
+DESIGN_GRID = [
+    (fs, band)
+    for fs in (20.0, 50.0, 100.0, 200.0, 1000.0)
+    for band in ((0.2, 3.4), (0.5, 3.0), (0.1, 8.0))
+    if band[1] * 2.0 < fs
+]
+
+
+class TestMatchesScipy:
+    """The numpy filter reproduces scipy's design and filtering bit for bit."""
+
+    @pytest.mark.parametrize("fs,band", DESIGN_GRID)
+    def test_design(self, fs, band):
+        ref = signal.butter(4, band, btype="bandpass", output="sos", fs=fs)
+        assert np.array_equal(butter_bandpass_sos(*band, fs), ref)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bandpass_random_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, 6600) + 3.0 * np.sin(np.arange(6600) / 50.0) + 2.0
+        sos = signal.butter(4, (0.2, 3.4), btype="bandpass", output="sos", fs=FS)
+        ref = signal.sosfiltfilt(sos, x, padlen=1500)
+        assert np.array_equal(bandpass(trace_of(x)).samples, ref)
+
+    def test_bandpass_short_trace_pads_all_but_one_sample(self):
+        x = np.random.default_rng(7).normal(0.0, 1.0, 300)  # padlen = 1500 > 299
+        sos = signal.butter(4, (0.2, 3.4), btype="bandpass", output="sos", fs=FS)
+        ref = signal.sosfiltfilt(sos, x, padlen=len(x) - 1)
+        assert np.array_equal(bandpass(trace_of(x)).samples, ref)
+
+    @pytest.mark.parametrize("n,padlen", [(1, 0), (2, 1), (40, 0), (40, 17)])
+    def test_sosfiltfilt_pad_lengths(self, n, padlen):
+        x = np.random.default_rng(n).normal(0.0, 1.0, n)
+        sos = butter_bandpass_sos(0.5, 3.0, 20.0)
+        ref = signal.sosfiltfilt(sos, x, padlen=padlen)
+        assert np.array_equal(sosfiltfilt(sos, x, padlen), ref)
 
 
 class TestDifference:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -163,6 +164,50 @@ class TestSimulateFrames:
         a = simulate_frames(CFG_50MM, scene, 5.0, 11)
         b = simulate_frames(CFG_50MM, scene, 5.0, 11)
         assert np.array_equal(a.iq, b.iq)
+
+
+    @staticmethod
+    def two_target_scene():
+        traces = [
+            synthesize_trace(RespirationModel(f, (1.0, 0.2)), HeartbeatModel(ConstantRate(hr), 0.15),
+                             0.0, 100.0, 12.0, seed)
+            for f, hr, seed in ((0.3, 80.0, 1), (0.25, 120.0, 2))
+        ]
+        return TargetScene(
+            (Target(1.0, traces[0]), Target(2.2, traces[1], drift=0.002)), noise_floor=1e-3
+        )
+
+    def test_cube_bytes_match_full_size_expression(self):
+        cfg, scene, duration, seed = RadarConfig(), self.two_target_scene(), 12.0, 4
+        cube = simulate_frames(cfg, scene, duration, seed)
+        # The tone sum written as one full-size expression per target.
+        n = cfg.samples_per_chirp
+        frame_times = np.arange(round(duration * cfg.frame_rate)) / cfg.frame_rate
+        fast_t = (np.arange(n) - (n - 1) / 2.0) * (cfg.chirp_duration / n)
+        slope = cfg.bandwidth / cfg.chirp_duration
+        iq = np.zeros((len(frame_times), n), dtype=complex)
+        for tgt in scene.targets:
+            disp_m = np.interp(frame_times, tgt.trace.times, tgt.trace.samples) / 1000.0
+            ranges = tgt.base_range + tgt.drift * frame_times + disp_m
+            beat = 2.0 * slope * ranges / 299792458.0
+            phase0 = 4.0 * np.pi * ranges / cfg.wavelength
+            iq += np.exp(1j * (2.0 * np.pi * beat[:, None] * fast_t[None, :] + phase0[:, None]))
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(scene.noise_floor / 2.0)
+        iq.real += rng.normal(0.0, sigma, iq.shape)
+        iq.imag += rng.normal(0.0, sigma, iq.shape)
+        assert cube.iq.tobytes() == iq.tobytes()
+
+    def test_peak_memory_near_two_cubes(self):
+        scene = self.two_target_scene()
+        tracemalloc.start()
+        try:
+            cube = simulate_frames(RadarConfig(), scene, 12.0, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The cube plus one reused tone buffer of the same size.
+        assert peak < 2.2 * cube.iq.nbytes
 
 
 class TestRangeFft:

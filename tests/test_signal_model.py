@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from hrrkit.signal_model import (
     ChestMotionTrace,
@@ -174,3 +175,14 @@ class TestWaveforms:
         expected_count = (120.0 + 90.0) / 2.0 / 60.0 * 10.0
         assert len(beats) == pytest.approx(expected_count + 1, abs=1.0)
         assert np.all(np.diff(beats) > 0)
+
+    @pytest.mark.parametrize(
+        "trajectory", [LinearRamp(120.0, 90.0, 10.0), ExponentialRecovery(152.0, 120.0, 30.0)]
+    )
+    def test_phase_matches_scipy_cumulative_trapezoid(self, trajectory):
+        heart = HeartbeatModel(trajectory, 1.0)
+        t = np.arange(6600) / 100.0
+        t_fine = np.linspace(t[0], t[-1], (len(t) - 1) * 8 + 1)
+        rate = trajectory(t_fine)
+        ref = 2.0 * np.pi * cumulative_trapezoid(rate / 60.0, t_fine, initial=0.0)
+        assert np.array_equal(heart.phase(t), ref[::8])
