@@ -76,6 +76,8 @@ class PipelineConfig:
             raise ConfigError(f"carry_limit must be in (0, 1], got {self.carry_limit}")
         if not self.smooth_window > 0:
             raise ConfigError(f"smooth_window must be > 0, got {self.smooth_window}")
+        if not self.envelope_floor > 0:
+            raise ConfigError(f"envelope_floor must be > 0, got {self.envelope_floor}")
 
     def filter_spec(self) -> FilterSpec:
         return FilterSpec(pass_low=self.pass_low, pass_high=self.pass_high)

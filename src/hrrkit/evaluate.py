@@ -41,18 +41,21 @@ class Subject:
     base_range: float = 1.0
 
 
+# Every scenario is synthesized at the same length and rate; radar scenes
+# share one receiver noise floor.
+DURATION = 66.0
+SAMPLE_RATE = 100.0
+RADAR_NOISE_FLOOR = 1e-4
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
     subjects: tuple[Subject, ...]
-    snr_db: Optional[float] = None      # displacement SNR; overrides noise_std
-    noise_std: float = 0.0
-    duration: float = 66.0
-    sample_rate: float = 100.0
+    snr_db: Optional[float] = None      # displacement SNR; None is noise-free
     repetitions: int = 3
     seed_base: int = 0
     use_radar: bool = False
-    radar_noise_floor: float = 0.0
 
     def __post_init__(self):
         if self.repetitions < 3:
@@ -109,24 +112,14 @@ class ScoreTable:
         return "\n".join(lines) + "\n"
 
 
-def _noise_std_for(scenario: Scenario, subject: Subject) -> float:
-    """Resolve the additive-noise sigma, from a displacement-SNR target if set."""
-    if scenario.snr_db is None:
-        return scenario.noise_std
-    return noise_std_for_snr(
-        subject.resp, subject.heart, scenario.snr_db, scenario.sample_rate, scenario.duration
-    )
-
-
 def _synth_subject(scenario: Scenario, subject: Subject, seed: int) -> ChestMotionTrace:
-    return synthesize_trace(
-        subject.resp,
-        subject.heart,
-        _noise_std_for(scenario, subject),
-        scenario.sample_rate,
-        scenario.duration,
-        seed,
-    )
+    """Synthesize one subject, with noise at the scenario's displacement SNR if set."""
+    noise_std = 0.0
+    if scenario.snr_db is not None:
+        noise_std = noise_std_for_snr(
+            subject.resp, subject.heart, scenario.snr_db, SAMPLE_RATE, DURATION
+        )
+    return synthesize_trace(subject.resp, subject.heart, noise_std, SAMPLE_RATE, DURATION, seed)
 
 
 def run_scenario(
@@ -141,7 +134,7 @@ def run_scenario(
     """
     cfg = cfg or PipelineConfig()
     rows: list[ScoreRow] = []
-    radar_cfg = RadarConfig(frame_rate=scenario.sample_rate)
+    radar_cfg = RadarConfig(frame_rate=SAMPLE_RATE)
     for rep in range(scenario.repetitions):
         seed = scenario.seed_base + rep
         rep_dir: Optional[Path] = None
@@ -159,9 +152,9 @@ def run_scenario(
                         Target(subj.base_range, tr)
                         for subj, tr in zip(scenario.subjects, traces)
                     ),
-                    noise_floor=scenario.radar_noise_floor,
+                    noise_floor=RADAR_NOISE_FLOOR,
                 )
-                cube = simulate_frames(radar_cfg, scene, scenario.duration, seed)
+                cube = simulate_frames(radar_cfg, scene, DURATION, seed)
                 recovered = []
                 for subj, tr in zip(scenario.subjects, traces):
                     seq = track_target(cube, subj.base_range)
@@ -219,14 +212,12 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
         Scenario(
             "clean_constant",
             (Subject(resp_full, constant),),
-            noise_std=0.0,
             repetitions=repetitions,
             seed_base=seed_base,
         ),
         Scenario(
             "zero_noise_no_harmonics",
             (Subject(resp_plain, constant),),
-            noise_std=0.0,
             repetitions=repetitions,
             seed_base=seed_base + 10,
         ),
@@ -249,7 +240,6 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
             (Subject(resp_full, recovery),),
             snr_db=25.0,
             use_radar=True,
-            radar_noise_floor=1e-4,
             repetitions=repetitions,
             seed_base=seed_base + 40,
         ),
@@ -267,7 +257,6 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
             ),
             snr_db=25.0,
             use_radar=True,
-            radar_noise_floor=1e-4,
             repetitions=repetitions,
             seed_base=seed_base + 50,
         ),

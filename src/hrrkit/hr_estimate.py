@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegradedQualityError, DegenerateSignalError, NoEstimateError
+from .errors import DegradedQualityError
 from .signal_model import ChestMotionTrace
 
 PEAK_AMPLITUDE_FLOOR = 0.5
@@ -106,17 +106,18 @@ def condition_heartbeat(
     fs: float,
     smooth_window: float = SMOOTH_WINDOW,
     envelope_floor: float = ENVELOPE_FLOOR,
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Smooth the heartbeat mode and normalize its amplitude by the envelope.
 
     The envelope is a cubic spline through the local maxima of the smoothed
     absolute signal, held constant beyond the outermost maxima and floored
     at ``envelope_floor`` times its median so quiet stretches cannot blow
-    up the division.
+    up the division. Returns None for a mode too flat to normalize: all
+    zero, fewer than two envelope maxima, or a non-positive floor.
     """
     x = np.asarray(mode, dtype=float)
     if not np.any(x):
-        raise DegenerateSignalError("heartbeat mode is identically zero")
+        return None
     win = max(1, round(smooth_window * fs))
     if win % 2 == 0:
         win += 1  # odd length keeps the smoother zero-phase
@@ -124,9 +125,7 @@ def condition_heartbeat(
     magnitude = np.abs(smoothed)
     maxima = _find_peaks(magnitude)
     if len(maxima) < 2:
-        raise DegenerateSignalError(
-            f"too few envelope support points ({len(maxima)} maxima)"
-        )
+        return None
     knots_i = np.concatenate(([0], maxima, [len(x) - 1]))
     knots_v = magnitude[knots_i]
     knots_v[0] = magnitude[maxima[0]]
@@ -134,7 +133,7 @@ def condition_heartbeat(
     envelope = _natural_spline(knots_i, knots_v, np.arange(len(x)))
     floor = envelope_floor * np.median(envelope)
     if floor <= 0.0:
-        raise DegenerateSignalError("envelope has non-positive median")
+        return None
     envelope = np.maximum(envelope, floor)
     return smoothed / envelope
 
@@ -266,24 +265,24 @@ class HrEstimate:
     window_end: float     # time of the last peak in W_b
 
 
-def count_hr(train: PeakTrain, cfg: WindowConfig, t: float, l_min: Optional[float] = None) -> HrEstimate:
+def count_hr(
+    train: PeakTrain, cfg: WindowConfig, t: float, l_min: Optional[float] = None
+) -> Optional[HrEstimate]:
     """HR at time t from the peak-delimited window ending at the last peak <= t.
 
     The window start is the latest earlier peak keeping the span at or above
     l_min; with both endpoints on peaks, N peaks span N-1 beats, so
-    HR = (N - 1) / l_b * 60.
+    HR = (N - 1) / l_b * 60. Returns None when no such window exists.
     """
     floor = cfg.l_min if l_min is None else l_min
     times = train.peak_times
     end = int(np.searchsorted(times, t, side="right")) - 1
     if end < 1:
-        raise NoEstimateError(f"fewer than 2 peaks at or before t={t:.2f}")
+        return None
     target = times[end] - floor
     start = int(np.searchsorted(times[: end + 1], target, side="right")) - 1
     if start < 0:
-        raise NoEstimateError(
-            f"no peak at least l_min={floor:.2f} s before the window end"
-        )
+        return None
     l_b = float(times[end] - times[start])
     return HrEstimate(
         hr_bpm=(end - start) * 60.0 / l_b,
@@ -388,13 +387,8 @@ def run_composite_windows(
             i0 = round(t0 * fs)
             i1 = min(round((t0 + cfg.l_a) * fs), len(x))
             cache[k] = stage(x[i0:i1], fs, t0)
-        res = cache[k]
-        if res.peaks is None or len(res.peaks) < 2:
-            return None
-        try:
-            return count_hr(res.peaks, cfg, t, l_min=l_min)
-        except NoEstimateError:
-            return None
+        peaks = cache[k].peaks
+        return None if peaks is None else count_hr(peaks, cfg, t, l_min=l_min)
 
     grid = output_times(duration, cfg.cadence)
 

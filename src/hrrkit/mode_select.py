@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoHeartbeatError
 from .vmd import ModeSet
 
 LABEL_NOISE = "noise"
@@ -57,7 +56,6 @@ class ModeLabel:
     label: str                      # noise | respiration | harmonic | heartbeat
     peak_freq: float                # Hz
     peak_magnitude: float
-    peak_prominence: float          # peak/mean magnitude ratio
     energy: float
     harmonic_order: Optional[int] = None  # n for harmonic(n); kept on a
                                           # coincidence-selected heartbeat too
@@ -112,10 +110,10 @@ def _band_energy_fraction(mode: np.ndarray, fs: float, f0: float, halfwidth: flo
 
 def classify_modes(
     ms: ModeSet, config: ModeSelectConfig = ModeSelectConfig()
-) -> tuple[list[ModeLabel], int]:
+) -> tuple[list[ModeLabel], Optional[int]]:
     """Label every mode and return the labels plus the heartbeat mode index.
 
-    Raises NoHeartbeatError when no non-noise mode peaks inside the HR band.
+    The index is None when no non-noise mode peaks inside the HR band.
     The decision depends only on mode contents, never on their order.
     """
     labels: list[ModeLabel] = []
@@ -123,7 +121,7 @@ def classify_modes(
     for i in range(ms.n_modes):
         mode = ms.modes[i]
         if not np.any(mode):
-            labels.append(ModeLabel(i, LABEL_NOISE, 0.0, 0.0, 0.0, 0.0))
+            labels.append(ModeLabel(i, LABEL_NOISE, 0.0, 0.0, 0.0))
             continue
         freq, prom = peak_frequency(mode, ms.sample_rate)
         spec_peak = float(np.abs(np.fft.rfft(mode)).max())
@@ -132,7 +130,7 @@ def classify_modes(
             prom < config.noise_prominence or in_band < 1.0 - config.noise_oob_fraction
         ) else ""
         labels.append(
-            ModeLabel(i, label, freq, spec_peak, prom, float(energies[i]))
+            ModeLabel(i, label, freq, spec_peak, float(energies[i]))
         )
 
     # A peak well below the strongest mode's is insignificant regardless of
@@ -167,6 +165,7 @@ def classify_modes(
     remaining = [
         lb for lb in candidates if not lb.label and hr_lo <= lb.peak_freq <= hr_hi
     ]
+    chosen: Optional[ModeLabel]
     if remaining:
         chosen = max(remaining, key=lambda lb: (lb.peak_magnitude, lb.energy, lb.peak_freq))
     else:
@@ -177,15 +176,13 @@ def classify_modes(
             for lb in candidates
             if lb.label == LABEL_HARMONIC and hr_lo <= lb.peak_freq <= hr_hi
         ]
-        if not merged:
-            raise NoHeartbeatError(
-                f"no candidate mode peaks inside the HR band "
-                f"[{hr_lo}, {hr_hi}] Hz"
-            )
-        chosen = max(merged, key=lambda lb: (lb.energy, lb.peak_magnitude, lb.peak_freq))
-    chosen.label = LABEL_HEARTBEAT
+        chosen = max(
+            merged, key=lambda lb: (lb.energy, lb.peak_magnitude, lb.peak_freq), default=None
+        )
+    if chosen is not None:
+        chosen.label = LABEL_HEARTBEAT
 
     for lb in candidates:
         if not lb.label:
             lb.label = LABEL_NOISE
-    return labels, chosen.mode_index
+    return labels, None if chosen is None else chosen.mode_index

@@ -6,7 +6,6 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DegenerateSignalError, NoHeartbeatError
 from .hr_estimate import (
     HrrReport,
     HrSeries,
@@ -49,42 +48,36 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             ratio_tol=cfg.alpha_ratio_tol,
         )
         ms, alpha = search.modes, search.alpha
-        status = "ok" if search.feasible else "gates_relaxed"
-        try:
-            labels, hb_index = classify_modes(ms, select_cfg)
-        except NoHeartbeatError:
-            labels, hb_index = None, None
-        table = []
-        if labels is not None:
-            total_energy = max(ms.input_energy, 1e-300)
-            for lb in labels:
-                table.append(
-                    {
-                        "window_start_s": t0,
-                        "mode_idx": lb.mode_index,
-                        "omega_hz": float(ms.center_freqs[lb.mode_index]),
-                        "energy_share": lb.energy / total_energy,
-                        "label": lb.label,
-                        "peak_freq_hz": lb.peak_freq,
-                        "energy": lb.energy,
-                        "alpha": alpha,
-                        "r_max": search.r_max,
-                        "p": search.p,
-                        "coincident": lb.label == "heartbeat" and lb.harmonic_order is not None,
-                    }
-                )
+        labels, hb_index = classify_modes(ms, select_cfg)
         if hb_index is None:
-            return WindowResult(t0, None, alpha=alpha, mode_table=table, status="no_heartbeat")
-        try:
-            conditioned = condition_heartbeat(
-                ms.modes[hb_index],
-                fs,
-                smooth_window=cfg.smooth_window,
-                envelope_floor=cfg.envelope_floor,
-            )
-        except DegenerateSignalError:
+            return WindowResult(t0, None, alpha=alpha, status="no_heartbeat")
+        total_energy = max(ms.input_energy, 1e-300)
+        table = [
+            {
+                "window_start_s": t0,
+                "mode_idx": lb.mode_index,
+                "omega_hz": float(ms.center_freqs[lb.mode_index]),
+                "energy_share": lb.energy / total_energy,
+                "label": lb.label,
+                "peak_freq_hz": lb.peak_freq,
+                "energy": lb.energy,
+                "alpha": alpha,
+                "r_max": search.r_max,
+                "p": search.p,
+                "coincident": lb.label == "heartbeat" and lb.harmonic_order is not None,
+            }
+            for lb in labels
+        ]
+        conditioned = condition_heartbeat(
+            ms.modes[hb_index],
+            fs,
+            smooth_window=cfg.smooth_window,
+            envelope_floor=cfg.envelope_floor,
+        )
+        if conditioned is None:
             return WindowResult(t0, None, alpha=alpha, mode_table=table, status="degenerate")
         train = detect_peaks(conditioned, fs).shifted(t0)
+        status = "ok" if search.feasible else "gates_relaxed"
         return WindowResult(t0, train, alpha=alpha, mode_table=table, status=status)
 
     return stage

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .signal_model import ChestMotionTrace
 
 _FILTER_ORDER = 4  # per band edge; applied twice (forward-backward)
@@ -130,7 +131,7 @@ def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestM
     """
     fs = trace.sample_rate
     if spec.pass_high * 2.0 >= fs:
-        raise ValueError(
+        raise InputError(
             f"pass_high={spec.pass_high} Hz violates Nyquist at "
             f"sample_rate={fs} Hz"
         )

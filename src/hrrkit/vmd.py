@@ -52,6 +52,8 @@ class VmdParams:
             raise ValueError(f"K must be in [2, 7], got {self.K}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iters < 1:

@@ -7,7 +7,7 @@ import pytest
 from hrrkit import cli
 from hrrkit.cli import main
 from hrrkit.config import PipelineConfig, parse_config
-from hrrkit.errors import ConfigError, DegenerateSignalError
+from hrrkit.errors import ConfigError
 from hrrkit.hr_estimate import WindowConfig, condition_heartbeat, run_composite_windows
 from hrrkit.io import read_trace
 from hrrkit.mode_select import ModeSelectConfig
@@ -70,13 +70,14 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "overrides, match",
         [({"smooth_window": -1.0}, "smooth_window must be > 0"),
-         ({"carry_limit": 5.0}, "carry_limit must be in")],
+         ({"carry_limit": 5.0}, "carry_limit must be in"),
+         ({"tau": -1.0}, "tau must be >= 0")],
     )
     def test_config_built_in_code_is_checked(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             PipelineConfig(**overrides)
 
-    @pytest.mark.parametrize("key", ["smooth_window", "peak_band_halfwidth"])
+    @pytest.mark.parametrize("key", ["smooth_window", "peak_band_halfwidth", "envelope_floor"])
     @pytest.mark.parametrize("raw", ["0", "-1"])
     def test_non_positive_width_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key} must be > 0"):
@@ -195,9 +196,7 @@ class TestCliFlows:
         rc = main(["estimate", str(synth_dir / "nope.csv"), "-o", str(synth_dir / "z")])
         assert rc == 2
 
-    @pytest.mark.parametrize(
-        "exc", [ValueError("internal"), DegenerateSignalError("internal")]
-    )
+    @pytest.mark.parametrize("exc", [ValueError("internal")])
     def test_internal_value_error_is_pipeline_failure(
         self, synth_dir, monkeypatch, capsys, exc
     ):
@@ -217,6 +216,15 @@ class TestCliFlows:
         rc = main(["estimate", str(tmp_path / "t.csv"), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "displacement trace in mm" in capsys.readouterr().err
+
+    def test_pass_band_above_nyquist_is_input_error(self, synth_dir, tmp_path, capsys):
+        rc = main([
+            "estimate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "out"),
+            "--set", "pass_high=60",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "pass_high=60.0 Hz violates Nyquist" in err
 
     def test_bad_synth_argument_is_input_error(self, tmp_path):
         rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--resp-amps", "1.0,x"])

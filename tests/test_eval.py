@@ -26,8 +26,6 @@ def quick_scenario(name="quick", seed_base=500, **kw):
     heart = HeartbeatModel(ConstantRate(120.0), 0.15, WaveformShape.SINUSOID)
     defaults = dict(
         subjects=(Subject(resp, heart),),
-        noise_std=0.0,
-        duration=66.0,
         repetitions=3,
         seed_base=seed_base,
     )
@@ -83,8 +81,7 @@ class TestScenario:
 
     def test_radar_path_scenario(self, tmp_path):
         scenario = quick_scenario(
-            "radar", seed_base=560, snr_db=25.0, noise_std=0.0,
-            use_radar=True, radar_noise_floor=1e-4,
+            "radar", seed_base=560, snr_db=25.0, use_radar=True,
         )
         rows = run_scenario(scenario, archive_dir=tmp_path)
         assert all(r.status == "ok" for r in rows)
@@ -145,7 +142,7 @@ class TestScoreTable:
 
 class TestReproducibility:
     def test_bit_identical_rerun(self, tmp_path):
-        scenario = quick_scenario(seed_base=800, snr_db=18.0, noise_std=0.0)
+        scenario = quick_scenario(seed_base=800, snr_db=18.0)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         table_a = ScoreTable(rows=run_scenario(scenario, archive_dir=dir_a))
         table_b = ScoreTable(rows=run_scenario(scenario, archive_dir=dir_b))

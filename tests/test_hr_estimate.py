@@ -9,7 +9,6 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
-from hrrkit.errors import DegenerateSignalError, NoEstimateError
 from hrrkit.hr_estimate import (
     _find_peaks,
     _natural_spline,
@@ -66,8 +65,7 @@ class TestConditionHeartbeat:
             assert np.min(np.abs(beats - pt)) <= 0.05
 
     def test_zero_signal_degenerate(self):
-        with pytest.raises(DegenerateSignalError):
-            condition_heartbeat(np.zeros(500), FS)
+        assert condition_heartbeat(np.zeros(500), FS) is None
 
     def test_scale_invariance_of_peak_train(self):
         t = np.arange(round(12 * FS)) / FS
@@ -215,12 +213,10 @@ class TestCountHr:
 
     def test_lmin_larger_than_span(self):
         train = PeakTrain(np.array([0.0, 0.5, 1.0, 1.5]))
-        with pytest.raises(NoEstimateError):
-            count_hr(train, WindowConfig(), 1.5, l_min=5.0)
+        assert count_hr(train, WindowConfig(), 1.5, l_min=5.0) is None
 
     def test_fewer_than_two_peaks(self):
-        with pytest.raises(NoEstimateError):
-            count_hr(PeakTrain(np.array([1.0])), WindowConfig(), 2.0)
+        assert count_hr(PeakTrain(np.array([1.0])), WindowConfig(), 2.0) is None
 
 
 class TestAdaptLmin:

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from hrrkit.errors import NoHeartbeatError
 from hrrkit.mode_select import (
     LABEL_HARMONIC,
     LABEL_HEARTBEAT,
@@ -120,10 +119,12 @@ class TestClassifyModes:
         labels, _ = classify_modes(ms)
         assert labels[2].label == LABEL_NOISE
 
-    def test_no_heartbeat_error(self):
+    def test_no_heartbeat_returns_none(self):
         ms = make_modeset([(0.3, 1.0), (0.5, 0.4)])
-        with pytest.raises(NoHeartbeatError):
-            classify_modes(ms)
+        labels, hb = classify_modes(ms)
+        assert hb is None
+        assert LABEL_HEARTBEAT not in [lb.label for lb in labels]
+        assert all(lb.label for lb in labels)
 
     def test_exactly_one_heartbeat(self):
         ms = make_modeset([(0.4, 1.0), (1.3, 0.5), (2.3, 0.45), (2.8, 0.4)])

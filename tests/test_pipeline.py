@@ -1,6 +1,11 @@
-"""The window stage takes alpha, r_max and p from the alpha search."""
+"""The window stage takes alpha, r_max and p from the alpha search, and
+ends every window with a status."""
+import math
+
 from hrrkit import pipeline
+from hrrkit.config import PipelineConfig
 from hrrkit.io import write_hr_series, write_mode_dump, write_report
+from hrrkit.signal_model import RespirationModel, synthesize_trace
 from hrrkit.vmd import energy_loss, mode_correlation_max
 
 from conftest import noisy_recovery
@@ -52,3 +57,34 @@ def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path)
         if w.status in ("ok", "gates_relaxed"):
             assert (w.status == "ok") == s.feasible
     assert {"ok", "gates_relaxed"} <= {w.status for w in windows}
+
+
+def first_window(trace, cfg):
+    prepared = pipeline.preprocess_trace(trace, cfg)
+    fs = prepared.sample_rate
+    return prepared.samples[: round(cfg.window_config().l_a * fs)], fs
+
+
+def test_window_without_heartbeat_mode():
+    cfg = PipelineConfig()
+    breathing = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 100.0, 66.0, 0)
+    segment, fs = first_window(breathing, cfg)
+    w = pipeline.make_window_stage(cfg)(segment, fs, 0.0)
+    assert w.status == "no_heartbeat"
+    assert w.peaks is None
+    assert w.mode_table == []
+    assert math.isfinite(w.alpha)
+
+
+def test_degenerate_window_keeps_its_mode_table(monkeypatch):
+    cfg = PipelineConfig()
+    segment, fs = first_window(noisy_recovery(120), cfg)
+    usable = pipeline.make_window_stage(cfg)(segment, fs, 0.0)
+    assert usable.peaks is not None
+    monkeypatch.setattr(pipeline, "condition_heartbeat", lambda *args, **kwargs: None)
+    w = pipeline.make_window_stage(cfg)(segment, fs, 0.0)
+    assert w.status == "degenerate"
+    assert w.peaks is None
+    assert w.alpha == usable.alpha
+    assert len(w.mode_table) == cfg.k_modes
+    assert w.mode_table == usable.mode_table

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from hrrkit.errors import InputError
 from hrrkit.preprocess import FilterSpec, bandpass, butter_bandpass_sos, difference, sosfiltfilt
 from hrrkit.signal_model import ChestMotionTrace
 
@@ -57,7 +58,7 @@ class TestBandpass:
         assert lags[int(np.argmax(xc))] == 0
 
     def test_nyquist_rejection(self):
-        with pytest.raises(ValueError, match="Nyquist"):
+        with pytest.raises(InputError, match="Nyquist"):
             bandpass(trace_of(tone(1.0, FS, 10.0)), FilterSpec(pass_low=0.2, pass_high=60.0))
 
     def test_linearity(self):
