@@ -24,6 +24,10 @@ SPEED_OF_LIGHT = 299792458.0
 # spectrum level counts as a low-SNR frame.
 _SNR_PEAK_FACTOR = 3.0
 _STITCH_MEDIAN_FRAMES = 5
+# Frames per vectorized argmax in the peak chain: the first block after a
+# bin switch, and the cap the block size doubles up to.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,8 @@ def track_target(
     Per frame the bin is the magnitude argmax within ``search_width`` bins
     of the previous frame's bin (seeded from ``expected_range``). Frames
     whose peak stays below 3x the median spectrum level for more than one
-    second raise TrackingLostError.
+    second raise TrackingLostError. A frame with a non-finite sample raises
+    InputError: it makes the frame's whole spectrum non-finite.
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
@@ -227,34 +232,74 @@ def track_target(
         raise InputError(
             f"expected_range {expected_range} m is outside the spectrum"
         )
-    spectra = np.fft.fft(cube.iq, axis=1)
-    # One median pass for all frames; it may partition its own magnitudes.
-    floor = _SNR_PEAK_FACTOR * np.median(np.abs(spectra), axis=1, overwrite_input=True)
+    # A non-finite sample is reported below, by frame, not as a warning.
+    with np.errstate(invalid="ignore"):
+        spectra = np.fft.fft(cube.iq, axis=1)
     mags = np.abs(spectra)
+    floor = _SNR_PEAK_FACTOR * _row_medians(mags)
+    bad = ~np.isfinite(floor)
+    if bad.any():
+        raise InputError(
+            f"frame {int(np.argmax(bad))} holds a non-finite I/Q sample"
+        )
 
-    bins = np.empty(cube.n_frames, dtype=int)
-    raw = np.empty(cube.n_frames)
-    low_snr_run = 0
+    bins = _peak_chain(mags, center, search_width)
+    rows = np.arange(cube.n_frames)
+    # math.atan2, not np.arctan2: the two differ in the last bit.
+    raw = np.array([math.atan2(z.imag, z.real) for z in spectra[rows, bins].tolist()])
+
     max_low_run = int(cube.frame_rate)  # one second
-    prev = center
-    for i in range(cube.n_frames):
+    low = np.concatenate(([False], mags[rows, bins] < floor, [False]))
+    edges = np.flatnonzero(low[1:] != low[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    too_long = np.flatnonzero(ends - starts > max_low_run)
+    if too_long.size:
+        frame = int(starts[too_long[0]]) + max_low_run
+        raise TrackingLostError(
+            f"peak below {_SNR_PEAK_FACTOR}x median spectrum level for "
+            f"more than 1 s around frame {frame}"
+        )
+    return stitch_phase(raw, bins, cube.frame_rate)
+
+
+def _row_medians(mags: np.ndarray) -> np.ndarray:
+    """``np.median(mags, axis=1)`` to the bit, from one sort.
+
+    The median is the middle order statistic, or the mean of the two middle
+    ones for an even count: the same values, added and halved the same way.
+    """
+    ordered = np.sort(mags, axis=1)
+    half = mags.shape[1] // 2
+    if mags.shape[1] % 2:
+        return ordered[:, half]
+    return (ordered[:, half - 1] + ordered[:, half]) / 2
+
+
+def _peak_chain(mags: np.ndarray, center: int, search_width: int) -> np.ndarray:
+    """Per frame, the argmax within ``search_width`` bins of the last frame's bin.
+
+    Frames whose peak stays in the previous bin all search the same window,
+    so a block of them is one argmax. A block ends at the first frame whose
+    peak moves and the next one starts after it; blocks double while the
+    peak stays put.
+    """
+    n_frames, n_bins = mags.shape
+    bins = np.empty(n_frames, dtype=int)
+    prev, i, block = center, 0, _FIRST_BLOCK
+    while i < n_frames:
         lo = max(0, prev - search_width)
         hi = min(n_bins, prev + search_width + 1)
-        k = lo + int(np.argmax(mags[i, lo:hi]))
-        bins[i] = k
-        peak = spectra[i, k]
-        raw[i] = math.atan2(peak.imag, peak.real)
-        prev = k
-        if mags[i, k] < floor[i]:
-            low_snr_run += 1
-            if low_snr_run > max_low_run:
-                raise TrackingLostError(
-                    f"peak below {_SNR_PEAK_FACTOR}x median spectrum level for "
-                    f"more than 1 s around frame {i}"
-                )
+        found = lo + np.argmax(mags[i:i + block, lo:hi], axis=1)
+        moved = np.flatnonzero(found != prev)
+        if moved.size:
+            found = found[:moved[0] + 1]
+            prev = int(found[-1])
+            block = _FIRST_BLOCK
         else:
-            low_snr_run = 0
-    return stitch_phase(raw, bins, cube.frame_rate)
+            block = min(2 * block, _MAX_BLOCK)
+        bins[i:i + found.size] = found
+        i += found.size
+    return bins
 
 
 def phase_to_displacement(seq: PhaseSequence, wavelength: float) -> ChestMotionTrace:

@@ -12,6 +12,7 @@ from hrrkit.radar import (
     RadarCube,
     Target,
     TargetScene,
+    _row_medians,
     phase_to_displacement,
     range_fft,
     simulate_frames,
@@ -85,6 +86,27 @@ def make_tone_cube(bins, amps, n=256, frames=4):
     for b, a in zip(bins, amps):
         iq += a * np.exp(2j * np.pi * b * t / n)
     return RadarCube(iq=iq, frame_rate=100.0, bin_size=0.05)
+
+
+def hopping_tone_cube(path, n=256, noise=0.0, seed=0):
+    """Frame f holds a unit tone at bin ``path[f]`` plus complex noise."""
+    t = np.arange(n)
+    iq = np.exp(2j * np.pi * np.outer(path, t) / n)
+    rng = np.random.default_rng(seed)
+    iq += noise * (rng.normal(size=iq.shape) + 1j * rng.normal(size=iq.shape))
+    return RadarCube(iq=iq, frame_rate=100.0, bin_size=0.05)
+
+
+def flat_gap_cube(run, start=200, frames=600):
+    """A tone at bin 10 that sinks into a flat floor for ``run`` frames from ``start``.
+
+    In those frames an impulse puts every bin near 1 and the tone adds 1 to
+    bin 10: still the peak, so the track stays put, but below 3x the median.
+    """
+    cube = hopping_tone_cube(np.full(frames, 10), n=64, noise=0.01, seed=9)
+    cube.iq[start:start + run] /= 64
+    cube.iq[start:start + run, 0] += 1.0
+    return cube
 
 
 class TestRadarConfig:
@@ -274,6 +296,17 @@ class TestTracking:
         with pytest.raises(TrackingLostError):
             track_target(cube, 1.0)
 
+    @pytest.mark.parametrize(
+        "frame,value", [(0, complex(np.nan)), (5, complex(np.nan)), (5, complex(np.inf))]
+    )
+    def test_non_finite_sample_is_input_error(self, frame, value):
+        cube = simulate_frames(
+            CFG_50MM, TargetScene((Target(1.0, static_trace(10.0)),)), 10.0, 0
+        )
+        cube.iq[frame, 17] = value
+        with pytest.raises(InputError, match=f"^frame {frame} holds a non-finite I/Q sample$"):
+            track_target(cube, 1.0)
+
     def test_stitch_median_offset(self):
         # constant slope 0.1 rad/frame, injected bin switch at frame 10
         raw = np.arange(20) * 0.1
@@ -355,6 +388,63 @@ class TestMatchesFrameByFrameReference:
         with pytest.raises(TrackingLostError) as got:
             track_target(faded, 1.0)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 64, 255, 256])
+    def test_row_medians_equal_numpy_median(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        mags = np.abs(rng.normal(size=(500, n_bins)) + 1j * rng.normal(size=(500, n_bins)))
+        mags[:50, : n_bins // 2 + 1] = 1.0  # rows whose middle values tie
+        assert np.array_equal(_row_medians(mags), np.median(mags, axis=1))
+
+    def test_odd_chirp_length_median_is_one_order_statistic(self):
+        cfg = RadarConfig(samples_per_chirp=255)
+        trace = synthesize_trace(
+            RespirationModel(0.3, (0.4,)),
+            HeartbeatModel(ConstantRate(100.0), 0.1),
+            0.0, 100.0, 20.0, 0,
+        )
+        scene = TargetScene((Target(1.0, trace, drift=0.02),), noise_floor=1e-3)
+        seq = self.assert_same_track(simulate_frames(cfg, scene, 20.0, 4), 1.0)
+        assert np.count_nonzero(np.diff(seq.source_bins)) >= 8
+
+    @pytest.mark.parametrize("edge_bins", [(0, 1, 2), (63, 62, 61)])
+    def test_window_clipped_at_spectrum_edge(self, edge_bins):
+        # The peak wanders among the three bins nearest one end of a 64-bin
+        # spectrum, so the search window is cut short there on most frames.
+        rng = np.random.default_rng(5)
+        path = rng.choice(edge_bins, 600, p=(0.5, 0.3, 0.2))
+        cube = hopping_tone_cube(path, n=64, noise=0.3, seed=6)
+        seq = self.assert_same_track(cube, edge_bins[0] * cube.bin_size)
+        assert seq.source_bins.min() == 0 or seq.source_bins.max() == 63
+        assert np.count_nonzero(np.diff(seq.source_bins)) >= 100
+
+    def test_all_zero_cube_ties_go_to_lowest_bin(self):
+        # Every window is all ties: the lowest bin wins, so the track steps
+        # down search_width bins per frame until it sits at bin 0.
+        cube = RadarCube(np.zeros((300, 128), dtype=complex), 100.0, 0.05)
+        seq = self.assert_same_track(cube, 50 * 0.05)
+        assert np.array_equal(seq.source_bins[:26], np.arange(48, -4, -2).clip(0))
+        assert not seq.source_bins[25:].any()
+
+    def test_bin_switch_on_every_frame(self):
+        path = np.where(np.arange(1000) % 2, 41, 40)
+        seq = self.assert_same_track(hopping_tone_cube(path, noise=0.05, seed=7), 2.0)
+        assert np.count_nonzero(np.diff(seq.source_bins)) == 999
+
+    @pytest.mark.parametrize("run", [99, 100])
+    def test_low_snr_run_of_one_second_is_kept(self, run):
+        seq = self.assert_same_track(flat_gap_cube(run), 10 * 0.05)
+        assert not np.any(seq.source_bins - 10)
+
+    @pytest.mark.parametrize("run", [101, 250])
+    def test_low_snr_run_over_one_second_lost_at_same_frame(self, run):
+        cube = flat_gap_cube(run)
+        with pytest.raises(TrackingLostError) as expected:
+            reference_track(cube, 10 * 0.05)
+        with pytest.raises(TrackingLostError) as got:
+            track_target(cube, 10 * 0.05)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).endswith("around frame 300")
 
     def test_noise_added_in_place_equals_complex_sum(self):
         trace = static_trace()

@@ -1,0 +1,140 @@
+"""Compare a git revision with the working tree on one benchmark workload.
+
+    python3 tools/bench_pairs.py --base HEAD --pairs 10 --seconds 25 \
+        --workload radar_frontend --seed-start 61 --tag radar_track
+
+The revision is exported with ``git archive`` into a temporary directory.
+Each pair runs ``perfbench/run.py --trace 0`` once on that tree (the base)
+and once on the working tree (the change), on the pair's own seed; which side
+runs first alternates from pair to pair. ``BENCH_<tag>.json`` records every
+run's end-to-end metrics, each side's median and quartiles per metric, and
+per metric how many pairs the change won, lost and tied. A metric shows a
+gain when the change wins at least nine pairs in ten and its median beats the
+base's by more than the distance between the base's quartiles.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def export_tree(rev: str, dest: Path) -> str:
+    """Extract ``rev`` into ``dest``; return its full commit id."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return commit
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its result is the last line of its output."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method; one value is its own quartiles)."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else (values[0],) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], declared: list[dict]) -> dict:
+    """Per metric: each side's spread, pair wins, and whether the gain holds."""
+    summary = {}
+    pairs = sorted({r["pair"] for r in runs})
+    for m in declared:
+        name, lower = m["name"], m["better"] == "lower"
+        by_side = {side: {r["pair"]: r["metrics"][name] for r in runs if r["side"] == side}
+                   for side in SIDES}
+        stats = {side: spread([by_side[side][p] for p in pairs]) for side in SIDES}
+        wins = losses = 0
+        for p in pairs:
+            base, change = by_side["base"][p], by_side["change"][p]
+            if change != base:
+                if (change < base) == lower:
+                    wins += 1
+                else:
+                    losses += 1
+        gap = stats["base"]["median"] - stats["change"]["median"]
+        if not lower:
+            gap = -gap
+        base_iqr = stats["base"]["q3"] - stats["base"]["q1"]
+        summary[name] = {
+            "unit": m["unit"], "better": m["better"], **stats,
+            "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
+            "gain": wins >= 0.9 * len(pairs) and gap > base_iqr,
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed-start", type=int, default=1,
+                        help="pair p runs on seed seed_start + p")
+    parser.add_argument("--tag", default="pairs", help="writes BENCH_<tag>.json")
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_tree = Path(tmp)
+        commit = export_tree(args.base, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
+        for p in range(args.pairs):
+            seed = args.seed_start + p
+            sides = SIDES if p % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(sides):
+                run = run_once(trees[side], args.workload, seed, args.seconds)
+                runs.append({"pair": p, "seed": seed, "side": side, "position": position, **run})
+                print(f"pair {p} seed {seed} {side}: op_s {run['metrics']['op_s']:.4f} "
+                      f"correct {run['correct']}", flush=True)
+
+    report = {
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "base": {"rev": args.base, "commit": commit},
+        "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
+                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "runs": runs,
+        "summary": summarize(runs, declared),
+    }
+    out = args.out_dir / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    for name, s in report["summary"].items():
+        print(f"{name}: base {s['base']['median']:.6g} change {s['change']['median']:.6g} "
+              f"{s['unit']}, wins {s['wins']}/{args.pairs}, gain {s['gain']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
