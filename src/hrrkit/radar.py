@@ -180,13 +180,6 @@ def simulate_frames(
     return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
 
 
-def range_fft(cube: RadarCube) -> np.ndarray:
-    """Magnitude range spectra, one row per frame."""
-    if cube.n_frames == 0:
-        raise ValueError("empty cube")
-    return np.abs(np.fft.fft(cube.iq, axis=1))
-
-
 def stitch_phase(
     raw_phase: np.ndarray, source_bins: np.ndarray, sample_rate: float
 ) -> PhaseSequence:

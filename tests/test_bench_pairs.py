@@ -1,0 +1,109 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+OP_S = {"name": "op_s", "unit": "s", "better": "lower"}
+RATE = {"name": "signal_s_per_s", "unit": "s/s", "better": "higher"}
+# Base times 1.00 to 1.09 s: median 1.045 s, quartiles 1.0225 and 1.0675 s.
+BASE = [1.0 + 0.01 * p for p in range(10)]
+
+
+def make_runs(change, base=BASE, name="op_s", incorrect=()):
+    """Alternating base/change runs; ``incorrect`` holds (pair, side) pairs."""
+    runs = []
+    for p, (b, c) in enumerate(zip(base, change)):
+        sides = [("base", b), ("change", c)] if p % 2 == 0 else [("change", c), ("base", b)]
+        for position, (side, value) in enumerate(sides):
+            runs.append({"pair": p, "seed": 100 + p, "side": side, "position": position,
+                         "correct": (p, side) not in incorrect, "metrics": {name: value}})
+    return runs
+
+
+def faster(wins, by=0.2, ties=0):
+    """Change times: ``wins`` pairs faster by ``by``, ``ties`` equal, the rest slower."""
+    return ([b - by for b in BASE[:wins]] + BASE[wins:wins + ties]
+            + [b + 0.01 for b in BASE[wins + ties:]])
+
+
+class TestSummarize:
+    def test_nine_wins_beyond_base_spread_is_a_gain(self):
+        s = bench_pairs.summarize(make_runs(faster(9)), [OP_S])["op_s"]
+        assert (s["wins"], s["losses"], s["ties"]) == (9, 1, 0)
+        assert s["base"]["median"] - s["change"]["median"] > s["base"]["q3"] - s["base"]["q1"]
+        assert s["gain"]
+
+    def test_eight_wins_is_no_gain(self):
+        s = bench_pairs.summarize(make_runs(faster(8)), [OP_S])["op_s"]
+        assert (s["wins"], s["losses"]) == (8, 2)
+        assert not s["gain"]
+
+    def test_ten_wins_inside_base_spread_is_no_gain(self):
+        s = bench_pairs.summarize(make_runs(faster(10, by=0.001)), [OP_S])["op_s"]
+        assert s["wins"] == 10
+        assert not s["gain"]
+
+    def test_ties_count_for_neither_side(self):
+        s = bench_pairs.summarize(make_runs(faster(9, ties=1)), [OP_S])["op_s"]
+        assert (s["wins"], s["losses"], s["ties"]) == (9, 0, 1)
+        assert s["gain"]
+        s = bench_pairs.summarize(make_runs(faster(8, ties=2)), [OP_S])["op_s"]
+        assert (s["wins"], s["losses"], s["ties"]) == (8, 0, 2)
+        assert not s["gain"]
+
+    def test_higher_is_better_metric(self):
+        base = [60.0 + p for p in range(10)]
+        higher = [b + 20.0 for b in base[:9]] + [base[9] - 1.0]
+        s = bench_pairs.summarize(make_runs(higher, base, "signal_s_per_s"), [RATE])
+        assert (s["signal_s_per_s"]["wins"], s["signal_s_per_s"]["losses"]) == (9, 1)
+        assert s["signal_s_per_s"]["gain"]
+        lower = [b - 20.0 for b in base]
+        s = bench_pairs.summarize(make_runs(lower, base, "signal_s_per_s"), [RATE])
+        assert s["signal_s_per_s"]["losses"] == 10
+        assert not s["signal_s_per_s"]["gain"]
+
+    @pytest.mark.parametrize("side", ["base", "change"])
+    def test_one_incorrect_run_voids_every_gain(self, side):
+        runs = make_runs(faster(10), incorrect={(3, side)})
+        for r in runs:
+            r["metrics"]["signal_s_per_s"] = 66.0 / r["metrics"]["op_s"]
+        summary = bench_pairs.summarize(runs, [OP_S, RATE])
+        assert summary["op_s"]["wins"] == summary["signal_s_per_s"]["wins"] == 10
+        assert not summary["op_s"]["gain"]
+        assert not summary["signal_s_per_s"]["gain"]
+
+
+class TestMain:
+    def run_main(self, monkeypatch, tmp_path, incorrect_seed=None):
+        declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+        def run_once(tree, workload, seed, seconds):
+            metrics = {m["name"]: 1.0 for m in declared}
+            metrics["op_s"] = 0.8 if tree == bench_pairs.ROOT else 1.0 + 0.001 * seed
+            return {"correct": seed != incorrect_seed, "metrics": metrics}
+
+        monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, dest: "0" * 40)
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        code = bench_pairs.main(["--base", "HEAD", "--pairs", "10", "--workload", "w",
+                                 "--tag", "t", "--out-dir", str(tmp_path)])
+        return code, json.loads((tmp_path / "BENCH_t.json").read_text())
+
+    def test_correct_runs_exit_zero(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path)
+        assert code == 0
+        assert report["incorrect_runs"] == []
+        assert report["summary"]["op_s"]["gain"]
+
+    def test_incorrect_run_is_recorded_and_exits_nonzero(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path, incorrect_seed=4)
+        assert code == 1
+        assert report["incorrect_runs"] == [{"pair": 3, "seed": 4, "side": "change"},
+                                            {"pair": 3, "seed": 4, "side": "base"}]
+        assert not any(s["gain"] for s in report["summary"].values())

@@ -169,6 +169,84 @@ class TestInPlaceSweep:
             assert not converged and n_iters == 5
 
 
+def assert_matches_allocating_reference(sig, fs, params):
+    modes, center_freqs, converged, n_iters = allocating_reference(sig, fs, params)
+    ms = vmd_decompose(sig, fs, params)
+    assert ms.n_iters == n_iters and ms.converged == converged
+    assert np.array_equal(ms.center_freqs, center_freqs)
+    assert np.array_equal(ms.modes, modes)
+
+
+def tie_tolerances(signal, params, sweeps):
+    """Tolerances that put the stopping threshold on a sweep's exact sum.
+
+    Runs the allocating reference's sweeps and, for each of sweeps 2 to
+    ``sweeps`` whose ratio diff / norm is below every earlier one, returns
+    that ratio: with it as the tolerance, the threshold at that sweep is
+    within an ulp or so of the exact sum, well inside the stopping margin.
+    """
+    f = np.asarray(signal, dtype=float)
+    m = max(1, round(params.mirror_frac * len(f)))
+    ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
+    P = (len(ext) + 1) // 2
+    freqs = np.fft.fftfreq(len(ext))[:P]
+    f_plus = np.fft.fft(ext)[:P]
+    u_hat = np.zeros((params.K, P), dtype=complex)
+    omega = (np.arange(params.K) + 0.5) / params.K * 0.25
+    sum_u = u_hat.sum(axis=0)
+    tolerances, lowest = [], math.inf
+    for it in range(1, sweeps + 1):
+        u_prev = u_hat.copy()
+        for k in range(params.K):
+            sum_u = sum_u - u_hat[k]
+            u_hat[k] = (f_plus - sum_u) / (1.0 + params.alpha * (freqs - omega[k]) ** 2)
+            sum_u = sum_u + u_hat[k]
+            power = np.abs(u_hat[k]) ** 2
+            if power.sum() > 1e-300:
+                omega[k] = float(np.dot(freqs, power) / power.sum())
+        if it == 1:
+            continue   # u_prev is all zero
+        ratio = np.sum(np.abs(u_hat - u_prev) ** 2) / np.sum(np.abs(u_prev) ** 2)
+        if ratio < lowest:
+            tolerances.append(float(ratio))
+            lowest = ratio
+    return tolerances
+
+
+class TestStoppingRule:
+    """The BLAS-dot stopping test stops at the exact sum's sweep."""
+
+    def test_threshold_on_the_exact_sum(self):
+        sig = three_tone(768)
+        params = VmdParams(K=4, alpha=2000.0)
+        tolerances = tie_tolerances(sig, params, 40)
+        assert len(tolerances) >= 20
+        for tol in tolerances:
+            assert_matches_allocating_reference(sig, FS, replace(params, tolerance=tol))
+
+    def test_benchmark_window_on_its_alpha_path(self):
+        sig, fs, params, gates = relaxed_recovery_window()
+        assert (params.K, fs, len(sig)) == (6, 100.0, 1600)
+        path = select_alpha(sig, fs, params, gates).path
+        assert len(path) == 7
+        for alpha, _, _ in path:
+            assert_matches_allocating_reference(sig, fs, replace(params, alpha=alpha))
+
+    @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    def test_exact_sum_on_every_sweep(self, monkeypatch, n, tau, alpha, tolerance, max_iters):
+        # An infinite margin sends every sweep's decision to the exact sum.
+        monkeypatch.setattr(vmd, "_STOP_MARGIN", math.inf)
+        params = VmdParams(K=4, alpha=alpha, tau=tau, tolerance=tolerance, max_iters=max_iters)
+        assert_matches_allocating_reference(three_tone(n), FS, params)
+
+    def test_threshold_below_underflow_floor(self):
+        sig = three_tone(768) * 1e-150
+        params = VmdParams(K=4)
+        # Every sweep's threshold is at most tolerance times the spectral power.
+        assert params.tolerance * np.sum(np.abs(np.fft.fft(sig)) ** 2) < vmd._STOP_EXACT_BELOW
+        assert_matches_allocating_reference(sig, FS, params)
+
+
 class TestSpectrumConvention:
     # n = 768 extends to an even T = 922 (Nyquist bin present), n = 769 to
     # an odd T = 923.

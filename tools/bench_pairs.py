@@ -11,6 +11,10 @@ run's end-to-end metrics, each side's median and quartiles per metric, and
 per metric how many pairs the change won, lost and tied. A metric shows a
 gain when the change wins at least nine pairs in ten and its median beats the
 base's by more than the distance between the base's quartiles.
+
+A run whose operations failed their output check is listed under
+``incorrect_runs``. Then no metric shows a gain, whatever its times, and the
+tool exits 1 after writing the report.
 """
 from __future__ import annotations
 
@@ -60,7 +64,11 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per metric: each side's spread, pair wins, and whether the gain holds."""
+    """Per metric: each side's spread, pair wins, and whether the gain holds.
+
+    No gain holds when any run, on either side, was incorrect.
+    """
+    all_correct = all(r["correct"] for r in runs)
     summary = {}
     pairs = sorted({r["pair"] for r in runs})
     for m in declared:
@@ -83,7 +91,7 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
         summary[name] = {
             "unit": m["unit"], "better": m["better"], **stats,
             "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
-            "gain": wins >= 0.9 * len(pairs) and gap > base_iqr,
+            "gain": all_correct and wins >= 0.9 * len(pairs) and gap > base_iqr,
         }
     return summary
 
@@ -125,6 +133,8 @@ def main(argv=None) -> int:
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "runs": runs,
+        "incorrect_runs": [{k: r[k] for k in ("pair", "seed", "side")}
+                           for r in runs if not r["correct"]],
         "summary": summarize(runs, declared),
     }
     out = args.out_dir / f"BENCH_{args.tag}.json"
@@ -133,6 +143,10 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base']['median']:.6g} change {s['change']['median']:.6g} "
               f"{s['unit']}, wins {s['wins']}/{args.pairs}, gain {s['gain']}")
     print(f"wrote {out}")
+    if report["incorrect_runs"]:
+        print(f"incorrect outputs in {len(report['incorrect_runs'])} run(s): "
+              f"{report['incorrect_runs']}", file=sys.stderr)
+        return 1
     return 0
 
 
