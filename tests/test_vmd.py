@@ -90,10 +90,12 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def allocating_reference(signal, fs, params):
+def allocating_reference(signal, fs, params, init_freqs=None):
     """The one-sided sweep as first written, one fresh array per operation.
 
-    The in-place core must reproduce it bit for bit.
+    ``init_freqs`` holds the starting center frequencies in Hz; None starts
+    them uniformly over [0, fs/4]. The in-place core must reproduce it bit
+    for bit.
     """
     f = np.asarray(signal, dtype=float)
     n = len(f)
@@ -106,7 +108,10 @@ def allocating_reference(signal, fs, params):
     K = params.K
     alpha = params.alpha
     u_hat = np.zeros((K, P), dtype=complex)
-    omega = (np.arange(K) + 0.5) / K * 0.25
+    if init_freqs is None:
+        omega = (np.arange(K) + 0.5) / K * 0.25
+    else:
+        omega = np.array(init_freqs, dtype=float) / fs
     lam = np.zeros(P, dtype=complex)
     sum_u = u_hat.sum(axis=0)
     converged = False
@@ -168,13 +173,61 @@ class TestInPlaceSweep:
         if max_iters == 5:
             assert not converged and n_iters == 5
 
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "init_freqs",
+        [
+            [4.0, 1.5, 0.35, 0.0],          # descending, one at DC
+            [1.5, 1.5, 1.5, 1.5],           # all four on one tone
+            [0.3, 2.0, 6.0, FS / 2 - 1e-9],  # one just below Nyquist
+        ],
+    )
+    def test_explicit_init_matches_allocating_reference(self, tau, init_freqs):
+        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+        assert_matches_allocating_reference(three_tone(768), FS, params, init_freqs)
 
-def assert_matches_allocating_reference(sig, fs, params):
-    modes, center_freqs, converged, n_iters = allocating_reference(sig, fs, params)
-    ms = vmd_decompose(sig, fs, params)
+
+class TestInitFreqs:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
+    def test_none_is_the_uniform_init(self, K):
+        sig = three_tone(768)
+        params = VmdParams(K=K, alpha=2000.0)
+        # At 20 Hz these Hz values divide back to the normalized ones exactly.
+        uniform = (np.arange(K) + 0.5) / K * FS / 4.0
+        cold = vmd_decompose(sig, FS, params)
+        explicit = vmd_decompose(sig, FS, params, uniform)
+        assert (cold.n_iters, cold.converged) == (explicit.n_iters, explicit.converged)
+        assert np.array_equal(cold.center_freqs, explicit.center_freqs)
+        assert np.array_equal(cold.modes, explicit.modes)
+
+    @pytest.mark.parametrize(
+        "init_freqs, match",
+        [
+            ([0.5, 1.0, 2.0], "K = 4 values"),
+            ([0.5, 1.0, 2.0, 3.0, 4.0], "K = 4 values"),
+            ([[0.5, 1.0], [2.0, 3.0]], "K = 4 values"),
+            ([0.5, math.nan, 2.0, 3.0], "finite"),
+            ([0.5, math.inf, 2.0, 3.0], "finite"),
+            ([-1e-9, 1.0, 2.0, 3.0], r"\[0, sample_rate/2\)"),
+            ([0.5, 1.0, 2.0, FS / 2], r"\[0, sample_rate/2\)"),
+        ],
+    )
+    def test_bad_init_raises_before_any_sweep(self, monkeypatch, init_freqs, match):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("took the spectrum before checking init_freqs")
+
+        monkeypatch.setattr(vmd.np.fft, "fft", no_spectrum)
+        with pytest.raises(ValueError, match=match):
+            vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs)
+
+
+def assert_matches_allocating_reference(sig, fs, params, init_freqs=None):
+    modes, center_freqs, converged, n_iters = allocating_reference(sig, fs, params, init_freqs)
+    ms = vmd_decompose(sig, fs, params, init_freqs)
     assert ms.n_iters == n_iters and ms.converged == converged
     assert np.array_equal(ms.center_freqs, center_freqs)
     assert np.array_equal(ms.modes, modes)
+    return ms
 
 
 def tie_tolerances(signal, params, sweeps):
@@ -225,12 +278,18 @@ class TestStoppingRule:
             assert_matches_allocating_reference(sig, FS, replace(params, tolerance=tol))
 
     def test_benchmark_window_on_its_alpha_path(self):
+        # Each step starts where select_alpha starts it: the first cold, the
+        # rest at the step before's sorted center frequencies.
         sig, fs, params, gates = relaxed_recovery_window()
         assert (params.K, fs, len(sig)) == (6, 100.0, 1600)
         path = select_alpha(sig, fs, params, gates).path
         assert len(path) == 7
+        init_freqs = None
         for alpha, _, _ in path:
-            assert_matches_allocating_reference(sig, fs, replace(params, alpha=alpha))
+            ms = assert_matches_allocating_reference(
+                sig, fs, replace(params, alpha=alpha), init_freqs
+            )
+            init_freqs = np.sort(ms.center_freqs)
 
     @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
     def test_exact_sum_on_every_sweep(self, monkeypatch, n, tau, alpha, tolerance, max_iters):
@@ -403,12 +462,14 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
 
     Returns ``(alpha, modes)`` of the first feasible decomposition, raises
     ReferenceInfeasible with the least-violating attempt once the bracket is
-    exhausted, and appends every tried alpha to ``alphas``. ``select_alpha``
-    must reproduce it bit for bit.
+    exhausted, and appends every tried alpha to ``alphas``. Each step after
+    the first starts at the previous step's center frequencies, sorted.
+    ``select_alpha`` must reproduce it bit for bit.
     """
     lo, hi = alpha_range
     best_r, best_p = math.inf, math.inf
     best = None
+    init_freqs = None
 
     def violation(r, p):
         return max(r / gates.mu1 - 1.0, 0.0) + (
@@ -417,7 +478,9 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
 
     while True:
         mid = math.sqrt(lo * hi)
-        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid))
+        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
+                           init_freqs=init_freqs)
+        init_freqs = np.sort(ms.center_freqs)
         r = mode_correlation_max(ms)
         p = energy_loss(ms)
         alphas.append(mid)
@@ -505,6 +568,24 @@ class TestSelectAlpha:
         assert search.r_max == mode_correlation_max(modes)
         assert search.p == energy_loss(modes)
         assert [a for a, _, _ in search.path] == ref_alphas
+
+    def test_warm_search_takes_fewer_sweeps_than_cold_steps(self, monkeypatch):
+        sig, fs, params, gates = relaxed_recovery_window()
+        warm_iters = []
+        decompose = vmd.vmd_decompose
+
+        def counting(*args, **kwargs):
+            ms = decompose(*args, **kwargs)
+            warm_iters.append(ms.n_iters)
+            return ms
+
+        monkeypatch.setattr(vmd, "vmd_decompose", counting)
+        path = select_alpha(sig, fs, params, gates).path
+        monkeypatch.undo()
+        cold_iters = [vmd_decompose(sig, fs, replace(params, alpha=a)).n_iters for a, _, _ in path]
+        assert len(warm_iters) == len(path) == 7
+        assert warm_iters[0] == cold_iters[0]
+        assert sum(warm_iters) < sum(cold_iters)
 
     @pytest.mark.parametrize(
         "kwargs, match",
