@@ -23,7 +23,6 @@ SPEED_OF_LIGHT = 299792458.0
 # Tracking-SNR floor: spectral peak below this multiple of the median
 # spectrum level counts as a low-SNR frame.
 _SNR_PEAK_FACTOR = 3.0
-_STITCH_MEDIAN_FRAMES = 5
 # Frames per vectorized argmax in the peak chain: the first block after a
 # bin switch, and the cap the block size doubles up to.
 _FIRST_BLOCK = 64
@@ -181,23 +180,33 @@ def simulate_frames(
 
 
 def stitch_phase(
-    raw_phase: np.ndarray, source_bins: np.ndarray, sample_rate: float
+    raw_phase: np.ndarray,
+    source_bins: np.ndarray,
+    sample_rate: float,
+    switch_phase: np.ndarray,
 ) -> PhaseSequence:
     """Make a per-frame phase sequence continuous across bin switches.
 
-    Within a bin, increments are the wrapped frame-to-frame differences
-    (standard unwrapping). At a bin switch the raw difference is
-    meaningless, so the boundary increment is replaced by the median of
-    the preceding five increments, which offsets the whole subsequent
-    segment by a constant.
+    Every increment is a wrapped frame-to-frame phase difference measured in
+    the earlier frame's bin. Within a bin that is standard unwrapping. When
+    the bin switches between frames j and j + 1, ``switch_phase`` supplies
+    the phase of frame j + 1 in frame j's bin, one value per switch in frame
+    order, and the increment is that phase minus ``raw_phase[j]``. So the new
+    bin's own phase offset never enters the sequence, and a switch leaves no
+    step.
     """
     raw_phase = np.asarray(raw_phase, dtype=float)
     source_bins = np.asarray(source_bins, dtype=int)
-    delta = (np.diff(raw_phase) + math.pi) % (2.0 * math.pi) - math.pi
-    # In frame order, so a switch's median sees earlier replacements.
-    for j in np.flatnonzero(np.diff(source_bins)):
-        recent = delta[max(0, j - _STITCH_MEDIAN_FRAMES):j]
-        delta[j] = float(np.median(recent)) if len(recent) else 0.0
+    switches = np.flatnonzero(np.diff(source_bins))
+    switch_phase = np.asarray(switch_phase, dtype=float)
+    if switch_phase.shape != switches.shape:
+        raise ValueError(
+            f"switch_phase must hold one value per bin switch ({switches.size}), "
+            f"got shape {switch_phase.shape}"
+        )
+    ahead = raw_phase[1:].copy()
+    ahead[switches] = switch_phase
+    delta = (ahead - raw_phase[:-1] + math.pi) % (2.0 * math.pi) - math.pi
     phase = np.cumsum(np.concatenate((raw_phase[:1], delta)))
     return PhaseSequence(phase=phase, source_bins=source_bins, sample_rate=sample_rate)
 
@@ -252,7 +261,11 @@ def track_target(
             f"peak below {_SNR_PEAK_FACTOR}x median spectrum level for "
             f"more than 1 s around frame {frame}"
         )
-    return stitch_phase(raw, bins, cube.frame_rate)
+    # At each bin switch, the next frame's phase in the bin being left.
+    switches = np.flatnonzero(np.diff(bins))
+    switch_phase = [math.atan2(z.imag, z.real)
+                    for z in spectra[switches + 1, bins[switches]].tolist()]
+    return stitch_phase(raw, bins, cube.frame_rate, switch_phase)
 
 
 def _row_medians(mags: np.ndarray) -> np.ndarray:

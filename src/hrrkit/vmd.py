@@ -23,11 +23,14 @@ modes narrow, residual grows). Two diagnostics quantify the trade-off:
 
 ``select_alpha`` bisects alpha in log space until a decomposition passes
 both gates, and reports the least-violating one when none does. Its first
-decomposition starts from uniformly spaced center frequencies; each later
-one starts from the center frequencies the step before ended at, sorted
-ascending, so it takes fewer sweeps to converge. The source paper does not
-specify the VMD initialisation. The bisection rule, the gates and the
-least-violating fallback are the same as with a cold start at every step.
+decomposition starts cold: uniformly spaced center frequencies and zero
+mode spectra. Each later one starts from the center frequencies the step
+before ended at, sorted ascending, so it takes fewer sweeps to converge.
+When its alpha is within a factor of ``_SPECTRA_WARM_RATIO`` of the step
+before's, the mode spectra go along in the same order too. The source paper
+does not specify the VMD initialisation. The bisection rule, the gates and
+the least-violating fallback are the same as with a cold start at every
+step.
 """
 from __future__ import annotations
 
@@ -42,6 +45,12 @@ MIN_SIGNAL_LENGTH = 64
 ALPHA_LO = 10.0
 ALPHA_HI = 1e6
 ALPHA_RATIO_TOL = 1.1
+
+# A bisection step starts from the step before's mode spectra only when the
+# two alphas are within this factor of each other. Further apart, the old
+# spectra are shaped by a penalty too different from the new one, and
+# starting from them moves the result more than the saved sweeps are worth.
+_SPECTRA_WARM_RATIO = 1.5
 
 # Modes whose variance falls below this fraction of the input variance are
 # numerical dust (surplus modes on clean signals); they are excluded from
@@ -122,6 +131,9 @@ class ModeSet:
     sample_rate: float
     converged: bool
     n_iters: int
+    # (K, P) one-sided spectra of the mirrored window, aligned with mode
+    # order; None on a set not built by vmd_decompose.
+    spectra: np.ndarray | None = None
 
     @property
     def n_modes(self) -> int:
@@ -137,16 +149,21 @@ def vmd_decompose(
     sample_rate: float,
     params: VmdParams,
     init_freqs: np.ndarray | None = None,
+    init_spectra: np.ndarray | None = None,
 ) -> ModeSet:
     """Decompose ``signal`` into ``params.K`` narrowband modes.
 
     Center frequencies start at ``init_freqs``, K values in Hz in
     [0, sample_rate/2), or, when it is None, uniformly over
     [0, sample_rate/4] at (k + 0.5) / K * sample_rate/4. They converge to
-    the power-weighted means of their mode spectra. Iteration stops when the
-    relative change of the mode spectra drops below ``params.tolerance`` or
-    after ``params.max_iters`` sweeps; the termination reason is recorded on
-    the result.
+    the power-weighted means of their mode spectra. The mode spectra start
+    at zero, or at ``init_spectra``: K one-sided spectra of the mirrored
+    window, shaped like ``ModeSet.spectra`` and matching ``init_freqs`` row
+    for row, which they need. The first sweep then measures its change
+    against their power. Iteration stops when the relative change of the
+    mode spectra drops below ``params.tolerance`` or after
+    ``params.max_iters`` sweeps; the termination reason is recorded on the
+    result.
     """
     f = np.asarray(signal, dtype=float)
     if f.ndim != 1:
@@ -159,6 +176,8 @@ def vmd_decompose(
         raise ValueError("signal contains non-finite values")
 
     K = params.K
+    if init_spectra is not None and init_freqs is None:
+        raise ValueError("init_spectra needs init_freqs")
     if init_freqs is None:
         omega = (np.arange(K) + 0.5) / K * 0.25   # cycles/sample
     else:
@@ -181,6 +200,14 @@ def vmd_decompose(
     # cycles/sample. For even T the Nyquist bin (which fftfreq counts as
     # -0.5) is left out, so every mode is zero there.
     P = (T + 1) // 2
+    if init_spectra is not None:
+        init_spectra = np.asarray(init_spectra)
+        if init_spectra.shape != (K, P):
+            raise ValueError(
+                f"init_spectra must have shape (K, P) = ({K}, {P}), got {init_spectra.shape}"
+            )
+        if not np.all(np.isfinite(init_spectra)):
+            raise ValueError("init_spectra contains non-finite values")
     freqs = np.fft.fftfreq(T)[:P]
     f_plus = np.fft.fft(ext)[:P]
 
@@ -205,6 +232,12 @@ def vmd_decompose(
     gain_rows = list(gain_c)
     delta = np.empty((K, P), dtype=complex)
     delta_parts = delta.view(float).reshape(-1)   # re and im, interleaved
+    if init_spectra is not None:
+        u_hat[:] = init_spectra
+        for row in u_rows:
+            sum_u += row
+        np.abs(u_hat, out=power)
+        np.square(power, out=power)
 
     converged = False
     for it in range(1, params.max_iters + 1):
@@ -262,6 +295,7 @@ def vmd_decompose(
         sample_rate=sample_rate,
         converged=converged,
         n_iters=it,
+        spectra=u_hat[order],
     )
 
 
@@ -342,20 +376,28 @@ def select_alpha(
     the bracket ratio falls below ``ratio_tol`` it returns the
     least-violating attempt (the earliest on ties) with ``feasible=False``.
     Every decomposition uses ``params`` with its alpha replaced by the
-    bisection midpoint. The first starts from the uniform center
-    frequencies; each later one starts from the previous step's center
-    frequencies in ascending order, which saves sweeps because neighbouring
-    alphas settle on nearby frequencies.
+    bisection midpoint. The first starts cold; each later one starts from
+    the previous step's center frequencies in ascending order, which saves
+    sweeps because neighbouring alphas settle on nearby frequencies. When
+    the two alphas are within a factor of ``_SPECTRA_WARM_RATIO``, the
+    previous step's mode spectra go along in the same order.
     """
     check_alpha_bracket(alpha_range, ratio_tol)
     lo, hi = alpha_range
     path = []
     best = None   # (violation, alpha, modes, r_max, p) of the least-violating attempt
-    init_freqs = None
+    ms = None   # the step before's decomposition, at alpha path[-1][0]
     while True:
         mid = math.sqrt(lo * hi)
-        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid), init_freqs)
-        init_freqs = np.sort(ms.center_freqs)
+        init_freqs = init_spectra = None
+        if ms is not None:
+            order = np.argsort(ms.center_freqs, kind="stable")
+            init_freqs = ms.center_freqs[order]
+            prev_alpha = path[-1][0]
+            if max(mid / prev_alpha, prev_alpha / mid) <= _SPECTRA_WARM_RATIO:
+                init_spectra = ms.spectra[order]
+        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
+                           init_freqs=init_freqs, init_spectra=init_spectra)
         r = mode_correlation_max(ms)
         p = energy_loss(ms)
         path.append((mid, r, p))

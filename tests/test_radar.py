@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from hrrkit.radar import (
 )
 from hrrkit.signal_model import (
     ConstantRate,
+    ExponentialRecovery,
     HeartbeatModel,
     RespirationModel,
     synthesize_trace,
@@ -37,32 +37,38 @@ def static_trace(duration=5.0, fs=100.0):
     return synthesize_trace(RespirationModel(0.3, (1e-9,)), None, 0.0, fs, duration, 0)
 
 
-def reference_stitch(raw_phase, source_bins):
-    """The frame-by-frame deque stitcher that ``stitch_phase`` replaced (test-only)."""
+def reference_stitch(raw_phase, source_bins, old_bin_phase):
+    """A frame-by-frame stitcher under ``stitch_phase``'s rule (test-only).
+
+    ``old_bin_phase[i]`` is frame i's phase in frame i - 1's bin. It is read
+    only where the bin switches, and stands in for ``raw_phase[i]`` there.
+    """
     n = len(raw_phase)
     phase = np.empty(n)
     phase[0] = raw_phase[0]
-    recent = deque(maxlen=5)
     for i in range(1, n):
-        if source_bins[i] == source_bins[i - 1]:
-            delta = (raw_phase[i] - raw_phase[i - 1] + math.pi) % (2.0 * math.pi) - math.pi
-        else:
-            delta = float(np.median(recent)) if recent else 0.0
+        ahead = raw_phase[i] if source_bins[i] == source_bins[i - 1] else old_bin_phase[i]
+        delta = (ahead - raw_phase[i - 1] + math.pi) % (2.0 * math.pi) - math.pi
         phase[i] = phase[i - 1] + delta
-        recent.append(delta)
     return phase
 
 
-def reference_track(cube, expected_range, search_width=2):
-    """``track_target`` with one median per frame, as it was (test-only).
+def switch_phases(old_bin_phase, source_bins):
+    """The ``old_bin_phase`` values ``stitch_phase`` takes: one per bin switch."""
+    return old_bin_phase[np.flatnonzero(np.diff(source_bins)) + 1]
 
-    Returns (phase, source_bins) from the deque stitcher.
+
+def reference_track(cube, expected_range, search_width=2):
+    """``track_target`` with one frame per loop step (test-only).
+
+    Returns (phase, source_bins) from the frame-by-frame stitcher.
     """
     spectra = np.fft.fft(cube.iq, axis=1)
     mags = np.abs(spectra)
     n_bins = cube.iq.shape[1]
     bins = np.empty(cube.n_frames, dtype=int)
     raw = np.empty(cube.n_frames)
+    old_bin = np.empty(cube.n_frames)
     low_snr_run = 0
     prev = round(expected_range / cube.bin_size)
     for i in range(cube.n_frames):
@@ -71,6 +77,7 @@ def reference_track(cube, expected_range, search_width=2):
         k = lo + int(np.argmax(mags[i, lo:hi]))
         bins[i] = k
         raw[i] = math.atan2(spectra[i, k].imag, spectra[i, k].real)
+        old_bin[i] = math.atan2(spectra[i, prev].imag, spectra[i, prev].real)
         prev = k
         if mags[i, k] < 3.0 * np.median(mags[i]):
             low_snr_run += 1
@@ -81,7 +88,7 @@ def reference_track(cube, expected_range, search_width=2):
                 )
         else:
             low_snr_run = 0
-    return reference_stitch(raw, bins), bins
+    return reference_stitch(raw, bins, old_bin), bins
 
 
 def hopping_tone_cube(path, n=256, noise=0.0, seed=0):
@@ -292,7 +299,7 @@ class TestTracking:
         with pytest.raises(InputError, match=f"^frame {frame} holds a non-finite I/Q sample$"):
             track_target(cube, 1.0)
 
-    def test_stitch_median_offset(self):
+    def test_stitch_switch_offset(self):
         # constant slope 0.1 rad/frame, injected bin switch at frame 10
         raw = np.arange(20) * 0.1
         bins = np.zeros(20, dtype=int)
@@ -300,8 +307,35 @@ class TestTracking:
         raw2[10:] += 2.0  # bin-dependent offset
         bins2 = bins.copy()
         bins2[10:] = 1
-        seq = stitch_phase(raw2, bins2, 100.0)
+        # frame 10 read in the bin being left has no offset
+        seq = stitch_phase(raw2, bins2, 100.0, [raw[10]])
         assert np.allclose(np.diff(seq.phase), 0.1, atol=1e-12)
+
+    @pytest.mark.parametrize("switch_phase", [[], [0.1, 0.2], [[0.1]]])
+    def test_stitch_needs_one_phase_per_switch(self, switch_phase):
+        bins = np.repeat([0, 1], 10)
+        with pytest.raises(ValueError, match=r"one value per bin switch \(1\)"):
+            stitch_phase(np.zeros(20), bins, 100.0, switch_phase)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_drifting_round_trip(self, seed):
+        # Criterion 6's drifting scene at the benchmark's noise floor: the
+        # bin switches 9-11 times, and the stitched displacement, drift
+        # removed, stays within the 2% round-trip bound.
+        cfg = RadarConfig()
+        chest = synthesize_trace(
+            RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04)),
+            HeartbeatModel(ExponentialRecovery(152.0, 120.0, 30.0), 0.15),
+            0.0, 100.0, 66.0, seed,
+        )
+        base, drift = 1.0 + cfg.bin_size * 0.45, 0.0004
+        scene = TargetScene((Target(base, chest, drift=drift),), noise_floor=1e-4)
+        seq = track_target(simulate_frames(cfg, scene, 66.0, seed), base)
+        assert np.count_nonzero(np.diff(seq.source_bins)) >= 9
+        rec = phase_to_displacement(seq, cfg.wavelength).samples - drift * 1e3 * chest.times
+        a = chest.samples - chest.samples.mean()
+        b = rec - rec.mean()
+        assert math.sqrt(np.mean((a - b) ** 2) / np.mean(a**2)) <= 0.02
 
 
 class TestMatchesFrameByFrameReference:
@@ -335,8 +369,9 @@ class TestMatchesFrameByFrameReference:
         for j in switch_at:
             bins[j:] += rng.choice([-1, 1])
         assert np.count_nonzero(np.diff(bins)) == 50
-        seq = stitch_phase(raw, bins, 100.0)
-        assert np.array_equal(seq.phase, reference_stitch(raw, bins))
+        old_bin = rng.uniform(-np.pi, np.pi, 400)
+        seq = stitch_phase(raw, bins, 100.0, switch_phases(old_bin, bins))
+        assert np.array_equal(seq.phase, reference_stitch(raw, bins, old_bin))
 
     def test_noisy_two_target_scene(self):
         tr_a = synthesize_trace(

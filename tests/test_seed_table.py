@@ -1,0 +1,53 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(_TOOLS))  # seed_table imports bench_pairs from beside it
+_SPEC = importlib.util.spec_from_file_location("seed_table", _TOOLS / "seed_table.py")
+seed_table = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(seed_table)
+
+
+def side(mae, sweeps=100, seeds=(120, 121, 122)):
+    return {"seeds": list(seeds), "mae_bpm": mae, "admm_sweeps": sweeps}
+
+
+class TestCompare:
+    def test_counts_each_seed_once(self):
+        counts = seed_table.compare([1.0, 2.0, 3.0, 4.0], [0.5, 2.0, 3.5, 3.9])
+        assert counts == {"better": 2, "worse": 1, "equal": 1}
+
+    def test_a_failed_run_is_worse_for_its_side(self):
+        counts = seed_table.compare([None, 1.0, None], [1.0, None, None])
+        assert counts == {"better": 1, "worse": 1, "equal": 1}
+
+
+class TestTable:
+    def test_stats_per_side_and_seed_counts(self):
+        results = {
+            "base": {"recovery_snr15": side([1.2, 1.5, 0.9], sweeps=300)},
+            "change": {"recovery_snr15": side([1.1, 1.6, 0.9], sweeps=200)},
+        }
+        row = seed_table.table(results)["recovery_snr15"]
+        assert row["seeds"] == [120, 121, 122]
+        assert row["base"]["mean_mae_bpm"] == pytest.approx(1.2)
+        assert row["base"]["worst_mae_bpm"] == 1.5
+        assert row["change"]["worst_mae_bpm"] == 1.6
+        assert (row["base"]["admm_sweeps"], row["change"]["admm_sweeps"]) == (300, 200)
+        assert (row["better"], row["worse"], row["equal"]) == (1, 1, 1)
+
+    def test_failed_seeds_are_left_out_of_the_stats(self):
+        results = {"base": {"s": side([1.0, None, 3.0])}, "change": {"s": side([None] * 3)}}
+        row = seed_table.table(results)["s"]
+        assert (row["base"]["mean_mae_bpm"], row["base"]["failed"]) == (2.0, 1)
+        assert math.isnan(row["change"]["mean_mae_bpm"]) and row["change"]["failed"] == 3
+
+    def test_sides_on_different_seeds_raise(self):
+        results = {"base": {"s": side([1.0] * 3)},
+                   "change": {"s": side([1.0] * 3, seeds=(1, 2, 3))}}
+        with pytest.raises(RuntimeError, match="different seeds"):
+            seed_table.table(results)

@@ -90,12 +90,13 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def allocating_reference(signal, fs, params, init_freqs=None):
+def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None):
     """The one-sided sweep as first written, one fresh array per operation.
 
     ``init_freqs`` holds the starting center frequencies in Hz; None starts
-    them uniformly over [0, fs/4]. The in-place core must reproduce it bit
-    for bit.
+    them uniformly over [0, fs/4]. ``init_spectra`` holds the starting mode
+    spectra; None starts them at zero. The in-place core must reproduce it
+    bit for bit.
     """
     f = np.asarray(signal, dtype=float)
     n = len(f)
@@ -112,8 +113,12 @@ def allocating_reference(signal, fs, params, init_freqs=None):
         omega = (np.arange(K) + 0.5) / K * 0.25
     else:
         omega = np.array(init_freqs, dtype=float) / fs
+    if init_spectra is not None:
+        u_hat = np.array(init_spectra, dtype=complex)
     lam = np.zeros(P, dtype=complex)
-    sum_u = u_hat.sum(axis=0)
+    sum_u = np.zeros(P, dtype=complex)
+    for k in range(K):
+        sum_u = sum_u + u_hat[k]
     converged = False
     it = 0
     for it in range(1, params.max_iters + 1):
@@ -221,9 +226,87 @@ class TestInitFreqs:
             vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs)
 
 
-def assert_matches_allocating_reference(sig, fs, params, init_freqs=None):
-    modes, center_freqs, converged, n_iters = allocating_reference(sig, fs, params, init_freqs)
-    ms = vmd_decompose(sig, fs, params, init_freqs)
+FREQS_4 = [0.35, 1.5, 4.0, 6.0]
+
+
+def spectra_cases():
+    """Bad ``init_spectra`` for K = 4 on 768 samples (P = 461 bins), with the error they raise."""
+    good = np.ones((4, 461), dtype=complex)
+    nan, inf = good.copy(), good.copy()
+    nan[2, 100] = complex(math.nan, 0.0)
+    inf[0, 0] = complex(0.0, math.inf)
+    shape = r"shape \(K, P\) = \(4, 461\)"
+    return [
+        (None, good, "init_spectra needs init_freqs"),
+        (FREQS_4, good[:3], shape),
+        (FREQS_4, np.ones((4, 462), dtype=complex), shape),
+        (FREQS_4, good[0], shape),
+        (FREQS_4, nan, "non-finite"),
+        (FREQS_4, inf, "non-finite"),
+    ]
+
+
+class TestInitSpectra:
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("start", ["other_alpha", "random"])
+    def test_matches_allocating_reference(self, tau, start):
+        sig = three_tone(768)
+        if start == "other_alpha":
+            prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0))
+            order = np.argsort(prev.center_freqs, kind="stable")
+            init_freqs, init_spectra = prev.center_freqs[order], prev.spectra[order]
+        else:
+            rng = np.random.default_rng(3)
+            init_freqs = FREQS_4
+            init_spectra = rng.normal(size=(4, 461)) + 1j * rng.normal(size=(4, 461))
+        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+        assert_matches_allocating_reference(sig, FS, params, init_freqs, init_spectra)
+
+    @pytest.mark.parametrize("init_freqs, init_spectra, match", spectra_cases())
+    def test_bad_init_spectra_raises_before_any_sweep(
+        self, monkeypatch, init_freqs, init_spectra, match
+    ):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("took the spectrum before checking init_spectra")
+
+        monkeypatch.setattr(vmd.np.fft, "fft", no_spectrum)
+        with pytest.raises(ValueError, match=match):
+            vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs, init_spectra)
+
+    def test_restart_from_converged_decomposition_stops_within_two_sweeps(self):
+        # Every step of a benchmark window's search, decomposed cold, then
+        # restarted at its own alpha from its own center frequencies and spectra.
+        sig, fs, params, gates = relaxed_recovery_window()
+        for alpha, _, _ in select_alpha(sig, fs, params, gates).path:
+            step = replace(params, alpha=alpha)
+            ms = vmd_decompose(sig, fs, step)
+            assert ms.converged
+            again = vmd_decompose(sig, fs, step, ms.center_freqs, ms.spectra)
+            assert again.converged and again.n_iters <= 2
+
+    def test_spectra_go_along_on_close_steps_only(self, monkeypatch):
+        sig, fs, params, gates = relaxed_recovery_window()
+        calls = []
+        decompose = vmd.vmd_decompose
+
+        def recording(signal, sample_rate, step, init_freqs=None, init_spectra=None):
+            calls.append((step.alpha, init_freqs is not None, init_spectra is not None))
+            return decompose(signal, sample_rate, step, init_freqs, init_spectra)
+
+        monkeypatch.setattr(vmd, "vmd_decompose", recording)
+        select_alpha(sig, fs, params, gates)
+        alphas = [alpha for alpha, _, _ in calls]
+        ratios = [max(a / b, b / a) for a, b in zip(alphas[1:], alphas)]
+        assert [round(r, 2) for r in ratios] == [17.78, 4.22, 2.05, 1.43, 1.2, 1.09]
+        assert [warm_freqs for _, warm_freqs, _ in calls] == [False] + [True] * 6
+        assert [warm_spectra for _, _, warm_spectra in calls] == [False] * 4 + [True] * 3
+
+
+def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None):
+    modes, center_freqs, converged, n_iters = allocating_reference(
+        sig, fs, params, init_freqs, init_spectra
+    )
+    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
     assert ms.n_iters == n_iters and ms.converged == converged
     assert np.array_equal(ms.center_freqs, center_freqs)
     assert np.array_equal(ms.modes, modes)
@@ -279,17 +362,17 @@ class TestStoppingRule:
 
     def test_benchmark_window_on_its_alpha_path(self):
         # Each step starts where select_alpha starts it: the first cold, the
-        # rest at the step before's sorted center frequencies.
+        # rest from the step before, as warm_start gives it.
         sig, fs, params, gates = relaxed_recovery_window()
         assert (params.K, fs, len(sig)) == (6, 100.0, 1600)
         path = select_alpha(sig, fs, params, gates).path
         assert len(path) == 7
-        init_freqs = None
+        ms = prev_alpha = None
         for alpha, _, _ in path:
             ms = assert_matches_allocating_reference(
-                sig, fs, replace(params, alpha=alpha), init_freqs
+                sig, fs, replace(params, alpha=alpha), *warm_start(ms, prev_alpha, alpha)
             )
-            init_freqs = np.sort(ms.center_freqs)
+            prev_alpha = alpha
 
     @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
     def test_exact_sum_on_every_sweep(self, monkeypatch, n, tau, alpha, tolerance, max_iters):
@@ -445,6 +528,21 @@ class TestGateDiagnostics:
             energy_loss(ms)
 
 
+def warm_start(prev_ms, prev_alpha, alpha):
+    """The ``(init_freqs, init_spectra)`` a search step at ``alpha`` starts from.
+
+    After ``prev_ms``, decomposed at ``prev_alpha``: its center frequencies
+    sorted ascending, and its spectra in the same order only when the two
+    alphas are within a factor of 1.5. ``(None, None)`` for the first step.
+    """
+    if prev_ms is None:
+        return None, None
+    init_freqs = np.sort(prev_ms.center_freqs)
+    if max(alpha / prev_alpha, prev_alpha / alpha) > 1.5:
+        return init_freqs, None
+    return init_freqs, prev_ms.spectra[np.argsort(prev_ms.center_freqs, kind="stable")]
+
+
 class ReferenceInfeasible(Exception):
     """The raising reference's exhausted search and its least-violating attempt."""
 
@@ -463,13 +561,13 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
     Returns ``(alpha, modes)`` of the first feasible decomposition, raises
     ReferenceInfeasible with the least-violating attempt once the bracket is
     exhausted, and appends every tried alpha to ``alphas``. Each step after
-    the first starts at the previous step's center frequencies, sorted.
+    the first starts from the step before, as ``warm_start`` gives it.
     ``select_alpha`` must reproduce it bit for bit.
     """
     lo, hi = alpha_range
     best_r, best_p = math.inf, math.inf
     best = None
-    init_freqs = None
+    ms = prev_alpha = None
 
     def violation(r, p):
         return max(r / gates.mu1 - 1.0, 0.0) + (
@@ -478,9 +576,10 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
 
     while True:
         mid = math.sqrt(lo * hi)
+        init_freqs, init_spectra = warm_start(ms, prev_alpha, mid)
         ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
-                           init_freqs=init_freqs)
-        init_freqs = np.sort(ms.center_freqs)
+                           init_freqs=init_freqs, init_spectra=init_spectra)
+        prev_alpha = mid
         r = mode_correlation_max(ms)
         p = energy_loss(ms)
         alphas.append(mid)
