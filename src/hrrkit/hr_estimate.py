@@ -281,6 +281,10 @@ def count_hr(
         return None
     target = times[end] - floor
     start = int(np.searchsorted(times[: end + 1], target, side="right")) - 1
+    # times[end] - floor can round onto a peak time whose span to the end
+    # is still below the floor; step back past it.
+    while start >= 0 and times[end] - times[start] < floor:
+        start -= 1
     if start < 0:
         return None
     l_b = float(times[end] - times[start])

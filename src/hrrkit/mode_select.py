@@ -72,11 +72,14 @@ def peak_frequency(mode: np.ndarray, fs: float) -> tuple[float, float]:
     x = np.asarray(mode, dtype=float)
     if not np.any(x):
         raise ValueError("peak_frequency is undefined for an all-zero mode")
-    n = len(x)
-    mag = np.abs(np.fft.rfft(x))
+    return _peak_frequency(x, fs, np.abs(np.fft.rfft(x)))
+
+
+def _peak_frequency(x: np.ndarray, fs: float, mag: np.ndarray) -> tuple[float, float]:
+    """``peak_frequency`` of a nonzero mode ``x`` with unpadded magnitude ``mag``."""
     prominence = float(mag.max() / mag.mean())
 
-    nfft = _PAD_FACTOR * n
+    nfft = _PAD_FACTOR * len(x)
     mag_p = np.abs(np.fft.rfft(x, n=nfft))
     k = int(np.argmax(mag_p))
     if 0 < k < len(mag_p) - 1:
@@ -89,11 +92,12 @@ def peak_frequency(mode: np.ndarray, fs: float) -> tuple[float, float]:
     return float(freq), prominence
 
 
-def _band_energy_fraction(mode: np.ndarray, fs: float, f0: float, halfwidth: float) -> float:
-    """Fraction of the mode's power within +-halfwidth of f0."""
-    n = len(mode)
-    spec = np.fft.rfft(mode)
-    power = np.abs(spec) ** 2
+def _band_energy_fraction(
+    mag: np.ndarray, n: int, fs: float, f0: float, halfwidth: float
+) -> float:
+    """Fraction of the power of an n-sample mode, with unpadded rfft
+    magnitude ``mag``, within +-halfwidth of f0."""
+    power = mag**2
     # Interior rfft bins represent two conjugate bins of the full spectrum.
     weights = np.full(len(power), 2.0)
     weights[0] = 1.0
@@ -123,9 +127,14 @@ def classify_modes(
         if not np.any(mode):
             labels.append(ModeLabel(i, LABEL_NOISE, 0.0, 0.0, 0.0))
             continue
-        freq, prom = peak_frequency(mode, ms.sample_rate)
-        spec_peak = float(np.abs(np.fft.rfft(mode)).max())
-        in_band = _band_energy_fraction(mode, ms.sample_rate, freq, config.peak_band_halfwidth)
+        # One unpadded spectrum serves the prominence, the peak magnitude
+        # and the in-band power.
+        mag = np.abs(np.fft.rfft(mode))
+        freq, prom = _peak_frequency(mode, ms.sample_rate, mag)
+        spec_peak = float(mag.max())
+        in_band = _band_energy_fraction(
+            mag, len(mode), ms.sample_rate, freq, config.peak_band_halfwidth
+        )
         label = LABEL_NOISE if (
             prom < config.noise_prominence or in_band < 1.0 - config.noise_oob_fraction
         ) else ""

@@ -5,6 +5,11 @@ Wiener-like mode updates, center frequencies as power-weighted spectral
 means, optional dual ascent. The window is mirror-extended before the FFT
 and cropped afterwards to tame edge artifacts.
 
+With ``VmdParams.max_freq`` set, the sweeps run only on the one-sided bins
+below that edge, in Hz. The inverse transform zero-pads the bins above it,
+so content there stays in the residual and counts towards the energy loss.
+The default, None, sweeps every bin up to Nyquist, as published VMD does.
+
 The sweeps stop once the squared change of the mode spectra,
 sum |u_hat - u_prev|^2, is at most ``tolerance`` times the spectral power
 of the sweep before. One BLAS dot over the real and imaginary parts of the
@@ -63,12 +68,14 @@ _NEGLIGIBLE_VAR_FRACTION = 1e-10
 # sums add non-negative terms. The dot is within 2KP unit roundoffs of the
 # true value, relative; the exact sum is within three per term plus log2(KP)
 # for its pairwise additions. So the two differ by about (2KP + 3) unit
-# roundoffs, about 1.3e-12 at K = 6 and P = 960 spectrum bins. The dot
-# decides whenever it lies more than _STOP_MARGIN (relative) away from the
-# threshold: over 700x headroom, so the decision, and with it every result,
-# is the exact sum's. Inside the margin the exact sum decides, and so it
-# does below _STOP_EXACT_BELOW, where the squares of tiny parts underflow
-# and the relative bound fails.
+# roundoffs: about 6.4e-13 at K = 6 and the pipeline's P = 480 swept bins (a
+# 16 s window at 100 Hz, swept below its 25 Hz edge), and 1.3e-12 at
+# P = 960 (the same window swept to Nyquist). The dot decides whenever it
+# lies more than _STOP_MARGIN (relative) away from the threshold: over 700x
+# headroom even at P = 960, so the decision, and with it every result, is
+# the exact sum's. Inside the margin the exact sum decides, and so it does
+# below _STOP_EXACT_BELOW, where the squares of tiny parts underflow and the
+# relative bound fails.
 _STOP_MARGIN = 1e-9
 _STOP_EXACT_BELOW = 1e-250
 
@@ -83,6 +90,8 @@ class VmdParams:
     tolerance: float = 1e-7
     max_iters: int = 500
     mirror_frac: float = 0.1
+    # Hz; the sweeps run on the bins below it. None sweeps every bin.
+    max_freq: float | None = None
 
     def __post_init__(self):
         if not 2 <= self.K <= 7:
@@ -97,6 +106,8 @@ class VmdParams:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 <= self.mirror_frac <= 0.5:
             raise ValueError(f"mirror_frac must be in [0, 0.5], got {self.mirror_frac}")
+        if self.max_freq is not None and not 0.0 < self.max_freq < math.inf:
+            raise ValueError(f"max_freq must be finite and > 0, got {self.max_freq}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,8 @@ class ModeSet:
     converged: bool
     n_iters: int
     # (K, P) one-sided spectra of the mirrored window, aligned with mode
-    # order; None on a set not built by vmd_decompose.
+    # order, over the swept bins only (those below VmdParams.max_freq); None
+    # on a set not built by vmd_decompose.
     spectra: np.ndarray | None = None
 
     @property
@@ -160,10 +172,12 @@ def vmd_decompose(
     at zero, or at ``init_spectra``: K one-sided spectra of the mirrored
     window, shaped like ``ModeSet.spectra`` and matching ``init_freqs`` row
     for row, which they need. The first sweep then measures its change
-    against their power. Iteration stops when the relative change of the
-    mode spectra drops below ``params.tolerance`` or after
-    ``params.max_iters`` sweeps; the termination reason is recorded on the
-    result.
+    against their power. With ``params.max_freq`` set, only the bins below
+    it are swept, and ``init_spectra`` and ``ModeSet.spectra`` hold those
+    bins only; the modes of the mirrored window are zero above it.
+    Iteration stops when the relative change of the mode spectra drops
+    below ``params.tolerance`` or after ``params.max_iters`` sweeps; the
+    termination reason is recorded on the result.
     """
     f = np.asarray(signal, dtype=float)
     if f.ndim != 1:
@@ -198,8 +212,13 @@ def vmd_decompose(
 
     # Only the non-negative bins are kept: DC up to just below Nyquist, in
     # cycles/sample. For even T the Nyquist bin (which fftfreq counts as
-    # -0.5) is left out, so every mode is zero there.
+    # -0.5) is left out, so every mode is zero there. An edge cuts them
+    # further, to the bins below it; at or above Nyquist it cuts none.
     P = (T + 1) // 2
+    freqs = np.fft.fftfreq(T)[:P]
+    if params.max_freq is not None:
+        P = int(np.searchsorted(freqs, params.max_freq / sample_rate))
+        freqs = freqs[:P]
     if init_spectra is not None:
         init_spectra = np.asarray(init_spectra)
         if init_spectra.shape != (K, P):
@@ -208,7 +227,6 @@ def vmd_decompose(
             )
         if not np.all(np.isfinite(init_spectra)):
             raise ValueError("init_spectra contains non-finite values")
-    freqs = np.fft.fftfreq(T)[:P]
     f_plus = np.fft.fft(ext)[:P]
 
     alpha, tau, tolerance = params.alpha, params.tau, params.tolerance
@@ -277,7 +295,8 @@ def vmd_decompose(
             converged = True
             break
 
-    # Real inverse transform of the one-sided spectra, then crop the mirrors.
+    # Real inverse transform of the one-sided spectra, zero above the swept
+    # bins, then crop the mirrors.
     modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
 
     energies = np.sum(modes**2, axis=1)

@@ -80,19 +80,29 @@ class TestSummarize:
 
 
 class TestMain:
-    def run_main(self, monkeypatch, tmp_path, incorrect_seed=None):
-        declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    def run_main(self, monkeypatch, tmp_path, incorrect_seed=None, trace_correct=None):
+        """Run main on fake runs; ``trace_correct`` adds --trace, its passes correct or not."""
+        declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+        calls = []
 
-        def run_once(tree, workload, seed, seconds):
-            metrics = {m["name"]: 1.0 for m in declared}
-            metrics["op_s"] = 0.8 if tree == bench_pairs.ROOT else 1.0 + 0.001 * seed
+        def run_once(tree, workload, seed, seconds, trace=0):
+            calls.append((tree == bench_pairs.ROOT, seed, seconds, trace))
+            change = tree == bench_pairs.ROOT
+            if trace:
+                metrics = {m["name"]: 2.0 for m in declared["per_layer"]}
+                metrics["vmd.us_per_sweep"] = 70.0 if change else 140.0
+                return {"correct": trace_correct, "metrics": metrics}
+            metrics = {m["name"]: 1.0 for m in declared["end_to_end"]}
+            metrics["op_s"] = 0.8 if change else 1.0 + 0.001 * seed
             return {"correct": seed != incorrect_seed, "metrics": metrics}
 
         monkeypatch.setattr(bench_pairs, "export_tree", lambda rev, dest: "0" * 40)
         monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
-        code = bench_pairs.main(["--base", "HEAD", "--pairs", "10", "--workload", "w",
-                                 "--tag", "t", "--out-dir", str(tmp_path)])
+        argv = ["--base", "HEAD", "--pairs", "10", "--workload", "w",
+                "--tag", "t", "--out-dir", str(tmp_path)]
+        code = bench_pairs.main(argv + (["--trace"] if trace_correct is not None else []))
+        self.calls = calls
         return code, json.loads((tmp_path / "BENCH_t.json").read_text())
 
     def test_correct_runs_exit_zero(self, monkeypatch, tmp_path):
@@ -100,10 +110,35 @@ class TestMain:
         assert code == 0
         assert report["incorrect_runs"] == []
         assert report["summary"]["op_s"]["gain"]
+        assert report["traced"] == {}
+        assert all(trace == 0 for *_, trace in self.calls)
 
     def test_incorrect_run_is_recorded_and_exits_nonzero(self, monkeypatch, tmp_path):
         code, report = self.run_main(monkeypatch, tmp_path, incorrect_seed=4)
         assert code == 1
         assert report["incorrect_runs"] == [{"pair": 3, "seed": 4, "side": "change"},
                                             {"pair": 3, "seed": 4, "side": "base"}]
+        assert not any(s["gain"] for s in report["summary"].values())
+
+    def test_trace_adds_one_traced_pass_per_side(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path, trace_correct=True)
+        assert code == 0
+        traced_calls = [c for c in self.calls if c[3] == 1]
+        assert sorted(traced_calls) == [(False, 1, 1.0, 1), (True, 1, 1.0, 1)]
+        assert set(report["traced"]) == {"base", "change"}
+        for side, sweep_us in (("base", 140.0), ("change", 70.0)):
+            traced = report["traced"][side]
+            assert (traced["seed"], traced["seconds"], traced["correct"]) == (1, 1.0, True)
+            assert set(traced["metrics"]) == set(bench_pairs.TRACED_METRICS)
+            assert traced["metrics"]["vmd.us_per_sweep"] == sweep_us
+        # The traced figures stay out of the untraced runs and their summary.
+        assert len(report["runs"]) == 20
+        assert "vmd.us_per_sweep" not in report["summary"]
+        assert report["summary"]["op_s"]["gain"]
+
+    def test_incorrect_traced_pass_voids_gains_and_exits_nonzero(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path, trace_correct=False)
+        assert code == 1
+        assert report["incorrect_runs"] == [{"traced": True, "seed": 1, "side": "base"},
+                                            {"traced": True, "seed": 1, "side": "change"}]
         assert not any(s["gain"] for s in report["summary"].values())

@@ -1,11 +1,17 @@
 """The window stage takes alpha, r_max and p from the alpha search, and
 ends every window with a status."""
 import math
+from dataclasses import replace
 
 from hrrkit import pipeline
 from hrrkit.config import PipelineConfig
 from hrrkit.io import write_hr_series, write_mode_dump, write_report
-from hrrkit.signal_model import RespirationModel, synthesize_trace
+from hrrkit.signal_model import (
+    ExponentialRecovery,
+    HeartbeatModel,
+    RespirationModel,
+    synthesize_trace,
+)
 from hrrkit.vmd import energy_loss, mode_correlation_max
 
 from conftest import noisy_recovery
@@ -88,3 +94,41 @@ def test_degenerate_window_keeps_its_mode_table(monkeypatch):
     assert w.alpha == usable.alpha
     assert len(w.mode_table) == cfg.k_modes
     assert w.mode_table == usable.mode_table
+
+
+def test_sweep_edge_follows_the_pass_band():
+    assert PipelineConfig().vmd_params().max_freq == 25.0
+    assert PipelineConfig(pass_high=10.0).vmd_params().max_freq == 40.0
+
+
+def test_window_stage_sweeps_half_the_bins_at_100_hz(monkeypatch):
+    # A 16 s window mirror-extends to 1920 samples: 960 one-sided bins, of
+    # which the 480 below 25 Hz are swept.
+    cfg = PipelineConfig()
+    segment, fs = first_window(noisy_recovery(120), cfg)
+    searches = []
+    select_alpha = pipeline.select_alpha
+
+    def recording(*args, **kwargs):
+        searches.append(select_alpha(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(pipeline, "select_alpha", recording)
+    pipeline.make_window_stage(cfg)(segment, fs, 0.0)
+    assert [s.modes.spectra.shape for s in searches] == [(cfg.k_modes, 480)]
+
+
+def test_twenty_hz_run_equals_its_full_band_run(monkeypatch, tmp_path):
+    # At 20 Hz the 25 Hz edge lies above Nyquist, so every bin is swept.
+    resp = RespirationModel(0.35, (1.0, 0.25))
+    heart = HeartbeatModel(ExponentialRecovery(150.0, 120.0, 30.0), 0.15)
+    trace = synthesize_trace(resp, heart, 0.05, 20.0, 66.0, 7)
+    cfg = PipelineConfig()
+    series, report = pipeline.estimate_trace(trace, cfg)
+    full_band = replace(cfg.vmd_params(), max_freq=None)
+    monkeypatch.setattr(PipelineConfig, "vmd_params", lambda self: full_band)
+    full_series, full_report = pipeline.estimate_trace(trace, cfg)
+    assert written(series, report, tmp_path / "edge") == written(
+        full_series, full_report, tmp_path / "full"
+    )
+    assert any(w.peaks is not None for w in series.window_results.values())

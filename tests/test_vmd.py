@@ -90,13 +90,15 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None):
+def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
+                         max_freq=None):
     """The one-sided sweep as first written, one fresh array per operation.
 
     ``init_freqs`` holds the starting center frequencies in Hz; None starts
     them uniformly over [0, fs/4]. ``init_spectra`` holds the starting mode
-    spectra; None starts them at zero. The in-place core must reproduce it
-    bit for bit.
+    spectra; None starts them at zero. ``max_freq`` in Hz keeps only the
+    bins below it, which the inverse transform pads with zeros; None keeps
+    every bin. The in-place core must reproduce it bit for bit.
     """
     f = np.asarray(signal, dtype=float)
     n = len(f)
@@ -106,6 +108,10 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None)
     P = (T + 1) // 2
     freqs = np.fft.fftfreq(T)[:P]
     f_plus = np.fft.fft(ext)[:P]
+    if max_freq is not None:
+        keep = freqs < max_freq / fs
+        freqs, f_plus = freqs[keep], f_plus[keep]
+        P = len(freqs)
     K = params.K
     alpha = params.alpha
     u_hat = np.zeros((K, P), dtype=complex)
@@ -302,11 +308,12 @@ class TestInitSpectra:
         assert [warm_spectra for _, _, warm_spectra in calls] == [False] * 4 + [True] * 3
 
 
-def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None):
+def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None,
+                                        max_freq=None):
     modes, center_freqs, converged, n_iters = allocating_reference(
-        sig, fs, params, init_freqs, init_spectra
+        sig, fs, params, init_freqs, init_spectra, max_freq
     )
-    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
+    ms = vmd_decompose(sig, fs, replace(params, max_freq=max_freq), init_freqs, init_spectra)
     assert ms.n_iters == n_iters and ms.converged == converged
     assert np.array_equal(ms.center_freqs, center_freqs)
     assert np.array_equal(ms.modes, modes)
@@ -347,6 +354,65 @@ def tie_tolerances(signal, params, sweeps):
             tolerances.append(float(ratio))
             lowest = ratio
     return tolerances
+
+
+class TestSweepBand:
+    """``VmdParams.max_freq`` limits the sweeps to the bins below it."""
+
+    @pytest.mark.parametrize("max_freq", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_edge_rejected(self, max_freq):
+        with pytest.raises(ValueError, match="max_freq"):
+            VmdParams(max_freq=max_freq)
+
+    # n = 768 extends to T = 922 bins, n = 769 to T = 923. At 20 Hz, 6 Hz
+    # keeps 277 of 461 bins and 4.0 Hz cuts right through the 4 Hz tone.
+    @pytest.mark.parametrize("n", [768, 769])
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("max_freq", [6.0, 4.0, 1.0])
+    def test_matches_allocating_reference(self, n, tau, max_freq):
+        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+        assert_matches_allocating_reference(three_tone(n), FS, params, max_freq=max_freq)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_warm_start_matches_allocating_reference(self, tau):
+        sig = three_tone(768)
+        prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0, max_freq=6.0))
+        order = np.argsort(prev.center_freqs, kind="stable")
+        assert_matches_allocating_reference(
+            sig, FS, VmdParams(K=4, alpha=2000.0, tau=tau),
+            prev.center_freqs[order], prev.spectra[order], max_freq=6.0,
+        )
+
+    @pytest.mark.parametrize("n", [768, 769])
+    @pytest.mark.parametrize("max_freq", [FS / 2, FS / 2 + 1e-9, 25.0, 1e300])
+    def test_edge_at_or_above_nyquist_keeps_every_bin(self, n, max_freq):
+        sig = three_tone(n)
+        full = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0))
+        edge = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0, max_freq=max_freq))
+        assert (edge.n_iters, edge.converged) == (full.n_iters, full.converged)
+        assert np.array_equal(edge.center_freqs, full.center_freqs)
+        assert np.array_equal(edge.modes, full.modes)
+        assert np.array_equal(edge.spectra, full.spectra)
+
+    def test_tone_above_edge_goes_to_the_residual(self):
+        sig = three_tone(768)
+        high = tone(8.0, FS, DURATION, amp=0.3, phase=0.7)
+        mixed = sig + high
+        ms = vmd_decompose(mixed, FS, VmdParams(K=3, alpha=2000.0, max_freq=6.0))
+        share = np.dot(high, high) / np.dot(mixed, mixed)
+        # The three in-band tones alone leave about 1e-3 of their energy.
+        assert energy_loss(ms) == pytest.approx(share, rel=0.03)
+        assert np.corrcoef(ms.residual, high)[0, 1] > 0.99
+        assert np.all(ms.center_freqs < 6.0)
+
+    def test_spectra_cover_the_band_only(self):
+        # 768 samples extend to T = 922: bins k / 922 * 20 Hz below 6 Hz are
+        # k = 0..276.
+        ms = vmd_decompose(three_tone(768), FS, VmdParams(K=4, alpha=2000.0, max_freq=6.0))
+        assert ms.spectra.shape == (4, 277)
+        with pytest.raises(ValueError, match=r"shape \(K, P\) = \(4, 277\)"):
+            vmd_decompose(three_tone(768), FS, VmdParams(K=4, max_freq=6.0),
+                          FREQS_4, np.ones((4, 461), dtype=complex))
 
 
 class TestStoppingRule:

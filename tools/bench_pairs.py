@@ -12,9 +12,15 @@ per metric how many pairs the change won, lost and tied. A metric shows a
 gain when the change wins at least nine pairs in ten and its median beats the
 base's by more than the distance between the base's quartiles.
 
-A run whose operations failed their output check is listed under
-``incorrect_runs``. Then no metric shows a gain, whatever its times, and the
-tool exits 1 after writing the report.
+With ``--trace``, each side also runs one ``--trace 1 --seconds 1`` pass on
+the first pair's seed, after the pairs. Its per-layer work and cost figures
+(``TRACED_METRICS``: µs per ADMM sweep, sweeps, decompositions, unconverged
+and relaxed-gate shares) go under ``traced`` in the report, apart from the
+untraced runs, whose times alone decide the gains.
+
+A run whose operations failed their output check, traced or not, is listed
+under ``incorrect_runs``. Then no metric shows a gain, whatever its times,
+and the tool exits 1 after writing the report.
 """
 from __future__ import annotations
 
@@ -28,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+TRACED_METRICS = ("vmd.us_per_sweep", "vmd.admm_sweeps", "vmd.decompose_calls",
+                  "vmd.unconverged_frac", "pipeline.gates_relaxed_frac")
 
 
 def git(*args: str) -> str:
@@ -44,10 +52,10 @@ def export_tree(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its result is the last line of its output."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run; its result is the last line of its output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {out.returncode}:\n{out.stderr}")
@@ -106,6 +114,8 @@ def main(argv=None) -> int:
                         help="pair p runs on seed seed_start + p")
     parser.add_argument("--tag", default="pairs", help="writes BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--trace", action="store_true",
+                        help="add one traced 1 s pass per side for the per-layer figures")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -124,6 +134,21 @@ def main(argv=None) -> int:
                 runs.append({"pair": p, "seed": seed, "side": side, "position": position, **run})
                 print(f"pair {p} seed {seed} {side}: op_s {run['metrics']['op_s']:.4f} "
                       f"correct {run['correct']}", flush=True)
+        traced = {}
+        for side in SIDES if args.trace else ():
+            run = run_once(trees[side], args.workload, args.seed_start, 1.0, trace=1)
+            traced[side] = {"seed": args.seed_start, "seconds": 1.0, "correct": run["correct"],
+                            "metrics": {k: run["metrics"].get(k) for k in TRACED_METRICS}}
+            print(f"traced {side}: {traced[side]['metrics']} correct {run['correct']}",
+                  flush=True)
+
+    summary = summarize(runs, declared)
+    incorrect = [{k: r[k] for k in ("pair", "seed", "side")} for r in runs if not r["correct"]]
+    incorrect += [{"traced": True, "seed": t["seed"], "side": side}
+                  for side, t in traced.items() if not t["correct"]]
+    if incorrect:
+        for s in summary.values():
+            s["gain"] = False
 
     report = {
         "workload": args.workload,
@@ -133,9 +158,9 @@ def main(argv=None) -> int:
         "change": {"tree": "working tree", "head": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "runs": runs,
-        "incorrect_runs": [{k: r[k] for k in ("pair", "seed", "side")}
-                           for r in runs if not r["correct"]],
-        "summary": summarize(runs, declared),
+        "traced": traced,
+        "incorrect_runs": incorrect,
+        "summary": summary,
     }
     out = args.out_dir / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
