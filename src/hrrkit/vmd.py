@@ -10,13 +10,20 @@ below that edge, in Hz. The inverse transform zero-pads the bins above it,
 so content there stays in the residual and counts towards the energy loss.
 The default, None, sweeps every bin up to Nyquist, as published VMD does.
 
-The sweeps stop once the squared change of the mode spectra,
-sum |u_hat - u_prev|^2, is at most ``tolerance`` times the spectral power
-of the sweep before. One BLAS dot over the real and imaginary parts of the
-change evaluates that sum. Where the dot lies within a relative 1e-9 of the
-threshold, or the threshold is below 1e-250, the exact pairwise sum of
-``np.abs(delta) ** 2`` decides instead, so every decomposition stops at the
-sweep the exact sum alone would choose.
+The sweep is held in residual form. It keeps
+resid = f_hat - sum_k u_k (- lambda / 2 with the dual ascent on), so each
+mode update adds its own old spectrum back, takes the Wiener gain of the
+sum and subtracts the new spectrum again. The power |u_k|^2 comes from the
+squares of the spectra's real and imaginary parts, and one BLAS product
+gives every mode's power and first moment, so all K center frequencies at
+once. The sweeps stop once the squared change of the mode spectra, the sum
+of re^2 + im^2 of u_hat - u_prev taken by one BLAS dot, is at most
+``tolerance`` times the spectral power of the sweep before. This is the
+same ADMM iteration as the literal form of vmdpy, which keeps sum_k u_k and
+takes |.|^2 through np.abs: the two differ only in rounding. The tests pin
+the core to that form at the same sweep count, with modes and center
+frequencies within 1e-12, relative, wherever the iteration does not itself
+magnify a one-ulp change of its start beyond that.
 
 The penalty factor alpha trades mode aliasing (too small: modes overlap,
 pairwise correlation rises) against decomposition energy loss (too large:
@@ -61,23 +68,6 @@ _SPECTRA_WARM_RATIO = 1.5
 # numerical dust (surplus modes on clean signals); they are excluded from
 # the pairwise-correlation gate.
 _NEGLIGIBLE_VAR_FRACTION = 1e-10
-
-# The stopping test's exact sum, the pairwise sum of np.abs(delta) ** 2,
-# costs a hypot pass and a temporary, so each sweep first takes one BLAS dot
-# of delta's real and imaginary parts, which gives sum(re^2 + im^2). Both
-# sums add non-negative terms. The dot is within 2KP unit roundoffs of the
-# true value, relative; the exact sum is within three per term plus log2(KP)
-# for its pairwise additions. So the two differ by about (2KP + 3) unit
-# roundoffs: about 6.4e-13 at K = 6 and the pipeline's P = 480 swept bins (a
-# 16 s window at 100 Hz, swept below its 25 Hz edge), and 1.3e-12 at
-# P = 960 (the same window swept to Nyquist). The dot decides whenever it
-# lies more than _STOP_MARGIN (relative) away from the threshold: over 700x
-# headroom even at P = 960, so the decision, and with it every result, is
-# the exact sum's. Inside the margin the exact sum decides, and so it does
-# below _STOP_EXACT_BELOW, where the squares of tiny parts underflow and the
-# relative bound fails.
-_STOP_MARGIN = 1e-9
-_STOP_EXACT_BELOW = 1e-250
 
 
 @dataclass(frozen=True)
@@ -233,15 +223,35 @@ def vmd_decompose(
     dual = tau != 0.0
     # The sweep's (K, P) buffers are allocated once. u_hat and u_prev trade
     # places at the start of each sweep instead of copying, and so do the
-    # lists of their row views, which are built once too.
+    # lists of their row views and their real views, which are built once too.
     u_hat = np.zeros((K, P), dtype=complex)
     u_prev = np.empty_like(u_hat)
+    if init_spectra is not None:
+        u_hat[:] = init_spectra
     u_rows, prev_rows = list(u_hat), list(u_prev)
-    sum_u = np.zeros(P, dtype=complex)
-    lam = np.zeros(P, dtype=complex)
-    half_lam = lam / 2.0
-    power = np.zeros((K, P))   # |u_hat|^2 after the previous sweep
-    power_rows = list(power)
+    u_parts, prev_parts = u_hat.view(float), u_prev.view(float)
+    # resid = f_plus - sum_k u_hat[k] - lam / 2, the mode updates' shared
+    # numerator; half_lam = lam / 2 stays zero without the dual ascent.
+    resid = f_plus.copy()
+    for row in u_rows:
+        resid -= row
+    half_lam = np.zeros(P, dtype=complex)
+    step = np.empty(P, dtype=complex)
+    # |u_hat|^2 as re^2 and im^2 side by side. One BLAS product with the
+    # rows of weights, each bin's frequency twice and then ones, gives every
+    # mode's first moment and power: moments[k] = (sum f |u_k|^2, sum |u_k|^2).
+    sq = np.square(u_parts)
+    weights = np.stack([np.repeat(freqs, 2), np.ones(2 * P)])
+    moments = np.dot(sq, weights.T)
+    first_moment, power = moments[:, 0], moments[:, 1]
+    # omega is the second column of lead, and offsets holds the frequencies
+    # over -1s, so np.dot(lead, offsets) gives every f - omega_k. Its terms
+    # 1 * f and -1 * omega_k are exact, so each is rounded once, the same
+    # number a broadcast subtraction gives, at a third of the cost.
+    lead = np.ones((K, 2))
+    lead[:, 1] = omega
+    omega = lead[:, 1]
+    offsets = np.stack([freqs, np.full(P, -1.0)])
     gain = np.empty((K, P))
     # The gains are held as complex numbers whose imaginary parts stay zero,
     # so each mode update is a complex product with no cast of its operand.
@@ -250,48 +260,39 @@ def vmd_decompose(
     gain_rows = list(gain_c)
     delta = np.empty((K, P), dtype=complex)
     delta_parts = delta.view(float).reshape(-1)   # re and im, interleaved
-    if init_spectra is not None:
-        u_hat[:] = init_spectra
-        for row in u_rows:
-            sum_u += row
-        np.abs(u_hat, out=power)
-        np.square(power, out=power)
 
     converged = False
     for it in range(1, params.max_iters + 1):
         u_hat, u_prev = u_prev, u_hat
         u_rows, prev_rows = prev_rows, u_rows
+        u_parts, prev_parts = prev_parts, u_parts
         norm = power.sum()
         # Mode k's Wiener gain 1 / (alpha (f - omega_k)^2 + 1) reads omega_k
         # from the previous sweep, so all K gains are formed up front; only
-        # the mode updates are sequential. (omega_k - f)^2 is the same number.
-        np.subtract.outer(omega, freqs, out=gain)
+        # the mode updates are sequential.
+        np.dot(lead, offsets, out=gain)
         np.square(gain, out=gain)
         gain *= alpha
         gain += 1.0
-        np.divide(1.0, gain, out=gain_re)
+        np.reciprocal(gain, out=gain_re)
         for row, prev_row, gain_row in zip(u_rows, prev_rows, gain_rows):
-            sum_u -= prev_row
-            np.subtract(f_plus, sum_u, out=row)
-            if dual:
-                row -= half_lam
-            row *= gain_row
-            sum_u += row
-        np.abs(u_hat, out=power)
-        np.square(power, out=power)
-        denom = power.sum(axis=1).tolist()
-        for k in range(K):
-            if denom[k] > 1e-300:
-                omega[k] = np.dot(freqs, power_rows[k]) / denom[k]
+            resid += prev_row
+            np.multiply(resid, gain_row, out=row)
+            resid -= row
+        np.square(u_parts, out=sq)
+        np.dot(sq, weights.T, out=moments)
+        np.divide(first_moment, power, out=omega, where=power > 1e-300)
         if dual:
-            lam = lam + tau * (sum_u - f_plus)
-            half_lam = lam / 2.0
+            # lam += tau (sum_k u_hat[k] - f_plus) = -tau (resid + half_lam).
+            # step is minus half that change: half_lam falls by it and resid
+            # rises by it, so resid keeps its definition.
+            np.add(resid, half_lam, out=step)
+            step *= tau / 2.0
+            half_lam -= step
+            resid += step
         threshold = tolerance * max(norm, 1e-300)
         np.subtract(u_hat, u_prev, out=delta)
-        change = np.dot(delta_parts, delta_parts)
-        if threshold < _STOP_EXACT_BELOW or abs(change - threshold) <= _STOP_MARGIN * threshold:
-            change = np.sum(np.abs(delta) ** 2)
-        if change <= threshold:
+        if np.dot(delta_parts, delta_parts) <= threshold:
             converged = True
             break
 

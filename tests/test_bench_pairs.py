@@ -39,6 +39,14 @@ class TestSummarize:
         assert s["base"]["median"] - s["change"]["median"] > s["base"]["q3"] - s["base"]["q1"]
         assert s["gain"]
 
+    def test_each_side_reports_its_minimum(self):
+        change = faster(9)
+        s = bench_pairs.summarize(make_runs(change), [OP_S])["op_s"]
+        assert s["base"] == pytest.approx({"median": 1.045, "q1": 1.0225, "q3": 1.0675,
+                                           "min": 1.0})
+        assert s["change"]["min"] == min(change) == 0.8
+        assert bench_pairs.spread([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5, "min": 0.5}
+
     def test_eight_wins_is_no_gain(self):
         s = bench_pairs.summarize(make_runs(faster(8)), [OP_S])["op_s"]
         assert (s["wins"], s["losses"]) == (8, 2)

@@ -46,10 +46,11 @@ def modeset_from(modes, residual=None, input_signal=None, fs=FS):
 
 
 def two_sided_reference(signal, fs, params):
-    """The same ADMM run over the full two-sided spectrum.
+    """The residual-form sweep over the full two-sided spectrum.
 
     The negative half is held at zero throughout and each mode is inverted
-    after Hermitian completion; the one-sided core must match it.
+    after Hermitian completion; the one-sided core must match it. The power
+    sums and the stopping sum run over the non-negative bins only.
     """
     f = np.asarray(signal, dtype=float)
     n = len(f)
@@ -59,25 +60,32 @@ def two_sided_reference(signal, fs, params):
     freqs = np.fft.fftfreq(T)
     pos = freqs >= 0.0
     f_plus = np.where(pos, np.fft.fft(ext), 0.0)
+    weights = np.stack([np.repeat(freqs[pos], 2), np.ones(2 * np.count_nonzero(pos))])
     K = params.K
     u_hat = np.zeros((K, T), dtype=complex)
-    lam = np.zeros(T, dtype=complex)
+    half_lam = np.zeros(T, dtype=complex)
     omega = (np.arange(K) + 0.5) / K * 0.25
-    sum_u = u_hat.sum(axis=0)
+    resid = f_plus
+    denom = np.zeros(K)
     converged = False
     for it in range(1, params.max_iters + 1):
         u_prev = u_hat.copy()
+        norm = denom.sum()
+        gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
         for k in range(K):
-            sum_u = sum_u - u_hat[k]
-            u_hat[k] = (f_plus - sum_u - lam / 2.0) / (1.0 + params.alpha * (freqs - omega[k]) ** 2)
-            sum_u = sum_u + u_hat[k]
-            power = np.abs(u_hat[k][pos]) ** 2
-            if power.sum() > 1e-300:
-                omega[k] = float(np.dot(freqs[pos], power) / power.sum())
+            resid = resid + u_prev[k]
+            u_hat[k] = resid * gain[k]
+            resid = resid - u_hat[k]
+        sq = np.square(np.ascontiguousarray(u_hat[:, pos]).view(float))
+        first_moment, denom = np.dot(sq, weights.T).T
+        live = denom > 1e-300
+        omega[live] = first_moment[live] / denom[live]
         if params.tau != 0.0:
-            lam = lam + params.tau * (sum_u - f_plus)
-        diff = np.sum(np.abs(u_hat - u_prev) ** 2)
-        if diff <= params.tolerance * max(np.sum(np.abs(u_prev) ** 2), 1e-300):
+            step = params.tau / 2.0 * (resid + half_lam)
+            half_lam = half_lam - step
+            resid = resid + step
+        parts = np.ascontiguousarray((u_hat - u_prev)[:, pos]).view(float).ravel()
+        if np.dot(parts, parts) <= params.tolerance * max(norm, 1e-300):
             converged = True
             break
     half = (T - 1) // 2
@@ -90,16 +98,8 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
-                         max_freq=None):
-    """The one-sided sweep as first written, one fresh array per operation.
-
-    ``init_freqs`` holds the starting center frequencies in Hz; None starts
-    them uniformly over [0, fs/4]. ``init_spectra`` holds the starting mode
-    spectra; None starts them at zero. ``max_freq`` in Hz keeps only the
-    bins below it, which the inverse transform pads with zeros; None keeps
-    every bin. The in-place core must reproduce it bit for bit.
-    """
+def one_sided_setup(signal, fs, params, init_freqs, max_freq):
+    """Mirror extension, swept frequencies, one-sided spectrum and start omega."""
     f = np.asarray(signal, dtype=float)
     n = len(f)
     m = max(1, round(params.mirror_frac * n))
@@ -111,14 +111,79 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     if max_freq is not None:
         keep = freqs < max_freq / fs
         freqs, f_plus = freqs[keep], f_plus[keep]
-        P = len(freqs)
-    K = params.K
-    alpha = params.alpha
-    u_hat = np.zeros((K, P), dtype=complex)
     if init_freqs is None:
-        omega = (np.arange(K) + 0.5) / K * 0.25
+        omega = (np.arange(params.K) + 0.5) / params.K * 0.25
     else:
         omega = np.array(init_freqs, dtype=float) / fs
+    return n, m, T, freqs, f_plus, omega
+
+
+def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
+                         max_freq=None, record=None):
+    """The residual-form sweep, one fresh array per operation.
+
+    ``init_freqs`` holds the starting center frequencies in Hz; None starts
+    them uniformly over [0, fs/4]. ``init_spectra`` holds the starting mode
+    spectra; None starts them at zero. ``max_freq`` in Hz keeps only the
+    bins below it, which the inverse transform pads with zeros; None keeps
+    every bin. ``record``, a list, gets each sweep's stopping sum and the
+    power it is measured against. The in-place core must reproduce it bit
+    for bit.
+    """
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs, max_freq)
+    K, P = params.K, len(freqs)
+    u_hat = np.zeros((K, P), dtype=complex)
+    if init_spectra is not None:
+        u_hat = np.array(init_spectra, dtype=complex)
+    resid = f_plus
+    for k in range(K):
+        resid = resid - u_hat[k]
+    half_lam = np.zeros(P, dtype=complex)
+    # Each mode's first moment and power, sum f |u_k|^2 and sum |u_k|^2,
+    # over re^2 and im^2 side by side.
+    weights = np.stack([np.repeat(freqs, 2), np.ones(2 * P)])
+    denom = np.dot(np.square(u_hat.view(float)), weights.T)[:, 1]
+    converged = False
+    it = 0
+    for it in range(1, params.max_iters + 1):
+        u_prev = u_hat.copy()
+        norm = denom.sum()
+        gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
+        for k in range(K):
+            resid = resid + u_prev[k]
+            u_hat[k] = resid * gain[k]
+            resid = resid - u_hat[k]
+        first_moment, denom = np.dot(np.square(u_hat.view(float)), weights.T).T
+        live = denom > 1e-300
+        omega[live] = first_moment[live] / denom[live]
+        if params.tau != 0.0:
+            step = params.tau / 2.0 * (resid + half_lam)
+            half_lam = half_lam - step
+            resid = resid + step
+        parts = (u_hat - u_prev).view(float).ravel()
+        change = np.dot(parts, parts)
+        if record is not None:
+            record.append((change, norm))
+        if change <= params.tolerance * max(norm, 1e-300):
+            converged = True
+            break
+    modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
+    order = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
+    return modes[order], omega[order] * fs, converged, it
+
+
+def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
+    """The one-sided sweep in vmdpy's literal form, one fresh array per operation.
+
+    It keeps sum_k u_hat[k] instead of the residual, updates omega_k after
+    each mode from np.abs(u_hat[k]) ** 2, and stops on the pairwise sum of
+    np.abs(u_hat - u_prev) ** 2. Arguments as for ``allocating_reference``.
+    The core differs from it in rounding only.
+    """
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs, None)
+    K, P = params.K, len(freqs)
+    alpha = params.alpha
+    u_hat = np.zeros((K, P), dtype=complex)
     if init_spectra is not None:
         u_hat = np.array(init_spectra, dtype=complex)
     lam = np.zeros(P, dtype=complex)
@@ -321,39 +386,45 @@ def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_s
 
 
 def tie_tolerances(signal, params, sweeps):
-    """Tolerances that put the stopping threshold on a sweep's exact sum.
+    """Tolerances that put the stopping threshold on a sweep's stopping sum.
 
-    Runs the allocating reference's sweeps and, for each of sweeps 2 to
-    ``sweeps`` whose ratio diff / norm is below every earlier one, returns
-    that ratio: with it as the tolerance, the threshold at that sweep is
-    within an ulp or so of the exact sum, well inside the stopping margin.
+    Runs the allocating reference for ``sweeps`` sweeps and, for each of
+    sweeps 2 onwards whose ratio of stopping sum to power is below every
+    earlier one, returns that ratio: with it as the tolerance, the threshold
+    at that sweep is within an ulp or so of the stopping sum.
     """
-    f = np.asarray(signal, dtype=float)
-    m = max(1, round(params.mirror_frac * len(f)))
-    ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
-    P = (len(ext) + 1) // 2
-    freqs = np.fft.fftfreq(len(ext))[:P]
-    f_plus = np.fft.fft(ext)[:P]
-    u_hat = np.zeros((params.K, P), dtype=complex)
-    omega = (np.arange(params.K) + 0.5) / params.K * 0.25
-    sum_u = u_hat.sum(axis=0)
+    record = []
+    allocating_reference(signal, FS, replace(params, tolerance=1e-300, max_iters=sweeps),
+                         record=record)
     tolerances, lowest = [], math.inf
-    for it in range(1, sweeps + 1):
-        u_prev = u_hat.copy()
-        for k in range(params.K):
-            sum_u = sum_u - u_hat[k]
-            u_hat[k] = (f_plus - sum_u) / (1.0 + params.alpha * (freqs - omega[k]) ** 2)
-            sum_u = sum_u + u_hat[k]
-            power = np.abs(u_hat[k]) ** 2
-            if power.sum() > 1e-300:
-                omega[k] = float(np.dot(freqs, power) / power.sum())
-        if it == 1:
-            continue   # u_prev is all zero
-        ratio = np.sum(np.abs(u_hat - u_prev) ** 2) / np.sum(np.abs(u_prev) ** 2)
+    for change, norm in record[1:]:   # the first sweep's u_prev is all zero
+        ratio = change / norm
         if ratio < lowest:
             tolerances.append(float(ratio))
             lowest = ratio
     return tolerances
+
+
+def assert_agrees_with_literal_sweep(sig, fs, params, init_freqs=None, init_spectra=None):
+    """The core stops where the literal sweep does, and differs only in rounding.
+
+    Modes within 1e-12 of their largest magnitude, center frequencies within
+    1e-12 relative. Where the iteration itself magnifies rounding, the
+    modes' bound widens by ten times how far the literal sweep's own modes
+    move when its start frequencies move by one ulp.
+    """
+    modes, center_freqs, converged, n_iters = literal_reference(
+        sig, fs, params, init_freqs, init_spectra
+    )
+    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
+    assert (ms.n_iters, ms.converged) == (n_iters, converged)
+    assert np.max(np.abs(ms.center_freqs - center_freqs)) <= 1e-12 * np.max(center_freqs)
+    start = (np.arange(params.K) + 0.5) / params.K * fs / 4.0 if init_freqs is None else init_freqs
+    nudged, *_ = literal_reference(sig, fs, params, np.asarray(start) * (1.0 + 2.0**-52),
+                                   init_spectra)
+    spread = np.max(np.abs(nudged - modes))
+    assert np.max(np.abs(ms.modes - modes)) <= 1e-12 * np.max(np.abs(modes)) + 10.0 * spread
+    return ms
 
 
 class TestSweepBand:
@@ -416,7 +487,7 @@ class TestSweepBand:
 
 
 class TestStoppingRule:
-    """The BLAS-dot stopping test stops at the exact sum's sweep."""
+    """The BLAS-dot stopping test, against its references."""
 
     def test_threshold_on_the_exact_sum(self):
         sig = three_tone(768)
@@ -441,17 +512,30 @@ class TestStoppingRule:
             prev_alpha = alpha
 
     @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
-    def test_exact_sum_on_every_sweep(self, monkeypatch, n, tau, alpha, tolerance, max_iters):
-        # An infinite margin sends every sweep's decision to the exact sum.
-        monkeypatch.setattr(vmd, "_STOP_MARGIN", math.inf)
+    def test_exact_sum_on_every_sweep(self, n, tau, alpha, tolerance, max_iters):
+        # The literal sweep stops on the exact sum of np.abs(delta) ** 2,
+        # taken on every sweep; the core's dot stops at the same sweep.
         params = VmdParams(K=4, alpha=alpha, tau=tau, tolerance=tolerance, max_iters=max_iters)
-        assert_matches_allocating_reference(three_tone(n), FS, params)
+        assert_agrees_with_literal_sweep(three_tone(n), FS, params)
+
+    def test_literal_sweep_on_the_benchmark_alpha_path(self):
+        sig, fs, params, gates = relaxed_recovery_window()
+        path = select_alpha(sig, fs, params, gates).path
+        assert len(path) == 7
+        ms = prev_alpha = None
+        for alpha, _, _ in path:
+            ms = assert_agrees_with_literal_sweep(
+                sig, fs, replace(params, alpha=alpha), *warm_start(ms, prev_alpha, alpha)
+            )
+            prev_alpha = alpha
 
     def test_threshold_below_underflow_floor(self):
         sig = three_tone(768) * 1e-150
         params = VmdParams(K=4)
-        # Every sweep's threshold is at most tolerance times the spectral power.
-        assert params.tolerance * np.sum(np.abs(np.fft.fft(sig)) ** 2) < vmd._STOP_EXACT_BELOW
+        # Every sweep's threshold is at most tolerance times the spectral
+        # power, below 1e-250: the squares of the change's small parts
+        # underflow.
+        assert params.tolerance * np.sum(np.abs(np.fft.fft(sig)) ** 2) < 1e-250
         assert_matches_allocating_reference(sig, FS, params)
 
 

@@ -7,8 +7,8 @@ The revision is exported with ``git archive`` into a temporary directory.
 Each pair runs ``perfbench/run.py --trace 0`` once on that tree (the base)
 and once on the working tree (the change), on the pair's own seed; which side
 runs first alternates from pair to pair. ``BENCH_<tag>.json`` records every
-run's end-to-end metrics, each side's median and quartiles per metric, and
-per metric how many pairs the change won, lost and tied. A metric shows a
+run's end-to-end metrics, each side's median, quartiles and minimum per
+metric, and per metric how many pairs the change won, lost and tied. A metric shows a
 gain when the change wins at least nine pairs in ten and its median beats the
 base's by more than the distance between the base's quartiles.
 
@@ -65,10 +65,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
 
 
 def spread(values: list[float]) -> dict:
-    """Median and quartiles (inclusive method; one value is its own quartiles)."""
+    """Median, quartiles (inclusive method; one value is its own quartiles) and minimum."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else (values[0],) * 3
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "min": min(values)}
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
