@@ -32,7 +32,7 @@ from .signal_model import (
 TRACE_HEADER = "time_s,displacement_mm"
 HR_HEADER = "time_s,hr_bpm,l_b_s,flag"
 MODES_HEADER = (
-    "window_start_s,mode_idx,omega_hz,energy_share,label,peak_freq_hz,energy"
+    "window_start_s,mode_idx,omega_hz,energy_share,label,peak_freq_hz,energy,merged_from"
 )
 _CUBE_MAGIC = "hrrkit-cube v1"
 
@@ -271,13 +271,18 @@ def write_report(report: HrrReport, path: str | Path) -> None:
 
 
 def write_mode_dump(series: HrSeries, path: str | Path) -> None:
-    """Per-window mode table: center frequency, energy share, and label."""
+    """Per-window mode table: center frequency, energy share, and label.
+
+    ``merged_from`` lists the modes of the window's unmerged decomposition
+    that a row sums, joined by "+" (for example ``1+4``).
+    """
     lines = [MODES_HEADER]
     for k in sorted(series.window_results):
         for row in series.window_results[k].mode_table:
             lines.append(
                 f"{row['window_start_s']:.3f},{row['mode_idx']},"
                 f"{row['omega_hz']:.4f},{row['energy_share']:.6e},"
-                f"{row['label']},{row['peak_freq_hz']:.4f},{row['energy']:.6e}"
+                f"{row['label']},{row['peak_freq_hz']:.4f},{row['energy']:.6e},"
+                f"{'+'.join(map(str, row['merged_from']))}"
             )
     Path(path).write_text("\n".join(lines) + "\n")

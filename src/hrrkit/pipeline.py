@@ -46,12 +46,14 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             gates=gates,
             alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
             ratio_tol=cfg.alpha_ratio_tol,
+            merge_hz=cfg.merge_hz,
         )
         ms, alpha = search.modes, search.alpha
         labels, hb_index = classify_modes(ms, select_cfg)
         if hb_index is None:
             return WindowResult(t0, None, alpha=alpha, status="no_heartbeat")
         total_energy = max(ms.input_energy, 1e-300)
+        merged_from = ms.merged_from or tuple((i,) for i in range(ms.n_modes))
         table = [
             {
                 "window_start_s": t0,
@@ -65,6 +67,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
                 "r_max": search.r_max,
                 "p": search.p,
                 "coincident": lb.label == "heartbeat" and lb.harmonic_order is not None,
+                "merged_from": merged_from[lb.mode_index],
             }
             for lb in labels
         ]

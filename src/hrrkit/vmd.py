@@ -43,6 +43,13 @@ before's, the mode spectra go along in the same order too. The source paper
 does not specify the VMD initialisation. The bisection rule, the gates and
 the least-violating fallback are the same as with a cold start at every
 step.
+
+While the heart rate recovers, the heartbeat can split into two converged
+modes a few hundredths of a Hz apart. Such a pair is highly correlated, so
+it fails mu1 at every alpha the search tries. With ``merge_hz`` set,
+``select_alpha`` first sums modes closer than that (``merge_close_modes``)
+and judges the gates on the merged set, a departure from the paper, which
+gates the K modes as they come.
 """
 from __future__ import annotations
 
@@ -134,8 +141,12 @@ class ModeSet:
     n_iters: int
     # (K, P) one-sided spectra of the mirrored window, aligned with mode
     # order, over the swept bins only (those below VmdParams.max_freq); None
-    # on a set not built by vmd_decompose.
+    # on a set not built by vmd_decompose or merge_close_modes.
     spectra: np.ndarray | None = None
+    # On a set built by merge_close_modes: for each mode, the indices of the
+    # modes of the unmerged set that it sums, ascending. None elsewhere,
+    # where each mode is its own.
+    merged_from: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def n_modes(self) -> int:
@@ -319,6 +330,43 @@ def vmd_decompose(
     )
 
 
+def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
+    """Sum each chain of modes whose center frequencies are close into one.
+
+    The modes are taken in ascending center frequency, and each run of
+    neighbours less than ``width_hz`` apart, a chain, becomes one mode: the
+    sum of their modes, at their energy-weighted center frequency, with
+    their spectra rows summed. The merged modes are ordered by descending
+    energy and ``residual`` is recomputed as ``input - modes.sum(axis=0)``,
+    so the ModeSet invariant holds exactly. ``merged_from`` names the modes
+    of ``ms`` that each merged mode sums. With no pair closer than
+    ``width_hz``, which a width of 0 guarantees, ``ms`` itself comes back.
+    """
+    order = np.argsort(ms.center_freqs, kind="stable")
+    breaks = np.flatnonzero(np.diff(ms.center_freqs[order]) >= width_hz) + 1
+    if len(breaks) == ms.n_modes - 1:
+        return ms
+    chains = np.split(order, breaks)
+    energies = ms.mode_energies
+    modes = np.array([ms.modes[c].sum(axis=0) for c in chains])
+    # A chain of all-zero modes has no energy to weight by; it takes the mean.
+    center_freqs = np.array([
+        np.average(ms.center_freqs[c], weights=energies[c] if energies[c].any() else None)
+        for c in chains
+    ])
+    spectra = None if ms.spectra is None else np.array([ms.spectra[c].sum(axis=0) for c in chains])
+    by_energy = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
+    modes = modes[by_energy]
+    return replace(
+        ms,
+        modes=modes,
+        center_freqs=center_freqs[by_energy],
+        residual=ms.input_signal - modes.sum(axis=0),
+        spectra=None if spectra is None else spectra[by_energy],
+        merged_from=tuple(tuple(sorted(int(i) for i in chains[j])) for j in by_energy),
+    )
+
+
 def mode_correlation_max(ms: ModeSet) -> float:
     """Largest |Pearson r| over mode pairs, the aliasing diagnostic.
 
@@ -366,8 +414,9 @@ class AlphaSearch:
 
     ``alpha``, ``modes``, ``r_max`` and ``p`` describe the first
     decomposition that passed both gates or, when ``feasible`` is False, the
-    least-violating one. ``path`` holds one ``(alpha, r_max, p)`` tuple per
-    decomposition, in search order.
+    least-violating one; with a merge width set, ``modes`` is its merged set.
+    ``path`` holds one ``(alpha, r_max, p)`` tuple per decomposition, in
+    search order.
     """
 
     alpha: float
@@ -385,6 +434,7 @@ def select_alpha(
     gates: GateThresholds = GateThresholds(),
     alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
     ratio_tol: float = ALPHA_RATIO_TOL,
+    merge_hz: float = 0.0,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
 
@@ -401,12 +451,20 @@ def select_alpha(
     sweeps because neighbouring alphas settle on nearby frequencies. When
     the two alphas are within a factor of ``_SPECTRA_WARM_RATIO``, the
     previous step's mode spectra go along in the same order.
+
+    With ``merge_hz`` > 0, each decomposition's modes closer than that, in
+    Hz, are summed by ``merge_close_modes`` before the gates judge them, and
+    the merged set is the one returned. The next step still starts from the
+    unmerged decomposition. The default, 0, merges nothing: the published
+    search.
     """
     check_alpha_bracket(alpha_range, ratio_tol)
+    if not merge_hz >= 0.0:
+        raise ValueError(f"merge_hz must be >= 0, got {merge_hz}")
     lo, hi = alpha_range
     path = []
     best = None   # (violation, alpha, modes, r_max, p) of the least-violating attempt
-    ms = None   # the step before's decomposition, at alpha path[-1][0]
+    ms = None   # the step before's unmerged decomposition, at alpha path[-1][0]
     while True:
         mid = math.sqrt(lo * hi)
         init_freqs = init_spectra = None
@@ -418,16 +476,17 @@ def select_alpha(
                 init_spectra = ms.spectra[order]
         ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
                            init_freqs=init_freqs, init_spectra=init_spectra)
-        r = mode_correlation_max(ms)
-        p = energy_loss(ms)
+        gated = merge_close_modes(ms, merge_hz)
+        r = mode_correlation_max(gated)
+        p = energy_loss(gated)
         path.append((mid, r, p))
         if r <= gates.mu1 and p <= gates.mu2:
-            return AlphaSearch(mid, ms, r, p, True, path)
+            return AlphaSearch(mid, gated, r, p, True, path)
         violation = max(r / gates.mu1 - 1.0, 0.0) + (
             max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
         )
         if best is None or violation < best[0]:
-            best = (violation, mid, ms, r, p)
+            best = (violation, mid, gated, r, p)
         if p > gates.mu2:
             hi = mid
         else:

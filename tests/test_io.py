@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from hrrkit.errors import InputError
+from hrrkit.hr_estimate import HrSeries, WindowResult
 from hrrkit.io import (
+    MODES_HEADER,
     read_cube,
     read_trace,
     write_cube,
+    write_mode_dump,
     write_trace,
 )
 from hrrkit.radar import RadarConfig, Target, TargetScene, simulate_frames
@@ -220,3 +223,25 @@ class TestCubeFile:
         write_cube(simulate_frames(RadarConfig(), scene, 2.0, 3), a)
         write_cube(simulate_frames(RadarConfig(), scene, 2.0, 3), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def mode_row(mode_idx, merged_from, label, energy):
+    return {"window_start_s": 8.0, "mode_idx": mode_idx, "omega_hz": 2.17,
+            "energy_share": 0.25, "label": label, "peak_freq_hz": 2.175,
+            "energy": energy, "merged_from": merged_from}
+
+
+class TestModeDump:
+    def test_rows_name_the_modes_they_merge(self, tmp_path):
+        window = WindowResult(8.0, None, alpha=3162.0, status="degenerate", mode_table=[
+            mode_row(0, (0,), "respiration", 4.0),
+            mode_row(1, (1, 4), "heartbeat", 1.5),
+        ])
+        path = tmp_path / "modes.csv"
+        write_mode_dump(HrSeries([], 1.0, {1: window, 0: WindowResult(0.0, None)}), path)
+        assert MODES_HEADER.endswith(",energy,merged_from")
+        assert path.read_text().splitlines() == [
+            MODES_HEADER,
+            "8.000,0,2.1700,2.500000e-01,respiration,2.1750,4.000000e+00,0",
+            "8.000,1,2.1700,2.500000e-01,heartbeat,2.1750,1.500000e+00,1+4",
+        ]

@@ -12,8 +12,14 @@ seed_table = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(seed_table)
 
 
-def side(mae, sweeps=100, seeds=(120, 121, 122)):
-    return {"seeds": list(seeds), "mae_bpm": mae, "admm_sweeps": sweeps}
+def side(mae, sweeps=100, seeds=(120, 121, 122), max_err=None, hrr60_err=None, relaxed=None):
+    """One side's child output; the other metrics default to multiples of the MAE."""
+    def scaled(k):
+        return [None if v is None else k * v for v in mae]
+
+    return {"seeds": list(seeds), "mae_bpm": mae,
+            "max_err_bpm": max_err or scaled(4.0), "hrr60_err_bpm": hrr60_err or scaled(2.0),
+            "gates_relaxed_share": relaxed or scaled(0.1), "admm_sweeps": sweeps}
 
 
 class TestCompare:
@@ -40,14 +46,46 @@ class TestTable:
         assert (row["base"]["admm_sweeps"], row["change"]["admm_sweeps"]) == (300, 200)
         assert (row["better"], row["worse"], row["equal"]) == (1, 1, 1)
 
+    def test_max_error_hrr60_error_and_relaxed_share_per_seed_and_mean(self):
+        results = {
+            "base": {"s": side([1.0, 1.2, 0.9], max_err=[9.2, 3.0, 2.0],
+                               hrr60_err=[2.5, 0.5, 0.3], relaxed=[0.5, 0.25, 0.0])},
+            "change": {"s": side([1.0, 1.1, 0.9], max_err=[2.9, 2.5, 2.0],
+                                 hrr60_err=[0.1, 0.2, 0.3], relaxed=[0.0, 0.25, 0.0])},
+        }
+        row = seed_table.table(results)["s"]
+        base, change = row["base"], row["change"]
+        assert base["max_err_bpm"] == [9.2, 3.0, 2.0]
+        assert change["hrr60_err_bpm"] == [0.1, 0.2, 0.3]
+        assert (base["worst_max_err_bpm"], change["worst_max_err_bpm"]) == (9.2, 2.9)
+        assert base["mean_hrr60_err_bpm"] == pytest.approx(1.1)
+        assert change["mean_hrr60_err_bpm"] == pytest.approx(0.2)
+        assert base["mean_gates_relaxed_share"] == pytest.approx(0.25)
+        assert change["gates_relaxed_share"] == [0.0, 0.25, 0.0]
+        # Seeds are still counted better or worse on MAE alone.
+        assert (row["better"], row["worse"], row["equal"]) == (1, 0, 2)
+
     def test_failed_seeds_are_left_out_of_the_stats(self):
         results = {"base": {"s": side([1.0, None, 3.0])}, "change": {"s": side([None] * 3)}}
         row = seed_table.table(results)["s"]
         assert (row["base"]["mean_mae_bpm"], row["base"]["failed"]) == (2.0, 1)
+        assert row["base"]["mean_hrr60_err_bpm"] == 4.0
         assert math.isnan(row["change"]["mean_mae_bpm"]) and row["change"]["failed"] == 3
+        assert math.isnan(row["change"]["worst_max_err_bpm"])
 
     def test_sides_on_different_seeds_raise(self):
         results = {"base": {"s": side([1.0] * 3)},
                    "change": {"s": side([1.0] * 3, seeds=(1, 2, 3))}}
         with pytest.raises(RuntimeError, match="different seeds"):
             seed_table.table(results)
+
+
+def test_child_scores_every_seed_of_a_scenario():
+    proc = seed_table.start_side(seed_table.ROOT, 3, ["zero_noise_no_harmonics"])
+    row = seed_table.finish_side(proc, "change")["zero_noise_no_harmonics"]
+    assert row["seeds"] == [110, 111, 112]
+    for metric in seed_table.METRICS:
+        assert len(row[metric]) == 3 and None not in row[metric]
+    assert all(m <= e for m, e in zip(row["mae_bpm"], row["max_err_bpm"]))
+    assert all(0.0 <= share <= 1.0 for share in row["gates_relaxed_share"])
+    assert row["admm_sweeps"] > 0

@@ -12,6 +12,7 @@ from hrrkit.vmd import (
     ModeSet,
     VmdParams,
     energy_loss,
+    merge_close_modes,
     mode_correlation_max,
     select_alpha,
     vmd_decompose,
@@ -678,6 +679,76 @@ class TestGateDiagnostics:
             energy_loss(ms)
 
 
+def tone_modeset(freqs, amps, spectra_bins=16):
+    """Tones at ``freqs`` Hz with amplitudes ``amps`` as a ModeSet in that
+    order, their center frequencies set to ``freqs``, plus noise in the
+    residual and random spectra rows."""
+    rng = np.random.default_rng(7)
+    modes = np.array([tone(f, FS, DURATION, amp=a, phase=f) for f, a in zip(freqs, amps)])
+    ms = modeset_from(modes, residual=0.01 * rng.standard_normal(modes.shape[1]))
+    ms.center_freqs = np.array(freqs, dtype=float)
+    ms.spectra = (rng.standard_normal((len(freqs), spectra_bins))
+                  + 1j * rng.standard_normal((len(freqs), spectra_bins)))
+    return ms
+
+
+class TestMergeCloseModes:
+    # Mode 1 at 1.0 Hz, 3 at 1.1 and 2 at 1.2 chain at 0.15 Hz, though 1.0
+    # and 1.2 are 0.2 Hz apart; modes 0 and 4 stand alone.
+    FREQS = [0.35, 1.0, 1.2, 1.1, 2.5]
+    AMPS = [1.0, 0.5, 0.2, 0.4, 0.1]
+
+    def test_chain_of_close_neighbours_merges_into_one_mode(self):
+        ms = tone_modeset(self.FREQS, self.AMPS)
+        merged = merge_close_modes(ms, 0.15)
+        assert merged.n_modes == 3
+        assert merged.merged_from == ((0,), (1, 2, 3), (4,))
+        assert np.array_equal(merged.modes[1], ms.modes[[1, 3, 2]].sum(axis=0))
+        assert np.array_equal(merged.modes[[0, 2]], ms.modes[[0, 4]])
+        assert np.array_equal(merged.center_freqs[[0, 2]], [0.35, 2.5])
+        assert (merged.converged, merged.n_iters) == (ms.converged, ms.n_iters)
+
+    def test_merged_center_frequency_is_energy_weighted(self):
+        ms = tone_modeset(self.FREQS, self.AMPS)
+        energies = ms.mode_energies[[1, 2, 3]]
+        expected = np.dot(energies, [1.0, 1.2, 1.1]) / energies.sum()
+        center = merge_close_modes(ms, 0.15).center_freqs[1]
+        assert center == pytest.approx(expected, rel=1e-12)
+        assert center != pytest.approx(np.mean([1.0, 1.2, 1.1]), rel=1e-3)
+
+    def test_residual_keeps_the_reconstruction_identity_exact(self):
+        ms = tone_modeset(self.FREQS, self.AMPS)
+        merged = merge_close_modes(ms, 0.15)
+        assert np.all(merged.input_signal - merged.modes.sum(axis=0) - merged.residual == 0.0)
+        assert energy_loss(merged) == pytest.approx(energy_loss(ms), rel=1e-9)
+
+    def test_merged_spectra_are_the_summed_rows(self):
+        ms = tone_modeset(self.FREQS, self.AMPS)
+        merged = merge_close_modes(ms, 0.15)
+        np.testing.assert_allclose(merged.spectra[1], ms.spectra[[1, 2, 3]].sum(axis=0),
+                                   rtol=1e-14, atol=0)
+        assert np.array_equal(merged.spectra[[0, 2]], ms.spectra[[0, 4]])
+
+    def test_modes_come_back_ordered_by_energy(self):
+        # The chain outweighs the 0.35 Hz mode once summed.
+        ms = tone_modeset(self.FREQS, [0.6, 0.5, 0.2, 0.4, 0.1])
+        merged = merge_close_modes(ms, 0.15)
+        assert merged.merged_from == ((1, 2, 3), (0,), (4,))
+        assert np.all(np.diff(merged.mode_energies) <= 0)
+
+    def test_a_split_pair_no_longer_fails_the_correlation_gate(self):
+        ms = tone_modeset([0.35, 2.17, 2.18], [1.0, 0.2, 0.2])
+        assert mode_correlation_max(ms) > 0.2
+        assert mode_correlation_max(merge_close_modes(ms, 0.15)) <= 0.2
+
+    @pytest.mark.parametrize("width_hz", [0.0, 0.05, 0.09])
+    def test_nothing_within_the_width_comes_back_unchanged(self, width_hz):
+        ms = tone_modeset(self.FREQS, self.AMPS)
+        merged = merge_close_modes(ms, width_hz)
+        assert merged is ms
+        assert merged.merged_from is None
+
+
 def warm_start(prev_ms, prev_alpha, alpha):
     """The ``(init_freqs, init_spectra)`` a search step at ``alpha`` starts from.
 
@@ -705,14 +776,17 @@ class ReferenceInfeasible(Exception):
 
 
 def raising_reference(signal, sample_rate, params, gates, alphas,
-                      alpha_range=(10.0, 1e6), ratio_tol=1.1):
+                      alpha_range=(10.0, 1e6), ratio_tol=1.1, merge_hz=None):
     """The alpha search as it was when exhaustion raised; test-only.
 
     Returns ``(alpha, modes)`` of the first feasible decomposition, raises
     ReferenceInfeasible with the least-violating attempt once the bracket is
     exhausted, and appends every tried alpha to ``alphas``. Each step after
-    the first starts from the step before, as ``warm_start`` gives it.
-    ``select_alpha`` must reproduce it bit for bit.
+    the first starts from the step before, as ``warm_start`` gives it. With
+    ``merge_hz`` set, the gates judge, and the search returns, each
+    decomposition's ``merge_close_modes`` set, while the next step still
+    starts from the unmerged one. ``select_alpha`` must reproduce it bit for
+    bit.
     """
     lo, hi = alpha_range
     best_r, best_p = math.inf, math.inf
@@ -730,13 +804,14 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
         ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
                            init_freqs=init_freqs, init_spectra=init_spectra)
         prev_alpha = mid
-        r = mode_correlation_max(ms)
-        p = energy_loss(ms)
+        gated = ms if merge_hz is None else merge_close_modes(ms, merge_hz)
+        r = mode_correlation_max(gated)
+        p = energy_loss(gated)
         alphas.append(mid)
         if best is None or violation(r, p) < violation(best_r, best_p):
-            best_r, best_p, best = r, p, (mid, ms)
+            best_r, best_p, best = r, p, (mid, gated)
         if r <= gates.mu1 and p <= gates.mu2:
-            return mid, ms
+            return mid, gated
         if p > gates.mu2:
             hi = mid
         else:
@@ -745,11 +820,18 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
             raise ReferenceInfeasible(best_r, best_p, best[0], best[1])
 
 
-def relaxed_recovery_window():
-    """The first 16 s analysis window of recovery seed 120, whose gates relax."""
+def recovery_window(start_s):
+    """The 16 s analysis window of recovery seed 120 from ``start_s``."""
     prepared = preprocess_trace(noisy_recovery(120), PipelineConfig())
     fs = prepared.sample_rate
-    return prepared.samples[: round(16.0 * fs)], fs, VmdParams(), GateThresholds()
+    first = round(start_s * fs)
+    return prepared.samples[first : first + round(16.0 * fs)], fs, VmdParams(), GateThresholds()
+
+
+def relaxed_recovery_window():
+    """The first analysis window of recovery seed 120, whose gates relax
+    unless its split heartbeat is merged."""
+    return recovery_window(0.0)
 
 
 SEARCH_CASES = {
@@ -759,6 +841,30 @@ SEARCH_CASES = {
     ),
     "relaxed_recovery_window": relaxed_recovery_window,
 }
+
+
+def assert_matches_raising_reference(case, **kwargs):
+    """Run ``select_alpha`` on a search case, with ``kwargs``, and check it
+    against ``raising_reference`` bit for bit; return the search."""
+    signal, fs, params, gates = SEARCH_CASES[case]()
+    search = select_alpha(signal, fs, params, gates, **kwargs)
+    ref_alphas = []
+    try:
+        alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas)
+        raised = False
+    except ReferenceInfeasible as exc:
+        alpha, modes = exc.best_alpha, exc.best_modeset
+        assert (search.r_max, search.p) == (exc.best_r_max, exc.best_p)
+        raised = True
+    assert search.feasible == (not raised) == (case == "feasible_two_tone")
+    assert search.alpha == alpha
+    assert np.array_equal(search.modes.modes, modes.modes)
+    assert np.array_equal(search.modes.center_freqs, modes.center_freqs)
+    # The window stage used to recompute both diagnostics on the chosen modes.
+    assert search.r_max == mode_correlation_max(modes)
+    assert search.p == energy_loss(modes)
+    assert [a for a, _, _ in search.path] == ref_alphas
+    return search
 
 
 class TestSelectAlpha:
@@ -799,24 +905,45 @@ class TestSelectAlpha:
 
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
     def test_matches_raising_reference_bit_for_bit(self, case):
-        signal, fs, params, gates = SEARCH_CASES[case]()
-        search = select_alpha(signal, fs, params, gates)
+        assert_matches_raising_reference(case)
+
+    # A merge width of 0 is the published search, as is leaving it out.
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_zero_merge_width_matches_raising_reference_bit_for_bit(self, case):
+        assert assert_matches_raising_reference(case, merge_hz=0.0).modes.merged_from is None
+
+    def test_merged_search_matches_raising_reference_bit_for_bit(self):
+        # The second window of seed 120 merges a split heartbeat on its
+        # steps 2-5 and passes both gates on step 5, so steps 3-5 show that
+        # each step starts from the unmerged decomposition before it.
+        signal, fs, params, gates = recovery_window(8.0)
+        search = select_alpha(signal, fs, params, gates, merge_hz=0.15)
         ref_alphas = []
-        try:
-            alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas)
-            raised = False
-        except ReferenceInfeasible as exc:
-            alpha, modes = exc.best_alpha, exc.best_modeset
-            assert (search.r_max, search.p) == (exc.best_r_max, exc.best_p)
-            raised = True
-        assert search.feasible == (not raised) == (case == "feasible_two_tone")
+        alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas, merge_hz=0.15)
+        assert search.feasible
+        assert len(search.path) == 5
+        assert modes.merged_from is not None
         assert search.alpha == alpha
         assert np.array_equal(search.modes.modes, modes.modes)
         assert np.array_equal(search.modes.center_freqs, modes.center_freqs)
-        # The window stage used to recompute both diagnostics on the chosen modes.
-        assert search.r_max == mode_correlation_max(modes)
-        assert search.p == energy_loss(modes)
+        assert search.modes.merged_from == modes.merged_from
+        assert (search.r_max, search.p) == (mode_correlation_max(modes), energy_loss(modes))
         assert [a for a, _, _ in search.path] == ref_alphas
+
+    def test_merge_makes_the_relaxed_window_feasible(self):
+        signal, fs, params, gates = relaxed_recovery_window()
+        search = select_alpha(signal, fs, params, gates, merge_hz=0.15)
+        assert search.feasible
+        assert search.modes.n_modes < params.K
+
+    @pytest.mark.parametrize("merge_hz", [-0.1, math.nan])
+    def test_bad_merge_width_raises_before_decomposing(self, monkeypatch, merge_hz):
+        def no_decomposition(*args):
+            raise AssertionError("decomposed before checking the merge width")
+
+        monkeypatch.setattr(vmd, "vmd_decompose", no_decomposition)
+        with pytest.raises(ValueError, match="merge_hz must be >= 0"):
+            select_alpha(two_tone(), FS, VmdParams(K=2), merge_hz=merge_hz)
 
     def test_warm_search_takes_fewer_sweeps_than_cold_steps(self, monkeypatch):
         sig, fs, params, gates = relaxed_recovery_window()

@@ -6,10 +6,18 @@ The revision is exported with ``git archive`` into a temporary directory, as
 ``tools/bench_pairs.py`` does. Each side runs ``default_scenarios(repetitions=N)``
 from its own tree's package, both sides at once, one BLAS thread each.
 ``SEEDS_<tag>.json`` records, per scenario and side, every seed's mean
-absolute HR error, the mean and worst of them, and the ADMM sweeps the
-scenario took; and per scenario how many seeds the change made better,
-worse or left equal. A seed whose run failed on one side only counts as
-worse for that side. ``--scenario`` (repeatable) runs a subset.
+absolute HR error, max error, hrr60 error and share of ``gates_relaxed``
+windows, the mean and worst of each, and the ADMM sweeps the scenario took;
+and per scenario how many seeds the change made better, worse or left equal
+in MAE. A seed whose run failed on one side only counts as worse for that
+side. ``--scenario`` (repeatable) runs a subset.
+
+The errors are perfbench's ``hr_accuracy``: the max error is the largest
+|HR - truth| over the series, and the hrr60 error is |reported hrr_60 - true
+HRR|, the true HRR being truth(first non-carried point) - truth(60 s). On a
+scene of several subjects a seed's max error is the largest of theirs, its
+hrr60 error their mean (as its MAE is), and its relaxed share counts all of
+their windows.
 """
 from __future__ import annotations
 
@@ -24,16 +32,25 @@ from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, export_tree, git
 
+# Per-seed lists each side reports, MAE first; SEEDS_<tag>.json gives each a
+# mean and a worst.
+METRICS = ("mae_bpm", "max_err_bpm", "hrr60_err_bpm", "gates_relaxed_share")
+
 # Runs in each tree with that tree's package first on the path. It counts
-# ADMM sweeps by rebinding vmd_decompose where select_alpha looks it up, and
-# prints one JSON object per scenario.
-CHILD = r"""
+# ADMM sweeps by rebinding vmd_decompose where select_alpha looks it up,
+# scores each estimate by rebinding estimate_trace where run_scenario looks
+# it up, and prints one JSON object per scenario. run_scenario seeds subject
+# si of a repetition with seed + 1000 * si, which is how the estimates are
+# matched to their repetition.
+CHILD = f"METRICS = {METRICS!r}\n" + r"""
 import json, math, sys
+import numpy as np
 from hrrkit import evaluate, vmd
+from hrrkit.hr_estimate import FLAG_CARRY
 
 reps, names = int(sys.argv[1]), set(sys.argv[2:])
-decompose = vmd.vmd_decompose
-sweeps = 0
+decompose, estimate = vmd.vmd_decompose, evaluate.estimate_trace
+sweeps, scored = 0, {}
 
 def counting(*args, **kwargs):
     global sweeps
@@ -41,16 +58,38 @@ def counting(*args, **kwargs):
     sweeps += ms.n_iters
     return ms
 
-vmd.vmd_decompose = counting
+def scoring(trace, *args, **kwargs):
+    series, report = estimate(trace, *args, **kwargs)
+    truth = trace.ground_truth.heartbeat.rate_trajectory
+    t_first = next(p.time for p in series.points if p.flag != FLAG_CARRY)
+    statuses = [w.status for w in series.window_results.values()]
+    scored[trace.ground_truth.seed] = (
+        float(np.max(np.abs(series.hr_bpm - np.asarray(truth(series.times), dtype=float)))),
+        abs(report.hrr_60 - float(truth(t_first) - truth(60.0))),
+        statuses.count("gates_relaxed"),
+        len(statuses),
+    )
+    return series, report
+
+vmd.vmd_decompose, evaluate.estimate_trace = counting, scoring
 for scenario in evaluate.default_scenarios(repetitions=reps):
     if names and scenario.name not in names:
         continue
-    sweeps = 0
+    sweeps, scored = 0, {}
     rows = evaluate.run_scenario(scenario)
+    columns = []
+    for r in rows:
+        if math.isnan(r.delta_hr_bpm):
+            columns.append([None] * len(METRICS))
+            continue
+        max_err, hrr60_err, relaxed, windows = zip(
+            *(scored[r.seed + 1000 * si] for si in range(len(scenario.subjects))))
+        columns.append([r.delta_hr_bpm, max(max_err), sum(hrr60_err) / len(hrr60_err),
+                        sum(relaxed) / sum(windows)])
     print(json.dumps({
         "scenario": scenario.name,
         "seeds": [r.seed for r in rows],
-        "mae_bpm": [None if math.isnan(r.delta_hr_bpm) else r.delta_hr_bpm for r in rows],
+        **{m: list(v) for m, v in zip(METRICS, zip(*columns))},
         "admm_sweeps": sweeps,
     }), flush=True)
 """
@@ -72,13 +111,15 @@ def finish_side(proc: subprocess.Popen, side: str) -> dict:
     return {row["scenario"]: row for row in map(json.loads, out.splitlines())}
 
 
-def side_stats(mae: list) -> dict:
-    ok = [v for v in mae if v is not None]
-    return {
-        "mean_mae_bpm": sum(ok) / len(ok) if ok else math.nan,
-        "worst_mae_bpm": max(ok) if ok else math.nan,
-        "failed": len(mae) - len(ok),
-    }
+def side_stats(row: dict) -> dict:
+    """Mean and worst of each metric over the seeds that ran, and the failures."""
+    stats = {}
+    for metric in METRICS:
+        ok = [v for v in row[metric] if v is not None]
+        stats[f"mean_{metric}"] = sum(ok) / len(ok) if ok else math.nan
+        stats[f"worst_{metric}"] = max(ok) if ok else math.nan
+    stats["failed"] = row["mae_bpm"].count(None)
+    return stats
 
 
 def compare(base: list, change: list) -> dict:
@@ -95,7 +136,8 @@ def compare(base: list, change: list) -> dict:
 
 
 def table(results: dict) -> dict:
-    """Per scenario: each side's per-seed MAE, mean, worst and sweeps, and the seed counts."""
+    """Per scenario: each side's per-seed metrics, their means and worsts and
+    the sweeps, and the seed counts."""
     scenarios = {}
     for name, base in results["base"].items():
         change = results["change"][name]
@@ -103,8 +145,8 @@ def table(results: dict) -> dict:
             raise RuntimeError(f"{name}: the sides ran different seeds")
         scenarios[name] = {
             "seeds": base["seeds"],
-            **{side: {"mae_bpm": results[side][name]["mae_bpm"],
-                      **side_stats(results[side][name]["mae_bpm"]),
+            **{side: {**{m: results[side][name][m] for m in METRICS},
+                      **side_stats(results[side][name]),
                       "admm_sweeps": results[side][name]["admm_sweeps"]}
                for side in SIDES},
             **compare(base["mae_bpm"], change["mae_bpm"]),
@@ -144,6 +186,10 @@ def main(argv=None) -> int:
         b, c = s["base"], s["change"]
         print(f"{name}: mean {b['mean_mae_bpm']:.3f} -> {c['mean_mae_bpm']:.3f}, "
               f"worst {b['worst_mae_bpm']:.3f} -> {c['worst_mae_bpm']:.3f} bpm; "
+              f"max error {b['worst_max_err_bpm']:.2f} -> {c['worst_max_err_bpm']:.2f}, "
+              f"hrr60 error {b['mean_hrr60_err_bpm']:.3f} -> {c['mean_hrr60_err_bpm']:.3f} bpm, "
+              f"relaxed {b['mean_gates_relaxed_share']:.0%} -> "
+              f"{c['mean_gates_relaxed_share']:.0%}; "
               f"better/worse/equal {s['better']}/{s['worse']}/{s['equal']}; "
               f"sweeps {b['admm_sweeps']} -> {c['admm_sweeps']}")
     print(f"wrote {out}")
