@@ -24,13 +24,6 @@ from .vmd import ALPHA_HI, ALPHA_LO, ALPHA_RATIO_TOL, GateThresholds, VmdParams,
 SWEEP_EDGE_FLOOR_HZ = 25.0
 SWEEP_EDGE_PASS_MULTIPLE = 4.0
 
-# The alpha search merges modes closer than this, in Hz, before its gates. A
-# recovering heartbeat splits into modes 0.01-0.09 Hz apart; 0.08 Hz leaves
-# some splits whole. The width stays below the respiration band's floor,
-# resp_lo = 0.167 Hz, so a slow breather's fundamental and 2nd harmonic stay
-# apart.
-MERGE_HZ = 0.15
-
 
 @dataclass
 class PipelineConfig:
@@ -56,14 +49,12 @@ class PipelineConfig:
     # gates
     mu1: float = GateThresholds.mu1
     mu2: float = GateThresholds.mu2
-    merge_hz: float = MERGE_HZ
     # mode selection
     resp_lo: float = ModeSelectConfig.respiration_band[0]
     resp_hi: float = ModeSelectConfig.respiration_band[1]
     hr_lo: float = ModeSelectConfig.hr_band[0]
     hr_hi: float = ModeSelectConfig.hr_band[1]
     harmonic_tol: float = ModeSelectConfig.harmonic_tol
-    harmonic_max_order: int = ModeSelectConfig.harmonic_max_order
     noise_prominence: float = ModeSelectConfig.noise_prominence
     noise_oob_fraction: float = ModeSelectConfig.noise_oob_fraction
     peak_band_halfwidth: float = ModeSelectConfig.peak_band_halfwidth
@@ -93,8 +84,6 @@ class PipelineConfig:
             check_alpha_bracket((self.alpha_lo, self.alpha_hi), self.alpha_ratio_tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.merge_hz >= 0:
-            raise ConfigError(f"merge_hz must be >= 0, got {self.merge_hz}")
         if not 0 < self.carry_limit <= 1:
             raise ConfigError(f"carry_limit must be in (0, 1], got {self.carry_limit}")
         if not self.smooth_window > 0:
@@ -123,7 +112,6 @@ class PipelineConfig:
             respiration_band=(self.resp_lo, self.resp_hi),
             hr_band=(self.hr_lo, self.hr_hi),
             harmonic_tol=self.harmonic_tol,
-            harmonic_max_order=self.harmonic_max_order,
             noise_prominence=self.noise_prominence,
             noise_oob_fraction=self.noise_oob_fraction,
             peak_band_halfwidth=self.peak_band_halfwidth,

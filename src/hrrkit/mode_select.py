@@ -3,7 +3,7 @@
 Classification per window proceeds in frequency-domain terms: modes with
 broad spectra and weak peaks are noise; the strongest in-band low-frequency
 mode is respiration; modes whose peaks sit at integer multiples of the
-respiratory peak, up to ``harmonic_max_order``, are harmonics and excluded;
+respiratory peak, up to ``_HARMONIC_MAX_ORDER``, are harmonics and excluded;
 the heartbeat is the strongest remaining in-band peak. When the heart rate
 lands exactly on a respiratory multiple the heartbeat and harmonic merge
 into one mode, in which case the highest-energy in-band harmonic is taken
@@ -25,17 +25,18 @@ LABEL_HEARTBEAT = "heartbeat"
 
 _PAD_FACTOR = 4  # zero-padding for peak-frequency interpolation
 
+# Highest multiple of the respiratory peak labelled a harmonic. The paper
+# names no bound, but unbounded multiples of a 0.35 Hz fundamental cover
+# about a sixth of the HR band, and a recovering heartbeat crossing one was
+# taken for a harmonic. Breathing carries little past its 4th.
+_HARMONIC_MAX_ORDER = 5
+
 
 @dataclass(frozen=True)
 class ModeSelectConfig:
     respiration_band: tuple[float, float] = (0.167, 0.7)   # 10-42 breaths/min
     hr_band: tuple[float, float] = (0.6, 3.4)              # 36-204 bpm search band
     harmonic_tol: float = 0.08          # relative to the respiratory fundamental
-    # Highest multiple of the respiratory peak labelled a harmonic. The paper
-    # names no bound, but unbounded multiples of a 0.35 Hz fundamental cover
-    # about a sixth of the HR band, and a recovering heartbeat crossing one
-    # was taken for a harmonic. Breathing carries little past its 4th.
-    harmonic_max_order: int = 5
     noise_prominence: float = 4.0       # peak/mean magnitude floor
     noise_oob_fraction: float = 0.5     # energy allowed outside the peak band
     peak_band_halfwidth: float = 0.3    # Hz, "in-band" width around the peak
@@ -48,10 +49,6 @@ class ModeSelectConfig:
             raise ValueError(f"bad hr_band {self.hr_band}")
         if not 0 < self.harmonic_tol < 0.5:
             raise ValueError(f"harmonic_tol must be in (0, 0.5), got {self.harmonic_tol}")
-        if not self.harmonic_max_order >= 2:
-            raise ValueError(
-                f"harmonic_max_order must be >= 2, got {self.harmonic_max_order}"
-            )
         if not self.peak_band_halfwidth > 0:
             raise ValueError(
                 f"peak_band_halfwidth must be > 0, got {self.peak_band_halfwidth}"
@@ -169,7 +166,7 @@ def classify_modes(
         resp = max(resp_pool, key=lambda lb: (lb.energy, -lb.peak_freq))
         resp.label = LABEL_RESPIRATION
 
-    # Harmonics: peaks at integer multiples 2 <= n <= harmonic_max_order of
+    # Harmonics: peaks at integer multiples 2 <= n <= _HARMONIC_MAX_ORDER of
     # the respiratory peak.
     if resp is not None:
         f_resp = resp.peak_freq
@@ -177,7 +174,7 @@ def classify_modes(
             if lb.label:
                 continue
             n_mult = round(lb.peak_freq / f_resp)
-            if (2 <= n_mult <= config.harmonic_max_order
+            if (2 <= n_mult <= _HARMONIC_MAX_ORDER
                     and abs(lb.peak_freq - n_mult * f_resp) <= config.harmonic_tol * f_resp):
                 lb.label = LABEL_HARMONIC
                 lb.harmonic_order = int(n_mult)

@@ -46,7 +46,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             gates=gates,
             alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
             ratio_tol=cfg.alpha_ratio_tol,
-            merge_hz=cfg.merge_hz,
         )
         ms, alpha = search.modes, search.alpha
         labels, hb_index = classify_modes(ms, select_cfg)

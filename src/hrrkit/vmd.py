@@ -46,10 +46,10 @@ step.
 
 While the heart rate recovers, the heartbeat can split into two converged
 modes a few hundredths of a Hz apart. Such a pair is highly correlated, so
-it fails mu1 at every alpha the search tries. With ``merge_hz`` set,
-``select_alpha`` first sums modes closer than that (``merge_close_modes``)
-and judges the gates on the merged set, a departure from the paper, which
-gates the K modes as they come.
+it fails mu1 at every alpha the search tries. So ``select_alpha`` first
+sums modes closer than ``MERGE_HZ`` (``merge_close_modes``) and judges the
+gates on the merged set, a departure from the paper, which gates the K
+modes as they come. ``merge_hz=0`` runs the paper's search.
 """
 from __future__ import annotations
 
@@ -64,6 +64,12 @@ MIN_SIGNAL_LENGTH = 64
 ALPHA_LO = 10.0
 ALPHA_HI = 1e6
 ALPHA_RATIO_TOL = 1.1
+
+# The alpha search merges modes closer than this, in Hz, before its gates. A
+# recovering heartbeat splits into modes 0.01-0.09 Hz apart; 0.08 Hz leaves
+# some splits whole. The width stays below the respiration band's floor,
+# 0.167 Hz, so a slow breather's fundamental and 2nd harmonic stay apart.
+MERGE_HZ = 0.15
 
 # A bisection step starts from the step before's mode spectra only when the
 # two alphas are within this factor of each other. Further apart, the old
@@ -141,7 +147,7 @@ class ModeSet:
     n_iters: int
     # (K, P) one-sided spectra of the mirrored window, aligned with mode
     # order, over the swept bins only (those below VmdParams.max_freq); None
-    # on a set not built by vmd_decompose or merge_close_modes.
+    # on a set not built by vmd_decompose, a merged one included.
     spectra: np.ndarray | None = None
     # On a set built by merge_close_modes: for each mode, the indices of the
     # modes of the unmerged set that it sums, ascending. None elsewhere,
@@ -335,12 +341,13 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
 
     The modes are taken in ascending center frequency, and each run of
     neighbours less than ``width_hz`` apart, a chain, becomes one mode: the
-    sum of their modes, at their energy-weighted center frequency, with
-    their spectra rows summed. The merged modes are ordered by descending
-    energy and ``residual`` is recomputed as ``input - modes.sum(axis=0)``,
-    so the ModeSet invariant holds exactly. ``merged_from`` names the modes
-    of ``ms`` that each merged mode sums. With no pair closer than
-    ``width_hz``, which a width of 0 guarantees, ``ms`` itself comes back.
+    sum of their modes, at their energy-weighted center frequency. The
+    merged modes are ordered by descending energy and ``residual`` is
+    recomputed as ``input - modes.sum(axis=0)``, so the ModeSet invariant
+    holds exactly. ``merged_from`` names the modes of ``ms`` that each
+    merged mode sums; a merged set carries no spectra. With no pair closer
+    than ``width_hz``, which a width of 0 guarantees, ``ms`` itself comes
+    back.
     """
     order = np.argsort(ms.center_freqs, kind="stable")
     breaks = np.flatnonzero(np.diff(ms.center_freqs[order]) >= width_hz) + 1
@@ -354,7 +361,6 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
         np.average(ms.center_freqs[c], weights=energies[c] if energies[c].any() else None)
         for c in chains
     ])
-    spectra = None if ms.spectra is None else np.array([ms.spectra[c].sum(axis=0) for c in chains])
     by_energy = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
     modes = modes[by_energy]
     return replace(
@@ -362,7 +368,7 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
         modes=modes,
         center_freqs=center_freqs[by_energy],
         residual=ms.input_signal - modes.sum(axis=0),
-        spectra=None if spectra is None else spectra[by_energy],
+        spectra=None,
         merged_from=tuple(tuple(sorted(int(i) for i in chains[j])) for j in by_energy),
     )
 
@@ -414,7 +420,7 @@ class AlphaSearch:
 
     ``alpha``, ``modes``, ``r_max`` and ``p`` describe the first
     decomposition that passed both gates or, when ``feasible`` is False, the
-    least-violating one; with a merge width set, ``modes`` is its merged set.
+    least-violating one; ``modes`` is its merged set.
     ``path`` holds one ``(alpha, r_max, p)`` tuple per decomposition, in
     search order.
     """
@@ -434,7 +440,7 @@ def select_alpha(
     gates: GateThresholds = GateThresholds(),
     alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
     ratio_tol: float = ALPHA_RATIO_TOL,
-    merge_hz: float = 0.0,
+    merge_hz: float = MERGE_HZ,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
 
@@ -452,11 +458,10 @@ def select_alpha(
     the two alphas are within a factor of ``_SPECTRA_WARM_RATIO``, the
     previous step's mode spectra go along in the same order.
 
-    With ``merge_hz`` > 0, each decomposition's modes closer than that, in
-    Hz, are summed by ``merge_close_modes`` before the gates judge them, and
-    the merged set is the one returned. The next step still starts from the
-    unmerged decomposition. The default, 0, merges nothing: the published
-    search.
+    Each decomposition's modes closer than ``merge_hz``, in Hz, are summed
+    by ``merge_close_modes`` before the gates judge them, and the merged set
+    is the one returned. The next step still starts from the unmerged
+    decomposition. ``merge_hz=0`` merges nothing: the published search.
     """
     check_alpha_bracket(alpha_range, ratio_tol)
     if not merge_hz >= 0.0:

@@ -72,9 +72,7 @@ class TestParseConfig:
         "overrides, match",
         [({"smooth_window": -1.0}, "smooth_window must be > 0"),
          ({"carry_limit": 5.0}, "carry_limit must be in"),
-         ({"tau": -1.0}, "tau must be >= 0"),
-         ({"merge_hz": -0.1}, "merge_hz must be >= 0"),
-         ({"harmonic_max_order": 1}, "harmonic_max_order must be >= 2")],
+         ({"tau": -1.0}, "tau must be >= 0")],
     )
     def test_config_built_in_code_is_checked(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -99,8 +97,7 @@ class TestParseConfig:
             parse_config(overrides=overrides)
 
     def test_echo_round_trip(self, tmp_path):
-        cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5",
-                                      "merge_hz": "0.1", "harmonic_max_order": "4"})
+        cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5"})
         f = tmp_path / "echo.txt"
         f.write_text(cfg.echo())
         assert parse_config(f) == cfg

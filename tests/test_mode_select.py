@@ -164,19 +164,12 @@ class TestClassifyModes:
 
     def test_heartbeat_on_a_high_multiple_is_not_a_harmonic(self):
         # At 0.35 Hz breathing, a heartbeat at 7 x 0.35 = 2.45 Hz lies past
-        # the default bound of 5; a mode at 5 x 0.35 = 1.75 Hz is a harmonic.
+        # the bound of 5; a mode at 5 x 0.35 = 1.75 Hz is a harmonic.
         ms = make_modeset([(0.35, 1.0), (1.75, 0.4), (2.45, 0.45)])
         labels, hb = classify_modes(ms)
-        assert ModeSelectConfig().harmonic_max_order == 5
         assert (labels[1].label, labels[1].harmonic_order) == (LABEL_HARMONIC, 5)
         assert (labels[2].label, labels[2].harmonic_order) == (LABEL_HEARTBEAT, None)
         assert hb == 2
-        labels, _ = classify_modes(ms, ModeSelectConfig(harmonic_max_order=7))
-        assert labels[2].harmonic_order == 7
-
-    def test_harmonic_max_order_validated(self):
-        with pytest.raises(ValueError, match="harmonic_max_order must be >= 2"):
-            ModeSelectConfig(harmonic_max_order=1)
 
     def test_respiration_band_bounds(self):
         cfg = ModeSelectConfig()

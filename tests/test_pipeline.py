@@ -3,7 +3,7 @@ ends every window with a status."""
 import math
 from dataclasses import replace
 
-from hrrkit import pipeline
+from hrrkit import pipeline, vmd
 from hrrkit.config import PipelineConfig
 from hrrkit.io import write_hr_series, write_mode_dump, write_report
 from hrrkit.signal_model import (
@@ -26,10 +26,9 @@ def written(series, report, out):
 
 
 def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path):
-    # Without the merge, this trace holds windows whose gates relax.
-    trace = noisy_recovery(120)
-    cfg = PipelineConfig(merge_hz=0.0)
-    series, report = pipeline.estimate_trace(trace, cfg)
+    # Two of this trace's windows relax their gates even on merged sets.
+    trace = noisy_recovery(127)
+    series, report = pipeline.estimate_trace(trace)
 
     searches = []
     select_alpha = pipeline.select_alpha
@@ -44,7 +43,7 @@ def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path)
     monkeypatch.setattr(pipeline, "select_alpha", recording)
     monkeypatch.setattr(pipeline, "mode_correlation_max", recomputed)
     monkeypatch.setattr(pipeline, "energy_loss", recomputed)
-    patched_series, patched_report = pipeline.estimate_trace(trace, cfg)
+    patched_series, patched_report = pipeline.estimate_trace(trace)
 
     assert written(patched_series, patched_report, tmp_path / "patched") == written(
         series, report, tmp_path / "plain"
@@ -110,17 +109,17 @@ def test_window_stage_sweeps_half_the_bins_at_100_hz(monkeypatch):
     # which the 480 below 25 Hz are swept.
     cfg = PipelineConfig()
     segment, fs = first_window(noisy_recovery(120), cfg)
-    searches = []
-    select_alpha = pipeline.select_alpha
+    shapes = []
+    decompose = vmd.vmd_decompose
 
     def recording(*args, **kwargs):
-        searches.append(select_alpha(*args, **kwargs))
-        return searches[-1]
+        ms = decompose(*args, **kwargs)
+        shapes.append(ms.spectra.shape)
+        return ms
 
-    monkeypatch.setattr(pipeline, "select_alpha", recording)
+    monkeypatch.setattr(vmd, "vmd_decompose", recording)
     pipeline.make_window_stage(cfg)(segment, fs, 0.0)
-    # The merge may sum modes, and their spectra with them.
-    assert [s.modes.spectra.shape[1] for s in searches] == [480]
+    assert shapes and set(shapes) == {(cfg.k_modes, 480)}
 
 
 def test_twenty_hz_run_equals_its_full_band_run(monkeypatch, tmp_path):
