@@ -27,6 +27,10 @@ _SNR_PEAK_FACTOR = 3.0
 # bin switch, and the cap the block size doubles up to.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
+# Frames per block where the simulator builds its tones and the tracker
+# sorts spectra for their medians: each temporary stays at or under 1 MB at 256
+# samples per chirp, not a cube's size.
+_FRAME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,18 @@ class RadarConfig:
     frame_rate: float = 100.0
 
     def __post_init__(self):
-        if self.carrier_freq <= 0 or self.bandwidth <= 0:
-            raise ValueError("carrier_freq and bandwidth must be > 0")
-        if self.chirp_duration <= 0 or self.samples_per_chirp < 2:
-            raise ValueError("invalid chirp geometry")
-        if self.frame_rate < MIN_SAMPLE_RATE_HZ:
+        # Negated comparisons, so that NaN fails them too.
+        if not (0 < self.carrier_freq < math.inf and 0 < self.bandwidth < math.inf):
             raise ValueError(
-                f"frame_rate must be >= {MIN_SAMPLE_RATE_HZ} Hz, got {self.frame_rate}"
+                f"carrier_freq and bandwidth must be finite and > 0, got "
+                f"{self.carrier_freq} and {self.bandwidth}"
+            )
+        if not (0 < self.chirp_duration < math.inf and self.samples_per_chirp >= 2):
+            raise ValueError("invalid chirp geometry")
+        if not MIN_SAMPLE_RATE_HZ <= self.frame_rate < math.inf:
+            raise ValueError(
+                f"frame_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, "
+                f"got {self.frame_rate}"
             )
 
     @property
@@ -79,8 +88,8 @@ class TargetScene:
         object.__setattr__(self, "targets", tuple(self.targets))
         if not self.targets:
             raise ValueError("scene needs at least one target")
-        if self.noise_floor < 0:
-            raise ValueError("noise_floor must be >= 0")
+        if not 0 <= self.noise_floor < math.inf:
+            raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
 
 
 @dataclass
@@ -122,7 +131,17 @@ def simulate_frames(
     phase 4*pi*range/wavelength; complex white noise is added at the
     scene's noise floor. Target displacement traces are interpolated to
     frame times when their rate differs from the frame rate.
+
+    A frame's tone is the product of two short exponential tables, one over
+    coarse and one over fine fast-time steps (``_tone_sum``): 32 complex
+    exponentials per frame and target at 256 samples, not 256. On a
+    two-target scene its samples are within 1.9e-12 of an extended-precision
+    evaluation of the closed form, next to 1.84e-12 for one exponential per
+    sample. The two float64 forms differ by up to 1.3e-12, so the cube's
+    bytes are not those of the per-sample form; the noise draws are.
     """
+    if not math.isfinite(duration):
+        raise InputError(f"duration must be finite, got {duration}")
     n_frames = round(duration * config.frame_rate)
     if n_frames < 1:
         raise InputError("duration too short for a single frame")
@@ -139,7 +158,7 @@ def simulate_frames(
             )
         disp_m = np.interp(frame_times, tgt.trace.times, tgt.trace.samples) / 1000.0
         ranges[ti] = tgt.base_range + tgt.drift * frame_times + disp_m
-        if ranges[ti].min() <= 0 or ranges[ti].max() >= config.unambiguous_range:
+        if not (ranges[ti].min() > 0 and ranges[ti].max() < config.unambiguous_range):
             raise InputError(
                 f"target {ti} leaves (0, {config.unambiguous_range:.2f}) m "
                 f"unambiguous range"
@@ -152,31 +171,56 @@ def simulate_frames(
                         f"targets {a} and {b} come closer than one range bin"
                     )
 
-    n = config.samples_per_chirp
-    # Fast time referenced to the chirp center: the beat term then averages
-    # out of the peak-bin phase, which tracks 4*pi*R/lambda exactly (up to a
-    # per-bin constant that the stitching step absorbs).
-    fast_t = (np.arange(n) - (n - 1) / 2.0) * (config.chirp_duration / n)
     slope = config.bandwidth / config.chirp_duration
-    iq = np.zeros((n_frames, n), dtype=complex)
-    # Each target's tone exp(1j * argument) is built in one reused buffer:
-    # the argument goes into its imaginary part and exp runs in place.
-    tone = np.empty_like(iq)
-    for ti in range(len(scene.targets)):
-        beat = 2.0 * slope * ranges[ti] / SPEED_OF_LIGHT            # (frames,)
-        phase0 = 4.0 * np.pi * ranges[ti] / config.wavelength       # (frames,)
-        np.multiply(2.0 * np.pi * beat[:, None], fast_t[None, :], out=tone.imag)
-        tone.imag += phase0[:, None]
-        tone.real = 0.0
-        np.exp(tone, out=tone)
-        iq += tone
-    del tone  # released before the noise draws allocate theirs
+    iq = _tone_sum(
+        2.0 * np.pi * (2.0 * slope * ranges / SPEED_OF_LIGHT),     # beat, rad/s
+        4.0 * np.pi * ranges / config.wavelength,                   # phase, rad
+        config.samples_per_chirp,
+        config.chirp_duration / config.samples_per_chirp,
+    )
     if scene.noise_floor > 0:
         rng = np.random.default_rng(seed)
         sigma = math.sqrt(scene.noise_floor / 2.0)
         iq.real += rng.normal(0.0, sigma, iq.shape)
         iq.imag += rng.normal(0.0, sigma, iq.shape)
     return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
+
+
+def _tone_sum(omega: np.ndarray, phase0: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """Sum over targets of exp(1j * (omega * t + phase0)) at n fast-time samples.
+
+    ``omega`` and ``phase0`` are (targets, frames). Fast time t runs in steps
+    of ``dt`` and is referenced to the chirp center: the beat term then
+    averages out of the peak-bin phase, which tracks 4*pi*R/lambda exactly
+    (up to a per-bin constant that the stitching step absorbs).
+
+    The sample index splits as a * n_fine + b, with n_coarse = ceil(sqrt(n))
+    coarse steps and n_fine = ceil(n / n_coarse) fine ones, so a tone is
+    exp(1j * (omega * t[a * n_fine] + phase0)) * exp(1j * omega * b * dt):
+    (n_coarse + n_fine) exponentials per frame instead of n, and one complex
+    product per sample. Samples past n are cropped. Frames go in blocks of
+    ``_FRAME_BLOCK``; the first target's block is written, later ones added.
+    """
+    n_coarse = math.isqrt(n - 1) + 1
+    n_fine = -(-n // n_coarse)
+    coarse_t = (np.arange(0, n_coarse * n_fine, n_fine) - (n - 1) / 2.0) * dt
+    fine_t = np.arange(n_fine) * dt
+    n_targets, n_frames = omega.shape
+    iq = np.empty((n_frames, n), dtype=complex)
+    block = np.empty((min(n_frames, _FRAME_BLOCK), n_coarse, n_fine), dtype=complex)
+    for f0 in range(0, n_frames, _FRAME_BLOCK):
+        f1 = min(f0 + _FRAME_BLOCK, n_frames)
+        tones = block[:f1 - f0]
+        for ti in range(n_targets):
+            w, p0 = omega[ti, f0:f1, None], phase0[ti, f0:f1, None]
+            np.multiply(np.exp(1j * (w * coarse_t + p0))[:, :, None],
+                        np.exp(1j * (w * fine_t))[:, None, :], out=tones)
+            tone = tones.reshape(f1 - f0, -1)[:, :n]
+            if ti == 0:
+                iq[f0:f1] = tone
+            else:
+                iq[f0:f1] += tone
+    return iq
 
 
 def stitch_phase(
@@ -269,16 +313,22 @@ def track_target(
 
 
 def _row_medians(mags: np.ndarray) -> np.ndarray:
-    """``np.median(mags, axis=1)`` to the bit, from one sort.
+    """``np.median(mags, axis=1)`` to the bit, from one sort per block of rows.
 
     The median is the middle order statistic, or the mean of the two middle
     ones for an even count: the same values, added and halved the same way.
+    Sorting ``_FRAME_BLOCK`` rows at a time keeps the sorted copy small.
     """
-    ordered = np.sort(mags, axis=1)
     half = mags.shape[1] // 2
-    if mags.shape[1] % 2:
-        return ordered[:, half]
-    return (ordered[:, half - 1] + ordered[:, half]) / 2
+    medians = np.empty(mags.shape[0])
+    for r0 in range(0, mags.shape[0], _FRAME_BLOCK):
+        rows = slice(r0, r0 + _FRAME_BLOCK)
+        ordered = np.sort(mags[rows], axis=1)
+        if mags.shape[1] % 2:
+            medians[rows] = ordered[:, half]
+        else:
+            medians[rows] = (ordered[:, half - 1] + ordered[:, half]) / 2
+    return medians
 
 
 def _peak_chain(mags: np.ndarray, center: int, search_width: int) -> np.ndarray:

@@ -99,6 +99,7 @@ class TestMain:
             if trace:
                 metrics = {m["name"]: 2.0 for m in declared["per_layer"]}
                 metrics["vmd.us_per_sweep"] = 70.0 if change else 140.0
+                metrics["radar.simulate_us_per_frame"] = 21.0 if change else 38.0
                 return {"correct": trace_correct, "metrics": metrics}
             metrics = {m["name"]: 1.0 for m in declared["end_to_end"]}
             metrics["op_s"] = 0.8 if change else 1.0 + 0.001 * seed
@@ -150,3 +151,11 @@ class TestMain:
         assert report["incorrect_runs"] == [{"traced": True, "seed": 1, "side": "base"},
                                             {"traced": True, "seed": 1, "side": "change"}]
         assert not any(s["gain"] for s in report["summary"].values())
+
+    def test_trace_records_radar_layer_figures(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path, trace_correct=True)
+        assert code == 0
+        for side, frame_us in (("base", 38.0), ("change", 21.0)):
+            metrics = report["traced"][side]["metrics"]
+            assert metrics["radar.simulate_us_per_frame"] == frame_us
+            assert metrics["radar.simulate_s"] == metrics["radar.track_us_per_frame"] == 2.0

@@ -349,6 +349,21 @@ class TestCliFlows:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("args,message", [
+        (["--carrier", "nan"], "carrier_freq and bandwidth must be finite"),
+        (["--carrier", "inf"], "carrier_freq and bandwidth must be finite"),
+        (["--bandwidth", "inf"], "carrier_freq and bandwidth must be finite"),
+        (["--base-range", "nan"], "unambiguous range"),
+        (["--noise-floor", "nan"], "noise_floor must be finite"),
+    ])
+    def test_non_finite_radar_argument_is_input_error(self, synth_dir, tmp_path, capsys,
+                                                      args, message):
+        cube = tmp_path / "c.bin"
+        rc = main(["simulate", str(synth_dir / "trace.csv"), "-o", str(cube), *args])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not cube.exists()
+
     def test_bad_config_value_is_usage_error(self, synth_dir):
         rc = main([
             "estimate", str(synth_dir / "trace.csv"), "-o", str(synth_dir / "w"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from hrrkit.errors import InputError, TrackingLostError
 from hrrkit.radar import (
+    _FRAME_BLOCK,
     PhaseSequence,
     RadarConfig,
     RadarCube,
@@ -26,6 +28,48 @@ from hrrkit.signal_model import (
 )
 
 CFG_50MM = RadarConfig(bandwidth=299792458.0 / (2 * 0.05))  # bin size exactly 0.05 m
+
+
+def full_size_tones(cfg, scene, duration):
+    """The noiseless tone sum, one exponential per sample (test-only)."""
+    n = cfg.samples_per_chirp
+    frame_times = np.arange(round(duration * cfg.frame_rate)) / cfg.frame_rate
+    fast_t = (np.arange(n) - (n - 1) / 2.0) * (cfg.chirp_duration / n)
+    slope = cfg.bandwidth / cfg.chirp_duration
+    iq = np.zeros((len(frame_times), n), dtype=complex)
+    for tgt in scene.targets:
+        ranges = target_ranges(tgt, frame_times)
+        beat = 2.0 * slope * ranges / 299792458.0
+        phase0 = 4.0 * np.pi * ranges / cfg.wavelength
+        iq += np.exp(1j * (2.0 * np.pi * beat[:, None] * fast_t[None, :] + phase0[:, None]))
+    return iq
+
+
+def extended_precision_tones(cfg, scene, duration):
+    """The noiseless tone sum in long double, from the same float64 ranges (test-only)."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double has no more precision than float64 here")
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    c = ld(299792458.0)
+    n = cfg.samples_per_chirp
+    frame_times = np.arange(round(duration * cfg.frame_rate)) / cfg.frame_rate
+    fast_t = (np.arange(n, dtype=ld) - ld(n - 1) / 2) * (ld(cfg.chirp_duration) / n)
+    slope = ld(cfg.bandwidth) / ld(cfg.chirp_duration)
+    wavelength = c / ld(cfg.carrier_freq)
+    iq = np.zeros((len(frame_times), n), dtype=np.clongdouble)
+    for tgt in scene.targets:
+        ranges = target_ranges(tgt, frame_times).astype(ld)
+        omega = 2 * pi * (2 * slope * ranges / c)
+        arg = omega[:, None] * fast_t[None, :] + (4 * pi * ranges / wavelength)[:, None]
+        iq += np.cos(arg) + 1j * np.sin(arg)
+    return iq
+
+
+def target_ranges(tgt, frame_times):
+    """A target's range per frame, as ``simulate_frames`` computes it."""
+    disp_m = np.interp(frame_times, tgt.trace.times, tgt.trace.samples) / 1000.0
+    return tgt.base_range + tgt.drift * frame_times + disp_m
 
 
 def range_magnitudes(cube):
@@ -122,6 +166,18 @@ class TestRadarConfig:
         with pytest.raises(ValueError, match="frame_rate"):
             RadarConfig(frame_rate=10.0)
 
+    @pytest.mark.parametrize("field", ["carrier_freq", "bandwidth", "chirp_duration",
+                                       "frame_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            RadarConfig(**{field: value})
+
+    @pytest.mark.parametrize("noise_floor", [math.nan, math.inf, -1.0])
+    def test_bad_noise_floor_rejected(self, noise_floor):
+        with pytest.raises(ValueError, match="noise_floor must be finite and >= 0"):
+            TargetScene((Target(1.0, static_trace()),), noise_floor=noise_floor)
+
 
 class TestSimulateFrames:
     def test_static_target_peak_and_constant_phase(self):
@@ -202,26 +258,37 @@ class TestSimulateFrames:
             (Target(1.0, traces[0]), Target(2.2, traces[1], drift=0.002)), noise_floor=1e-3
         )
 
-    def test_cube_bytes_match_full_size_expression(self):
-        cfg, scene, duration, seed = RadarConfig(), self.two_target_scene(), 12.0, 4
-        cube = simulate_frames(cfg, scene, duration, seed)
-        # The tone sum written as one full-size expression per target.
-        n = cfg.samples_per_chirp
-        frame_times = np.arange(round(duration * cfg.frame_rate)) / cfg.frame_rate
-        fast_t = (np.arange(n) - (n - 1) / 2.0) * (cfg.chirp_duration / n)
-        slope = cfg.bandwidth / cfg.chirp_duration
-        iq = np.zeros((len(frame_times), n), dtype=complex)
-        for tgt in scene.targets:
-            disp_m = np.interp(frame_times, tgt.trace.times, tgt.trace.samples) / 1000.0
-            ranges = tgt.base_range + tgt.drift * frame_times + disp_m
-            beat = 2.0 * slope * ranges / 299792458.0
-            phase0 = 4.0 * np.pi * ranges / cfg.wavelength
-            iq += np.exp(1j * (2.0 * np.pi * beat[:, None] * fast_t[None, :] + phase0[:, None]))
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(scene.noise_floor / 2.0)
-        iq.real += rng.normal(0.0, sigma, iq.shape)
-        iq.imag += rng.normal(0.0, sigma, iq.shape)
-        assert cube.iq.tobytes() == iq.tobytes()
+    def test_tones_within_twice_the_per_sample_error(self):
+        # Measured on this scene against an 80-bit long double reference:
+        # 1.84e-12 for one exponential per sample, 1.90e-12 for the tables.
+        cfg, duration = RadarConfig(), 12.0
+        scene = dataclasses.replace(self.two_target_scene(), noise_floor=0.0)
+        exact = extended_precision_tones(cfg, scene, duration)
+        per_sample_err = np.max(np.abs(full_size_tones(cfg, scene, duration) - exact))
+        err = np.max(np.abs(simulate_frames(cfg, scene, duration).iq - exact))
+        assert 1e-13 < per_sample_err < 1e-11
+        assert err <= 2.0 * per_sample_err
+
+    @pytest.mark.parametrize("n_samples", [2, 3, 255, 256])
+    @pytest.mark.parametrize("n_frames",
+                             [1, _FRAME_BLOCK - 1, 2 * _FRAME_BLOCK, 2 * _FRAME_BLOCK + 37])
+    def test_tones_match_full_size_expression(self, n_samples, n_frames):
+        # Bin size 4 m / n_samples, so a drifting target near 1 m stays in range.
+        # Phases reach about 1e4 rad, so float64 rounding alone differs by a
+        # few 1e-12; a wrong step or crop differs by far more than 1e-10.
+        cfg = RadarConfig(bandwidth=299792458.0 * n_samples / 8.0, samples_per_chirp=n_samples)
+        duration = n_frames / cfg.frame_rate
+        chest = synthesize_trace(RespirationModel(0.3, (1.0,)),
+                                 HeartbeatModel(ConstantRate(100.0), 0.1),
+                                 0.0, 100.0, math.ceil(duration) + 1.0, 0)
+        targets = [Target(1.0, chest, drift=0.05)]
+        if n_samples > 3:
+            targets.append(Target(2.5, chest, drift=-0.02))
+        scene = TargetScene(targets)
+        cube = simulate_frames(cfg, scene, duration)
+        expected = full_size_tones(cfg, scene, duration)
+        assert cube.iq.shape == expected.shape == (n_frames, n_samples)
+        assert np.max(np.abs(cube.iq - expected)) < 1e-10
 
     def test_peak_memory_near_two_cubes(self):
         scene = self.two_target_scene()
@@ -231,8 +298,19 @@ class TestSimulateFrames:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The cube plus one reused tone buffer of the same size.
-        assert peak < 2.2 * cube.iq.nbytes
+        # Measured 1.65 cubes: the cube, one half-size noise draw and small
+        # temporaries. A full-size tone buffer would add one more cube.
+        assert peak < 1.75 * cube.iq.nbytes
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_is_input_error(self, duration):
+        with pytest.raises(InputError, match="duration must be finite"):
+            simulate_frames(CFG_50MM, TargetScene((Target(1.0, static_trace()),)), duration)
+
+    @pytest.mark.parametrize("base_range", [math.nan, math.inf])
+    def test_non_finite_range_rejected(self, base_range):
+        with pytest.raises(InputError, match="unambiguous"):
+            simulate_frames(CFG_50MM, TargetScene((Target(base_range, static_trace()),)), 5.0)
 
 
 class TestRangeFft:
@@ -412,7 +490,8 @@ class TestMatchesFrameByFrameReference:
     @pytest.mark.parametrize("n_bins", [2, 3, 64, 255, 256])
     def test_row_medians_equal_numpy_median(self, n_bins):
         rng = np.random.default_rng(n_bins)
-        mags = np.abs(rng.normal(size=(500, n_bins)) + 1j * rng.normal(size=(500, n_bins)))
+        shape = (2 * _FRAME_BLOCK + 37, n_bins)  # two whole sort blocks and part of one
+        mags = np.abs(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         mags[:50, : n_bins // 2 + 1] = 1.0  # rows whose middle values tie
         assert np.array_equal(_row_medians(mags), np.median(mags, axis=1))
 

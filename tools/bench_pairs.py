@@ -15,8 +15,10 @@ base's by more than the distance between the base's quartiles.
 With ``--trace``, each side also runs one ``--trace 1 --seconds 1`` pass on
 the first pair's seed, after the pairs. Its per-layer work and cost figures
 (``TRACED_METRICS``: µs per ADMM sweep, sweeps, decompositions, unconverged
-and relaxed-gate shares) go under ``traced`` in the report, apart from the
-untraced runs, whose times alone decide the gains.
+and relaxed-gate shares; the radar simulator's seconds per operation and µs
+per frame, and the tracker's µs per frame) go under ``traced`` in the
+report, apart from the untraced runs, whose times alone decide the gains.
+A workload that never reaches a layer records 0 for its figures.
 
 A run whose operations failed their output check, traced or not, is listed
 under ``incorrect_runs``. Then no metric shows a gain, whatever its times,
@@ -35,7 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 TRACED_METRICS = ("vmd.us_per_sweep", "vmd.admm_sweeps", "vmd.decompose_calls",
-                  "vmd.unconverged_frac", "pipeline.gates_relaxed_frac")
+                  "vmd.unconverged_frac", "pipeline.gates_relaxed_frac",
+                  "radar.simulate_us_per_frame", "radar.simulate_s",
+                  "radar.track_us_per_frame")
 
 
 def git(*args: str) -> str:
