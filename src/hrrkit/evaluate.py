@@ -2,9 +2,12 @@
 
 A scenario bundles signal/scene parameters with a repetition count and a
 seed base; running it synthesizes each repetition, pushes it through the
-full pipeline (optionally via the radar front end), and scores the mean
-absolute HR error against the known trajectory. Failures are recorded as
-failed cells, never silently dropped.
+full pipeline (optionally via the radar front end), and scores it against
+the known trajectory: the mean absolute HR error, the max error (the
+largest |HR - truth| over the series) and the hrr60 error (|reported
+hrr_60 - true HRR|, the true HRR being truth at the first non-carried
+point minus truth at 60 s). Failures are recorded as failed cells, never
+silently dropped.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
+from .hr_estimate import FLAG_CARRY, REPORT_TIME_S, HrrReport, HrSeries
 from .io import write_hr_series, write_mode_dump, write_report, write_trace
 from .pipeline import estimate_trace
 from .radar import RadarConfig, Target, TargetScene, phase_to_displacement, simulate_frames, track_target
@@ -69,8 +73,10 @@ class ScoreRow:
     scenario: str
     rep: int
     seed: int
-    delta_hr_bpm: float     # nan when failed
+    delta_hr_bpm: float     # mean absolute error; nan when failed
     status: str             # ok | failed:<error>
+    max_err_bpm: float = math.nan
+    hrr60_err_bpm: float = math.nan
 
 
 @dataclass
@@ -84,9 +90,9 @@ class ScoreTable:
                 seen.append(row.scenario)
         return seen
 
-    def values(self, scenario: str) -> np.ndarray:
+    def values(self, scenario: str, metric: str = "delta_hr_bpm") -> np.ndarray:
         return np.array(
-            [r.delta_hr_bpm for r in self.rows if r.scenario == scenario and r.status == "ok"]
+            [getattr(r, metric) for r in self.rows if r.scenario == scenario and r.status == "ok"]
         )
 
     def stats(self, scenario: str) -> tuple[float, float, int]:
@@ -98,18 +104,37 @@ class ScoreTable:
         return float(np.mean(v)), std, len(v)
 
     def to_csv(self) -> str:
-        lines = ["scenario,rep,seed,delta_hr_bpm,status"]
+        lines = ["scenario,rep,seed,delta_hr_bpm,max_err_bpm,hrr60_err_bpm,status"]
         for r in self.rows:
-            val = "" if math.isnan(r.delta_hr_bpm) else f"{r.delta_hr_bpm:.6f}"
-            lines.append(f"{r.scenario},{r.rep},{r.seed},{val},{r.status}")
+            vals = ",".join(_cell(v) for v in (r.delta_hr_bpm, r.max_err_bpm, r.hrr60_err_bpm))
+            lines.append(f"{r.scenario},{r.rep},{r.seed},{vals},{r.status}")
         return "\n".join(lines) + "\n"
 
     def summary_csv(self) -> str:
-        lines = ["scenario,n_ok,mean_delta_hr_bpm,std_delta_hr_bpm"]
+        """Per scenario: the MAE's mean and std, the worst max error and the
+        mean hrr60 error over the repetitions that ran."""
+        lines = ["scenario,n_ok,mean_delta_hr_bpm,std_delta_hr_bpm,"
+                 "max_err_bpm,mean_hrr60_err_bpm"]
         for name in self.scenario_names():
             mean, std, n = self.stats(name)
-            lines.append(f"{name},{n},{mean:.6f},{std:.6f}")
+            max_err = self.values(name, "max_err_bpm")
+            hrr60_err = self.values(name, "hrr60_err_bpm")
+            worst = float(np.max(max_err)) if n else math.nan
+            hrr60 = float(np.mean(hrr60_err)) if n else math.nan
+            lines.append(f"{name},{n},{mean:.6f},{std:.6f},{worst:.6f},{hrr60:.6f}")
         return "\n".join(lines) + "\n"
+
+
+def _cell(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.6f}"
+
+
+def score_estimate(series: HrSeries, report: HrrReport, truth) -> tuple[float, float]:
+    """(max error, hrr60 error) of one estimate against its true HR trajectory."""
+    err = np.abs(series.hr_bpm - np.asarray(truth(series.times), dtype=float))
+    t_first = next(p.time for p in series.points if p.flag != FLAG_CARRY)
+    true_hrr = float(truth(t_first) - truth(REPORT_TIME_S))
+    return float(np.max(err)), abs(report.hrr_60 - true_hrr)
 
 
 def _synth_subject(scenario: Scenario, subject: Subject, seed: int) -> ChestMotionTrace:
@@ -129,8 +154,9 @@ def run_scenario(
 ) -> list[ScoreRow]:
     """Run every repetition; archive traces, HR series and reports when asked.
 
-    The per-repetition score is the mean absolute HR error over the series
-    (averaged across subjects in multi-target scenes).
+    The per-repetition scores are the mean absolute HR error over the series
+    and the hrr60 error, each averaged across subjects in multi-target
+    scenes, and the max error, the largest of the subjects'.
     """
     cfg = cfg or PipelineConfig()
     rows: list[ScoreRow] = []
@@ -162,10 +188,15 @@ def run_scenario(
                     rec.ground_truth = tr.ground_truth
                     recovered.append(rec)
                 traces = recovered
-            errors = []
+            errors, max_errs, hrr60_errs = [], [], []
             for si, tr in enumerate(traces):
                 series, report = estimate_trace(tr, cfg)
                 errors.append(report.mean_abs_error)
+                max_err, hrr60_err = score_estimate(
+                    series, report, tr.ground_truth.heartbeat.rate_trajectory
+                )
+                max_errs.append(max_err)
+                hrr60_errs.append(hrr60_err)
                 if rep_dir is not None:
                     suffix = f"_{si}" if len(traces) > 1 else ""
                     write_trace(tr, rep_dir / f"trace{suffix}.csv")
@@ -173,7 +204,8 @@ def run_scenario(
                     write_report(report, rep_dir / f"report{suffix}.txt")
                     write_mode_dump(series, rep_dir / f"modes{suffix}.csv")
             rows.append(
-                ScoreRow(scenario.name, rep, seed, float(np.mean(errors)), "ok")
+                ScoreRow(scenario.name, rep, seed, float(np.mean(errors)), "ok",
+                         max(max_errs), float(np.mean(hrr60_errs)))
             )
         except Exception as exc:  # recorded, not silent
             rows.append(

@@ -313,9 +313,14 @@ class WindowResult:
     alpha: Optional[float] = None
     mode_table: list = field(default_factory=list)
     status: str = "ok"                    # ok | gates_relaxed | no_heartbeat | degenerate
+    # Hz; the K center frequencies the window's alpha search ended at,
+    # before any merge. None when the window ran no search.
+    unmerged_freqs: Optional[np.ndarray] = None
 
 
-StageFn = Callable[[np.ndarray, float, float], WindowResult]
+# stage(segment, fs, t0, prev): prev is the WindowResult of the placement
+# before, None for the first.
+StageFn = Callable[[np.ndarray, float, float, Optional[WindowResult]], WindowResult]
 
 
 @dataclass
@@ -368,8 +373,9 @@ def run_composite_windows(
 ) -> HrSeries:
     """Sweep W_b at the output cadence, advancing W_a per the containment rule.
 
-    Runs the stage once per W_a placement (cached), makes the default-l_min
-    pass, then repeats with l_min adapted per point from the first pass.
+    Runs the stage once per W_a placement (cached), in placement order, and
+    hands it the previous placement's result. Makes the default-l_min pass,
+    then repeats with l_min adapted per point from the first pass.
     Windows with no usable heartbeat carry the last valid estimate forward,
     flagged; more than ``carry_limit`` of carried points raises
     DegradedQualityError.
@@ -390,7 +396,9 @@ def run_composite_windows(
             t0 = k * cfg.stride
             i0 = round(t0 * fs)
             i1 = min(round((t0 + cfg.l_a) * fs), len(x))
-            cache[k] = stage(x[i0:i1], fs, t0)
+            # Both passes advance k one placement at a time from 0, so k - 1
+            # has always run.
+            cache[k] = stage(x[i0:i1], fs, t0, cache.get(k - 1))
         peaks = cache[k].peaks
         return None if peaks is None else count_hr(peaks, cfg, t, l_min=l_min)
 

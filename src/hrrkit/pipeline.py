@@ -31,14 +31,23 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     When no penalty factor satisfies both gates, the least-violating
     decomposition is used and the window is flagged ``gates_relaxed``
     rather than dropped, so the output curve stays continuous.
+
+    The alpha search's first step starts at the center frequencies where
+    the previous window's search ended, ascending, with its mode spectra
+    cold, since the two segments differ. Without a previous window, or
+    after one that ran no search, it starts cold.
     """
     params = cfg.vmd_params()
     gates = cfg.gates()
     select_cfg = cfg.mode_select_config()
 
-    def stage(segment: np.ndarray, fs: float, t0: float) -> WindowResult:
+    def stage(segment: np.ndarray, fs: float, t0: float,
+              prev: Optional[WindowResult] = None) -> WindowResult:
         if not np.any(segment):
             return WindowResult(t0, None, status="no_heartbeat")
+        init_freqs = None
+        if prev is not None and prev.unmerged_freqs is not None:
+            init_freqs = np.sort(prev.unmerged_freqs)
         search = select_alpha(
             segment,
             fs,
@@ -46,11 +55,13 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             gates=gates,
             alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
             ratio_tol=cfg.alpha_ratio_tol,
+            init_freqs=init_freqs,
         )
-        ms, alpha = search.modes, search.alpha
+        ms, alpha, freqs = search.modes, search.alpha, search.unmerged_freqs
         labels, hb_index = classify_modes(ms, select_cfg)
         if hb_index is None:
-            return WindowResult(t0, None, alpha=alpha, status="no_heartbeat")
+            return WindowResult(t0, None, alpha=alpha, status="no_heartbeat",
+                                unmerged_freqs=freqs)
         total_energy = max(ms.input_energy, 1e-300)
         merged_from = ms.merged_from or tuple((i,) for i in range(ms.n_modes))
         table = [
@@ -77,10 +88,12 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             envelope_floor=cfg.envelope_floor,
         )
         if conditioned is None:
-            return WindowResult(t0, None, alpha=alpha, mode_table=table, status="degenerate")
+            return WindowResult(t0, None, alpha=alpha, mode_table=table, status="degenerate",
+                                unmerged_freqs=freqs)
         train = detect_peaks(conditioned, fs).shifted(t0)
         status = "ok" if search.feasible else "gates_relaxed"
-        return WindowResult(t0, train, alpha=alpha, mode_table=table, status=status)
+        return WindowResult(t0, train, alpha=alpha, mode_table=table, status=status,
+                            unmerged_freqs=freqs)
 
     return stage
 

@@ -16,14 +16,19 @@ mode update adds its own old spectrum back, takes the Wiener gain of the
 sum and subtracts the new spectrum again. The power |u_k|^2 comes from the
 squares of the spectra's real and imaginary parts, and one BLAS product
 gives every mode's power and first moment, so all K center frequencies at
-once. The sweeps stop once the squared change of the mode spectra, the sum
-of re^2 + im^2 of u_hat - u_prev taken by one BLAS dot, is at most
-``tolerance`` times the spectral power of the sweep before. This is the
-same ADMM iteration as the literal form of vmdpy, which keeps sum_k u_k and
-takes |.|^2 through np.abs: the two differ only in rounding. The tests pin
-the core to that form at the same sweep count, with modes and center
-frequencies within 1e-12, relative, wherever the iteration does not itself
-magnify a one-ulp change of its start beyond that.
+once. The sweeps stop once the squared change of the mode spectra is at
+most ``tolerance`` times the spectral power of the sweep before. The change
+is taken as |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>: the two powers come
+from the center-frequency product and the inner product is one BLAS dot, so
+no difference pass runs. Near convergence the terms cancel, so it matches
+the exact sum of |u_hat - u_prev|^2 only to a few eps of the power, about
+1e-8 of the threshold at the default tolerance; tolerances below about
+1e-12 no longer resolve the stopping sweep. This is the same ADMM iteration
+as the literal form of vmdpy, which keeps sum_k u_k and takes |.|^2 through
+np.abs: the two differ only in rounding. The tests pin the core to that
+form at the same sweep count, with modes and center frequencies within
+1e-12, relative, wherever the iteration does not itself magnify a one-ulp
+change of its start beyond that.
 
 The penalty factor alpha trades mode aliasing (too small: modes overlap,
 pairwise correlation rises) against decomposition energy loss (too large:
@@ -35,8 +40,11 @@ modes narrow, residual grows). Two diagnostics quantify the trade-off:
 
 ``select_alpha`` bisects alpha in log space until a decomposition passes
 both gates, and reports the least-violating one when none does. Its first
-decomposition starts cold: uniformly spaced center frequencies and zero
-mode spectra. Each later one starts from the center frequencies the step
+decomposition starts at the center frequencies the caller gives, or cold
+(uniformly spaced) without them, and with zero mode spectra either way. The
+pipeline gives it the unmerged center frequencies where the previous
+analysis window's search ended (``AlphaSearch.unmerged_freqs``), sorted
+ascending. Each later one starts from the center frequencies the step
 before ended at, sorted ascending, so it takes fewer sweeps to converge.
 When its alpha is within a factor of ``_SPECTRA_WARM_RATIO`` of the step
 before's, the mode spectra go along in the same order too. The source paper
@@ -275,15 +283,17 @@ def vmd_decompose(
     gain_c = np.zeros((K, P), dtype=complex)
     gain_re = gain_c.real
     gain_rows = list(gain_c)
-    delta = np.empty((K, P), dtype=complex)
-    delta_parts = delta.view(float).reshape(-1)   # re and im, interleaved
+    # Both spectra as flat runs of re and im, interleaved, for the stopping
+    # test's inner product.
+    u_flat, prev_flat = u_parts.reshape(-1), prev_parts.reshape(-1)
+    norm = power.sum()
 
     converged = False
     for it in range(1, params.max_iters + 1):
         u_hat, u_prev = u_prev, u_hat
         u_rows, prev_rows = prev_rows, u_rows
         u_parts, prev_parts = prev_parts, u_parts
-        norm = power.sum()
+        u_flat, prev_flat = prev_flat, u_flat
         # Mode k's Wiener gain 1 / (alpha (f - omega_k)^2 + 1) reads omega_k
         # from the previous sweep, so all K gains are formed up front; only
         # the mode updates are sequential.
@@ -307,9 +317,16 @@ def vmd_decompose(
             step *= tau / 2.0
             half_lam -= step
             resid += step
+        # |u_hat - u_prev|^2 = |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>, from
+        # the powers at hand and one dot, with no difference pass. Near
+        # convergence the terms cancel, so this is the exact sum of squares
+        # only to a few eps of the power: about 1e-8 of the threshold at the
+        # default tolerance.
+        new_norm = power.sum()
+        change = new_norm + norm - 2.0 * np.dot(u_flat, prev_flat)
         threshold = tolerance * max(norm, 1e-300)
-        np.subtract(u_hat, u_prev, out=delta)
-        if np.dot(delta_parts, delta_parts) <= threshold:
+        norm = new_norm
+        if change <= threshold:
             converged = True
             break
 
@@ -422,7 +439,9 @@ class AlphaSearch:
     decomposition that passed both gates or, when ``feasible`` is False, the
     least-violating one; ``modes`` is its merged set.
     ``path`` holds one ``(alpha, r_max, p)`` tuple per decomposition, in
-    search order.
+    search order. ``unmerged_freqs`` holds the K center frequencies of that
+    decomposition before the merge, in Hz, in its energy order: where the
+    search ended, for a later search to start from.
     """
 
     alpha: float
@@ -431,6 +450,7 @@ class AlphaSearch:
     p: float
     feasible: bool
     path: list[tuple[float, float, float]]
+    unmerged_freqs: np.ndarray
 
 
 def select_alpha(
@@ -441,6 +461,7 @@ def select_alpha(
     alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
     ratio_tol: float = ALPHA_RATIO_TOL,
     merge_hz: float = MERGE_HZ,
+    init_freqs: np.ndarray | None = None,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
 
@@ -452,11 +473,13 @@ def select_alpha(
     the bracket ratio falls below ``ratio_tol`` it returns the
     least-violating attempt (the earliest on ties) with ``feasible=False``.
     Every decomposition uses ``params`` with its alpha replaced by the
-    bisection midpoint. The first starts cold; each later one starts from
-    the previous step's center frequencies in ascending order, which saves
-    sweeps because neighbouring alphas settle on nearby frequencies. When
-    the two alphas are within a factor of ``_SPECTRA_WARM_RATIO``, the
-    previous step's mode spectra go along in the same order.
+    bisection midpoint. The first starts its center frequencies at
+    ``init_freqs``, K values in Hz (None: the uniform cold start), and its
+    mode spectra at zero. Each later one starts from the previous step's
+    center frequencies in ascending order, which saves sweeps because
+    neighbouring alphas settle on nearby frequencies. When the two alphas
+    are within a factor of ``_SPECTRA_WARM_RATIO``, the previous step's mode
+    spectra go along in the same order.
 
     Each decomposition's modes closer than ``merge_hz``, in Hz, are summed
     by ``merge_close_modes`` before the gates judge them, and the merged set
@@ -468,11 +491,12 @@ def select_alpha(
         raise ValueError(f"merge_hz must be >= 0, got {merge_hz}")
     lo, hi = alpha_range
     path = []
-    best = None   # (violation, alpha, modes, r_max, p) of the least-violating attempt
+    # (violation, alpha, modes, r_max, p, unmerged freqs) of the least-violating attempt
+    best = None
     ms = None   # the step before's unmerged decomposition, at alpha path[-1][0]
     while True:
         mid = math.sqrt(lo * hi)
-        init_freqs = init_spectra = None
+        init_spectra = None
         if ms is not None:
             order = np.argsort(ms.center_freqs, kind="stable")
             init_freqs = ms.center_freqs[order]
@@ -486,15 +510,16 @@ def select_alpha(
         p = energy_loss(gated)
         path.append((mid, r, p))
         if r <= gates.mu1 and p <= gates.mu2:
-            return AlphaSearch(mid, gated, r, p, True, path)
+            return AlphaSearch(mid, gated, r, p, True, path, ms.center_freqs)
         violation = max(r / gates.mu1 - 1.0, 0.0) + (
             max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
         )
         if best is None or violation < best[0]:
-            best = (violation, mid, gated, r, p)
+            best = (violation, mid, gated, r, p, ms.center_freqs)
         if p > gates.mu2:
             hi = mid
         else:
             lo = mid
         if hi / lo < ratio_tol:
-            return AlphaSearch(*best[1:], feasible=False, path=path)
+            alpha, modes, r_max, p, freqs = best[1:]
+            return AlphaSearch(alpha, modes, r_max, p, False, path, freqs)

@@ -393,9 +393,11 @@ class TestCliFlows:
         ])
         assert rc == 0
         table = (out / "scoretable.csv").read_text().splitlines()
-        assert table[0] == "scenario,rep,seed,delta_hr_bpm,status"
+        assert table[0] == "scenario,rep,seed,delta_hr_bpm,max_err_bpm,hrr60_err_bpm,status"
         assert len(table) == 4  # header + 3 repetitions
-        assert (out / "summary.csv").exists()
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == ("scenario,n_ok,mean_delta_hr_bpm,std_delta_hr_bpm,"
+                              "max_err_bpm,mean_hrr60_err_bpm")
         assert (out / "archive" / "zero_noise_no_harmonics" / "rep_0" / "hr.csv").exists()
 
     def test_eval_unknown_scenario_usage_error(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hrrkit import evaluate
 from hrrkit.evaluate import (
     Scenario,
     ScoreRow,
@@ -12,6 +13,7 @@ from hrrkit.evaluate import (
     run_scenario,
     sweep,
 )
+from hrrkit.hr_estimate import FLAG_CARRY
 from hrrkit.signal_model import (
     ConstantRate,
     ExponentialRecovery,
@@ -88,6 +90,26 @@ class TestScenario:
         assert np.mean([r.delta_hr_bpm for r in rows]) <= 2.0
         assert (tmp_path / "radar" / "rep_0" / "trace.csv").exists()
 
+    def test_rows_score_max_error_and_hrr60_error(self, monkeypatch):
+        # As perfbench's hr_accuracy defines them.
+        estimates = []
+        estimate = evaluate.estimate_trace
+
+        def recording(trace, cfg):
+            estimates.append((trace, *estimate(trace, cfg)))
+            return estimates[-1][1:]
+
+        monkeypatch.setattr(evaluate, "estimate_trace", recording)
+        rows = run_scenario(quick_scenario(seed_base=580, snr_db=15.0))
+        assert len(estimates) == len(rows) == 3
+        for row, (trace, series, report) in zip(rows, estimates):
+            truth = trace.ground_truth.heartbeat.rate_trajectory
+            err = np.abs(series.hr_bpm - truth(series.times))
+            t_first = next(p.time for p in series.points if p.flag != FLAG_CARRY)
+            assert row.delta_hr_bpm == pytest.approx(np.mean(err), rel=1e-12)
+            assert row.max_err_bpm == np.max(err)
+            assert row.hrr60_err_bpm == abs(report.hrr_60 - (truth(t_first) - truth(60.0)))
+
     def test_archive_layout(self, tmp_path):
         rows = run_scenario(quick_scenario(), archive_dir=tmp_path)
         for rep in range(3):
@@ -124,10 +146,32 @@ class TestScoreTable:
         assert mean == pytest.approx(3.0) and n == 2
         assert "failed:ValueError" in table.to_csv()
 
+    def test_max_error_and_hrr60_error_next_to_mae(self):
+        table = ScoreTable(
+            rows=[
+                ScoreRow("s", 0, 1, 2.0, "ok", 5.0, 1.0),
+                ScoreRow("s", 1, 2, math.nan, "failed:ValueError"),
+                ScoreRow("s", 2, 3, 4.0, "ok", 9.0, 2.0),
+            ]
+        )
+        assert table.to_csv().splitlines() == [
+            "scenario,rep,seed,delta_hr_bpm,max_err_bpm,hrr60_err_bpm,status",
+            "s,0,1,2.000000,5.000000,1.000000,ok",
+            "s,1,2,,,,failed:ValueError",
+            "s,2,3,4.000000,9.000000,2.000000,ok",
+        ]
+        # The worst max error and the mean hrr60 error of the runs that ran.
+        assert table.summary_csv().splitlines() == [
+            "scenario,n_ok,mean_delta_hr_bpm,std_delta_hr_bpm,max_err_bpm,mean_hrr60_err_bpm",
+            f"s,2,3.000000,{math.sqrt(2.0):.6f},9.000000,1.500000",
+        ]
+
     def test_empty_sweep(self):
         table = sweep([])
         assert table.rows == []
-        assert table.to_csv().strip() == "scenario,rep,seed,delta_hr_bpm,status"
+        assert table.to_csv().strip() == (
+            "scenario,rep,seed,delta_hr_bpm,max_err_bpm,hrr60_err_bpm,status"
+        )
 
     def test_sweep_counts_and_order(self, tmp_path):
         table = sweep(

@@ -243,7 +243,7 @@ class TestAdaptLmin:
 def uniform_peak_stage(rate_bpm):
     """Stage stub: a clean uniform beat train inside each window."""
 
-    def stage(segment, fs, t0):
+    def stage(segment, fs, t0, prev):
         spacing = 60.0 / rate_bpm
         duration = len(segment) / fs
         first = math.ceil(t0 / spacing) * spacing
@@ -300,14 +300,30 @@ class TestCompositeWindows:
                 self.make_trace(10.0), WindowConfig(), uniform_peak_stage(100.0)
             )
 
+    def test_stage_gets_the_placement_before(self):
+        seen = []
+        inner = uniform_peak_stage(100.0)
+
+        def stage(segment, fs, t0, prev):
+            seen.append((t0, prev))
+            return inner(segment, fs, t0, prev)
+
+        series = run_composite_windows(self.make_trace(), WindowConfig(), stage)
+        # Once per placement, in order, each after the one before.
+        assert [t0 for t0, _ in seen] == [8.0 * k for k in range(len(seen))]
+        assert len(seen) == len(series.window_results) > 2
+        assert seen[0][1] is None
+        for k, (_, prev) in enumerate(seen[1:], start=1):
+            assert prev is series.window_results[k - 1]
+
     def test_carry_forward_flagging(self):
         calls = []
 
-        def flaky_stage(segment, fs, t0):
+        def flaky_stage(segment, fs, t0, prev):
             calls.append(t0)
             if t0 == 16.0:
                 return WindowResult(t0, None, status="no_heartbeat")
-            return uniform_peak_stage(110.0)(segment, fs, t0)
+            return uniform_peak_stage(110.0)(segment, fs, t0, prev)
 
         series = run_composite_windows(self.make_trace(), WindowConfig(), flaky_stage)
         flags = series.flags
@@ -318,7 +334,7 @@ class TestCompositeWindows:
 
     def test_two_pass_stability(self):
         # the adapted-l_min pass changes each estimate by <= 10 bpm
-        def ramp_stage(segment, fs, t0):
+        def ramp_stage(segment, fs, t0, prev):
             heart = HeartbeatModel(LinearRamp(150.0, 120.0, 66.0), 1.0)
             beats = heart.beat_times(66.0)
             inside = beats[(beats >= t0) & (beats <= t0 + len(segment) / fs)]
@@ -339,7 +355,7 @@ class TestCompositeWindows:
         # shorter adapted l_min lets the second pass start a step earlier.
         beats = HeartbeatModel(LinearRamp(150.0, 100.0, 66.0), 1.0).beat_times(66.0)
 
-        def late_stage(segment, fs, t0):
+        def late_stage(segment, fs, t0, prev):
             if t0 == 0.0:
                 return WindowResult(t0, PeakTrain(np.array([])))
             inside = beats[(beats >= t0) & (beats <= t0 + len(segment) / fs)]

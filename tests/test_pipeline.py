@@ -3,18 +3,25 @@ ends every window with a status."""
 import math
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from hrrkit import pipeline, vmd
 from hrrkit.config import PipelineConfig
-from hrrkit.io import write_hr_series, write_mode_dump, write_report
+from hrrkit.evaluate import default_scenarios
+from hrrkit.hr_estimate import run_composite_windows
+from hrrkit.io import read_trace, write_hr_series, write_mode_dump, write_report, write_trace
 from hrrkit.signal_model import (
     ExponentialRecovery,
     HeartbeatModel,
     RespirationModel,
+    noise_std_for_snr,
     synthesize_trace,
 )
 from hrrkit.vmd import energy_loss, mode_correlation_max
 
 from conftest import noisy_recovery
+from test_vmd import allocating_reference
 
 
 def written(series, report, out):
@@ -136,3 +143,93 @@ def test_twenty_hz_run_equals_its_full_band_run(monkeypatch, tmp_path):
         full_series, full_report, tmp_path / "full"
     )
     assert any(w.peaks is not None for w in series.window_results.values())
+
+
+def recording_decompositions(monkeypatch):
+    """Rebind vmd_decompose to log each call's arguments and result."""
+    calls = []
+    decompose = vmd.vmd_decompose
+
+    def recording(signal, fs, params, init_freqs=None, init_spectra=None):
+        ms = decompose(signal, fs, params, init_freqs, init_spectra)
+        calls.append((signal, fs, params, init_freqs, init_spectra, ms))
+        return ms
+
+    monkeypatch.setattr(vmd, "vmd_decompose", recording)
+    return calls
+
+
+def test_each_window_starts_where_the_window_before_ended(monkeypatch):
+    calls = recording_decompositions(monkeypatch)
+    firsts, searches = [], []
+    select_alpha = pipeline.select_alpha
+
+    def recording_search(*args, **kwargs):
+        firsts.append(len(calls))
+        searches.append(select_alpha(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(pipeline, "select_alpha", recording_search)
+    series, _ = pipeline.estimate_trace(noisy_recovery(120))
+    windows = series.window_results
+    assert list(windows) == list(range(len(windows))) and len(searches) == len(windows) > 2
+    for k, (first, search) in enumerate(zip(firsts, searches)):
+        assert np.array_equal(windows[k].unmerged_freqs, search.unmerged_freqs)
+        _, _, _, init_freqs, init_spectra, _ = calls[first]
+        assert init_spectra is None
+        if k == 0:
+            assert init_freqs is None
+        else:
+            assert np.array_equal(init_freqs, np.sort(windows[k - 1].unmerged_freqs))
+
+
+def test_window_after_a_search_less_one_starts_cold(monkeypatch):
+    cfg = PipelineConfig()
+    segment, fs = first_window(noisy_recovery(120), cfg)
+    stage = pipeline.make_window_stage(cfg)
+    idle = stage(np.zeros_like(segment), fs, 0.0)
+    assert idle.status == "no_heartbeat" and idle.unmerged_freqs is None
+    calls = recording_decompositions(monkeypatch)
+    after_idle = stage(segment, fs, 8.0, idle)
+    assert calls[0][3:5] == (None, None)
+    assert after_idle.mode_table == stage(segment, fs, 8.0).mode_table
+
+
+def panel_trace(scenario_name, seed, tmp_path):
+    """A benchmark panel's input: an eval scene at 66 s and 100 Hz, read back
+    from its trace CSV."""
+    scenario = next(s for s in default_scenarios() if s.name == scenario_name)
+    subject = scenario.subjects[0]
+    noise_std = noise_std_for_snr(subject.resp, subject.heart, scenario.snr_db, 100.0, 66.0)
+    trace = synthesize_trace(subject.resp, subject.heart, noise_std, 100.0, 66.0, seed)
+    write_trace(trace, tmp_path / "trace.csv")
+    return read_trace(tmp_path / "trace.csv")
+
+
+# The recovery_estimate and coincidence_estimate benchmark panels.
+@pytest.mark.parametrize(
+    "scenario_name, seed",
+    [("recovery_snr15", seed) for seed in range(120, 124)]
+    + [("harmonic_coincidence", seed) for seed in range(130, 134)],
+)
+def test_cold_windows_stop_on_the_exact_sum_sweep(monkeypatch, tmp_path, scenario_name, seed):
+    # With every window's search started cold, the decompositions are the
+    # ones the exact sum of |u_hat - u_prev|^2 ran: on every sweep of every
+    # decomposition, the exact sum passes the threshold exactly when the
+    # core's stopping quantity does.
+    cfg = PipelineConfig()
+    prepared = pipeline.preprocess_trace(panel_trace(scenario_name, seed, tmp_path), cfg)
+    calls = recording_decompositions(monkeypatch)
+    stage = pipeline.make_window_stage(cfg)
+    run_composite_windows(prepared, cfg.window_config(),
+                          lambda segment, fs, t0, prev: stage(segment, fs, t0))
+    assert len(calls) > 10
+    for signal, fs, params, init_freqs, init_spectra, ms in calls:
+        record = []
+        *_, converged, n_iters = allocating_reference(
+            signal, fs, params, init_freqs, init_spectra, params.max_freq, record
+        )
+        assert (n_iters, converged) == (ms.n_iters, ms.converged)
+        for change, norm, exact in record:
+            threshold = params.tolerance * max(norm, 1e-300)
+            assert (exact <= threshold) == (change <= threshold)

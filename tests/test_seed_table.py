@@ -12,14 +12,16 @@ seed_table = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(seed_table)
 
 
-def side(mae, sweeps=100, seeds=(120, 121, 122), max_err=None, hrr60_err=None, relaxed=None):
+def side(mae, sweeps=100, seeds=(120, 121, 122), max_err=None, hrr60_err=None, relaxed=None,
+         decompositions=10):
     """One side's child output; the other metrics default to multiples of the MAE."""
     def scaled(k):
         return [None if v is None else k * v for v in mae]
 
     return {"seeds": list(seeds), "mae_bpm": mae,
             "max_err_bpm": max_err or scaled(4.0), "hrr60_err_bpm": hrr60_err or scaled(2.0),
-            "gates_relaxed_share": relaxed or scaled(0.1), "admm_sweeps": sweeps}
+            "gates_relaxed_share": relaxed or scaled(0.1), "decompositions": decompositions,
+            "admm_sweeps": sweeps}
 
 
 class TestCompare:
@@ -35,8 +37,8 @@ class TestCompare:
 class TestTable:
     def test_stats_per_side_and_seed_counts(self):
         results = {
-            "base": {"recovery_snr15": side([1.2, 1.5, 0.9], sweeps=300)},
-            "change": {"recovery_snr15": side([1.1, 1.6, 0.9], sweeps=200)},
+            "base": {"recovery_snr15": side([1.2, 1.5, 0.9], sweeps=300, decompositions=12)},
+            "change": {"recovery_snr15": side([1.1, 1.6, 0.9], sweeps=200, decompositions=14)},
         }
         row = seed_table.table(results)["recovery_snr15"]
         assert row["seeds"] == [120, 121, 122]
@@ -44,6 +46,7 @@ class TestTable:
         assert row["base"]["worst_mae_bpm"] == 1.5
         assert row["change"]["worst_mae_bpm"] == 1.6
         assert (row["base"]["admm_sweeps"], row["change"]["admm_sweeps"]) == (300, 200)
+        assert (row["base"]["decompositions"], row["change"]["decompositions"]) == (12, 14)
         assert (row["better"], row["worse"], row["equal"]) == (1, 1, 1)
 
     def test_max_error_hrr60_error_and_relaxed_share_per_seed_and_mean(self):
@@ -88,4 +91,4 @@ def test_child_scores_every_seed_of_a_scenario():
         assert len(row[metric]) == 3 and None not in row[metric]
     assert all(m <= e for m, e in zip(row["mae_bpm"], row["max_err_bpm"]))
     assert all(0.0 <= share <= 1.0 for share in row["gates_relaxed_share"])
-    assert row["admm_sweeps"] > 0
+    assert 0 < row["decompositions"] < row["admm_sweeps"]

@@ -7,8 +7,8 @@ The revision is exported with ``git archive`` into a temporary directory, as
 from its own tree's package, both sides at once, one BLAS thread each.
 ``SEEDS_<tag>.json`` records, per scenario and side, every seed's mean
 absolute HR error, max error, hrr60 error and share of ``gates_relaxed``
-windows, the mean and worst of each, and the ADMM sweeps the scenario took;
-and per scenario how many seeds the change made better, worse or left equal
+windows, the mean and worst of each, and the decompositions and ADMM sweeps
+the scenario took; and per scenario how many seeds the change made better, worse or left equal
 in MAE. A seed whose run failed on one side only counts as worse for that
 side. ``--scenario`` (repeatable) runs a subset.
 
@@ -37,7 +37,8 @@ from bench_pairs import ROOT, SIDES, export_tree, git
 METRICS = ("mae_bpm", "max_err_bpm", "hrr60_err_bpm", "gates_relaxed_share")
 
 # Runs in each tree with that tree's package first on the path. It counts
-# ADMM sweeps by rebinding vmd_decompose where select_alpha looks it up,
+# decompositions and their ADMM sweeps by rebinding vmd_decompose where
+# select_alpha looks it up,
 # scores each estimate by rebinding estimate_trace where run_scenario looks
 # it up, and prints one JSON object per scenario. run_scenario seeds subject
 # si of a repetition with seed + 1000 * si, which is how the estimates are
@@ -50,12 +51,13 @@ from hrrkit.hr_estimate import FLAG_CARRY
 
 reps, names = int(sys.argv[1]), set(sys.argv[2:])
 decompose, estimate = vmd.vmd_decompose, evaluate.estimate_trace
-sweeps, scored = 0, {}
+sweeps, decomps, scored = 0, 0, {}
 
 def counting(*args, **kwargs):
-    global sweeps
+    global sweeps, decomps
     ms = decompose(*args, **kwargs)
     sweeps += ms.n_iters
+    decomps += 1
     return ms
 
 def scoring(trace, *args, **kwargs):
@@ -75,7 +77,7 @@ vmd.vmd_decompose, evaluate.estimate_trace = counting, scoring
 for scenario in evaluate.default_scenarios(repetitions=reps):
     if names and scenario.name not in names:
         continue
-    sweeps, scored = 0, {}
+    sweeps, decomps, scored = 0, 0, {}
     rows = evaluate.run_scenario(scenario)
     columns = []
     for r in rows:
@@ -90,6 +92,7 @@ for scenario in evaluate.default_scenarios(repetitions=reps):
         "scenario": scenario.name,
         "seeds": [r.seed for r in rows],
         **{m: list(v) for m, v in zip(METRICS, zip(*columns))},
+        "decompositions": decomps,
         "admm_sweeps": sweeps,
     }), flush=True)
 """
@@ -136,8 +139,8 @@ def compare(base: list, change: list) -> dict:
 
 
 def table(results: dict) -> dict:
-    """Per scenario: each side's per-seed metrics, their means and worsts and
-    the sweeps, and the seed counts."""
+    """Per scenario: each side's per-seed metrics, their means and worsts, the
+    decompositions and the sweeps, and the seed counts."""
     scenarios = {}
     for name, base in results["base"].items():
         change = results["change"][name]
@@ -147,7 +150,7 @@ def table(results: dict) -> dict:
             "seeds": base["seeds"],
             **{side: {**{m: results[side][name][m] for m in METRICS},
                       **side_stats(results[side][name]),
-                      "admm_sweeps": results[side][name]["admm_sweeps"]}
+                      **{k: results[side][name][k] for k in ("decompositions", "admm_sweeps")}}
                for side in SIDES},
             **compare(base["mae_bpm"], change["mae_bpm"]),
         }
@@ -191,6 +194,7 @@ def main(argv=None) -> int:
               f"relaxed {b['mean_gates_relaxed_share']:.0%} -> "
               f"{c['mean_gates_relaxed_share']:.0%}; "
               f"better/worse/equal {s['better']}/{s['worse']}/{s['equal']}; "
+              f"decompositions {b['decompositions']} -> {c['decompositions']}, "
               f"sweeps {b['admm_sweeps']} -> {c['admm_sweeps']}")
     print(f"wrote {out}")
     return 0
