@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import ConfigError
-from .mode_select import ModeSelectConfig
 from .preprocess import FilterSpec
 from .hr_estimate import CARRY_LIMIT, ENVELOPE_FLOOR, SMOOTH_WINDOW, WindowConfig
 from .vmd import ALPHA_HI, ALPHA_LO, ALPHA_RATIO_TOL, GateThresholds, VmdParams, check_alpha_bracket
@@ -27,7 +26,7 @@ SWEEP_EDGE_PASS_MULTIPLE = 4.0
 
 @dataclass
 class PipelineConfig:
-    """Every stage knob of the estimation pipeline, flattened for the CLI.
+    """The estimation pipeline's settable stage knobs, flattened for the CLI.
 
     Keys that mirror a stage dataclass field or a stage function default
     take their default from it. Construction checks every value and raises
@@ -42,23 +41,11 @@ class PipelineConfig:
     alpha_lo: float = ALPHA_LO
     alpha_hi: float = ALPHA_HI
     alpha_ratio_tol: float = ALPHA_RATIO_TOL
-    tau: float = VmdParams.tau
     vmd_tolerance: float = VmdParams.tolerance
     vmd_max_iters: int = VmdParams.max_iters
-    mirror_frac: float = VmdParams.mirror_frac
     # gates
     mu1: float = GateThresholds.mu1
     mu2: float = GateThresholds.mu2
-    # mode selection
-    resp_lo: float = ModeSelectConfig.respiration_band[0]
-    resp_hi: float = ModeSelectConfig.respiration_band[1]
-    hr_lo: float = ModeSelectConfig.hr_band[0]
-    hr_hi: float = ModeSelectConfig.hr_band[1]
-    harmonic_tol: float = ModeSelectConfig.harmonic_tol
-    noise_prominence: float = ModeSelectConfig.noise_prominence
-    noise_oob_fraction: float = ModeSelectConfig.noise_oob_fraction
-    peak_band_halfwidth: float = ModeSelectConfig.peak_band_halfwidth
-    rel_peak_floor: float = ModeSelectConfig.rel_peak_floor
     # HR estimation
     l_min: float = WindowConfig.l_min
     l_b_max: float = WindowConfig.l_b_max
@@ -79,7 +66,6 @@ class PipelineConfig:
             self.filter_spec()
             self.vmd_params()
             self.gates()
-            self.mode_select_config()
             self.window_config()
             check_alpha_bracket((self.alpha_lo, self.alpha_hi), self.alpha_ratio_tol)
         except ValueError as exc:
@@ -97,26 +83,13 @@ class PipelineConfig:
     def vmd_params(self) -> VmdParams:
         return VmdParams(
             K=self.k_modes,
-            tau=self.tau,
             tolerance=self.vmd_tolerance,
             max_iters=self.vmd_max_iters,
-            mirror_frac=self.mirror_frac,
             max_freq=max(SWEEP_EDGE_FLOOR_HZ, SWEEP_EDGE_PASS_MULTIPLE * self.pass_high),
         )
 
     def gates(self) -> GateThresholds:
         return GateThresholds(mu1=self.mu1, mu2=self.mu2)
-
-    def mode_select_config(self) -> ModeSelectConfig:
-        return ModeSelectConfig(
-            respiration_band=(self.resp_lo, self.resp_hi),
-            hr_band=(self.hr_lo, self.hr_hi),
-            harmonic_tol=self.harmonic_tol,
-            noise_prominence=self.noise_prominence,
-            noise_oob_fraction=self.noise_oob_fraction,
-            peak_band_halfwidth=self.peak_band_halfwidth,
-            rel_peak_floor=self.rel_peak_floor,
-        )
 
     def window_config(self) -> WindowConfig:
         return WindowConfig(

@@ -31,28 +31,15 @@ _PAD_FACTOR = 4  # zero-padding for peak-frequency interpolation
 # taken for a harmonic. Breathing carries little past its 4th.
 _HARMONIC_MAX_ORDER = 5
 
-
-@dataclass(frozen=True)
-class ModeSelectConfig:
-    respiration_band: tuple[float, float] = (0.167, 0.7)   # 10-42 breaths/min
-    hr_band: tuple[float, float] = (0.6, 3.4)              # 36-204 bpm search band
-    harmonic_tol: float = 0.08          # relative to the respiratory fundamental
-    noise_prominence: float = 4.0       # peak/mean magnitude floor
-    noise_oob_fraction: float = 0.5     # energy allowed outside the peak band
-    peak_band_halfwidth: float = 0.3    # Hz, "in-band" width around the peak
-    rel_peak_floor: float = 0.2         # vs the strongest mode peak; below is noise
-
-    def __post_init__(self):
-        if not 0 < self.respiration_band[0] < self.respiration_band[1]:
-            raise ValueError(f"bad respiration_band {self.respiration_band}")
-        if not 0 < self.hr_band[0] < self.hr_band[1]:
-            raise ValueError(f"bad hr_band {self.hr_band}")
-        if not 0 < self.harmonic_tol < 0.5:
-            raise ValueError(f"harmonic_tol must be in (0, 0.5), got {self.harmonic_tol}")
-        if not self.peak_band_halfwidth > 0:
-            raise ValueError(
-                f"peak_band_halfwidth must be > 0, got {self.peak_band_halfwidth}"
-            )
+# The labelling rules' thresholds. classify_modes reads them on each call, so
+# a caller can rebind them to try other values.
+_RESPIRATION_BAND = (0.167, 0.7)   # Hz, 10-42 breaths/min
+_HR_BAND = (0.6, 3.4)              # Hz, 36-204 bpm search band
+_HARMONIC_TOL = 0.08               # relative to the respiratory fundamental
+_NOISE_PROMINENCE = 4.0            # peak/mean magnitude floor
+_NOISE_OOB_FRACTION = 0.5          # energy allowed outside the peak band
+_PEAK_BAND_HALFWIDTH = 0.3         # Hz, "in-band" width around the peak
+_REL_PEAK_FLOOR = 0.2              # vs the strongest mode peak; below is noise
 
 
 @dataclass
@@ -119,9 +106,7 @@ def _band_energy_fraction(
     return float(in_band / total)
 
 
-def classify_modes(
-    ms: ModeSet, config: ModeSelectConfig = ModeSelectConfig()
-) -> tuple[list[ModeLabel], Optional[int]]:
+def classify_modes(ms: ModeSet) -> tuple[list[ModeLabel], Optional[int]]:
     """Label every mode and return the labels plus the heartbeat mode index.
 
     The index is None when no non-noise mode peaks inside the HR band.
@@ -140,10 +125,10 @@ def classify_modes(
         freq, prom = _peak_frequency(mode, ms.sample_rate, mag)
         spec_peak = float(mag.max())
         in_band = _band_energy_fraction(
-            mag, len(mode), ms.sample_rate, freq, config.peak_band_halfwidth
+            mag, len(mode), ms.sample_rate, freq, _PEAK_BAND_HALFWIDTH
         )
         label = LABEL_NOISE if (
-            prom < config.noise_prominence or in_band < 1.0 - config.noise_oob_fraction
+            prom < _NOISE_PROMINENCE or in_band < 1.0 - _NOISE_OOB_FRACTION
         ) else ""
         labels.append(
             ModeLabel(i, label, freq, spec_peak, float(energies[i]))
@@ -153,13 +138,13 @@ def classify_modes(
     # how sharp it looks; such modes are noise too.
     strongest = max((lb.peak_magnitude for lb in labels), default=0.0)
     for lb in labels:
-        if not lb.label and lb.peak_magnitude < config.rel_peak_floor * strongest:
+        if not lb.label and lb.peak_magnitude < _REL_PEAK_FLOOR * strongest:
             lb.label = LABEL_NOISE
 
     candidates = [lb for lb in labels if lb.label != LABEL_NOISE]
 
     # Respiration: highest-energy non-noise mode peaking in the breathing band.
-    lo, hi = config.respiration_band
+    lo, hi = _RESPIRATION_BAND
     resp_pool = [lb for lb in candidates if lo <= lb.peak_freq <= hi]
     resp: Optional[ModeLabel] = None
     if resp_pool:
@@ -175,11 +160,11 @@ def classify_modes(
                 continue
             n_mult = round(lb.peak_freq / f_resp)
             if (2 <= n_mult <= _HARMONIC_MAX_ORDER
-                    and abs(lb.peak_freq - n_mult * f_resp) <= config.harmonic_tol * f_resp):
+                    and abs(lb.peak_freq - n_mult * f_resp) <= _HARMONIC_TOL * f_resp):
                 lb.label = LABEL_HARMONIC
                 lb.harmonic_order = int(n_mult)
 
-    hr_lo, hr_hi = config.hr_band
+    hr_lo, hr_hi = _HR_BAND
     remaining = [
         lb for lb in candidates if not lb.label and hr_lo <= lb.peak_freq <= hr_hi
     ]

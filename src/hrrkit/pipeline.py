@@ -39,7 +39,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     """
     params = cfg.vmd_params()
     gates = cfg.gates()
-    select_cfg = cfg.mode_select_config()
 
     def stage(segment: np.ndarray, fs: float, t0: float,
               prev: Optional[WindowResult] = None) -> WindowResult:
@@ -58,7 +57,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             init_freqs=init_freqs,
         )
         ms, alpha, freqs = search.modes, search.alpha, search.unmerged_freqs
-        labels, hb_index = classify_modes(ms, select_cfg)
+        labels, hb_index = classify_modes(ms)
         if hb_index is None:
             return WindowResult(t0, None, alpha=alpha, status="no_heartbeat",
                                 unmerged_freqs=freqs)

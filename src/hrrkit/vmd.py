@@ -2,19 +2,19 @@
 
 The decomposition follows the standard ADMM scheme: one-sided spectrum,
 Wiener-like mode updates, center frequencies as power-weighted spectral
-means, optional dual ascent. The window is mirror-extended before the FFT
-and cropped afterwards to tame edge artifacts.
+means, at the noise-tolerant setting tau = 0, so with no dual ascent. The
+window is mirror-extended by ``_MIRROR_FRAC`` of its length at each end
+before the FFT and cropped afterwards to tame edge artifacts.
 
 With ``VmdParams.max_freq`` set, the sweeps run only on the one-sided bins
 below that edge, in Hz. The inverse transform zero-pads the bins above it,
 so content there stays in the residual and counts towards the energy loss.
 The default, None, sweeps every bin up to Nyquist, as published VMD does.
 
-The sweep is held in residual form. It keeps
-resid = f_hat - sum_k u_k (- lambda / 2 with the dual ascent on), so each
-mode update adds its own old spectrum back, takes the Wiener gain of the
-sum and subtracts the new spectrum again. The power |u_k|^2 comes from the
-squares of the spectra's real and imaginary parts, and one BLAS product
+The sweep is held in residual form. It keeps resid = f_hat - sum_k u_k, so
+each mode update adds its own old spectrum back, takes the Wiener gain of
+the sum and subtracts the new spectrum again. The power |u_k|^2 comes from
+the squares of the spectra's real and imaginary parts, and one BLAS product
 gives every mode's power and first moment, so all K center frequencies at
 once. The sweeps stop once the squared change of the mode spectra is at
 most ``tolerance`` times the spectral power of the sweep before. The change
@@ -85,6 +85,9 @@ MERGE_HZ = 0.15
 # starting from them moves the result more than the saved sweeps are worth.
 _SPECTRA_WARM_RATIO = 1.5
 
+# Each end of the window is mirrored over this fraction of its length.
+_MIRROR_FRAC = 0.1
+
 # Modes whose variance falls below this fraction of the input variance are
 # numerical dust (surplus modes on clean signals); they are excluded from
 # the pairwise-correlation gate.
@@ -97,10 +100,8 @@ class VmdParams:
 
     K: int = 6
     alpha: float = 2000.0
-    tau: float = 0.0
     tolerance: float = 1e-7
     max_iters: int = 500
-    mirror_frac: float = 0.1
     # Hz; the sweeps run on the bins below it. None sweeps every bin.
     max_freq: float | None = None
 
@@ -109,14 +110,10 @@ class VmdParams:
             raise ValueError(f"K must be in [2, 7], got {self.K}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 <= self.mirror_frac <= 0.5:
-            raise ValueError(f"mirror_frac must be in [0, 0.5], got {self.mirror_frac}")
         if self.max_freq is not None and not 0.0 < self.max_freq < math.inf:
             raise ValueError(f"max_freq must be finite and > 0, got {self.max_freq}")
 
@@ -221,7 +218,7 @@ def vmd_decompose(
         omega = init / sample_rate
 
     n = len(f)
-    m = max(1, round(params.mirror_frac * n))
+    m = max(1, round(_MIRROR_FRAC * n))
     ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
     T = len(ext)
 
@@ -244,8 +241,7 @@ def vmd_decompose(
             raise ValueError("init_spectra contains non-finite values")
     f_plus = np.fft.fft(ext)[:P]
 
-    alpha, tau, tolerance = params.alpha, params.tau, params.tolerance
-    dual = tau != 0.0
+    alpha, tolerance = params.alpha, params.tolerance
     # The sweep's (K, P) buffers are allocated once. u_hat and u_prev trade
     # places at the start of each sweep instead of copying, and so do the
     # lists of their row views and their real views, which are built once too.
@@ -255,13 +251,10 @@ def vmd_decompose(
         u_hat[:] = init_spectra
     u_rows, prev_rows = list(u_hat), list(u_prev)
     u_parts, prev_parts = u_hat.view(float), u_prev.view(float)
-    # resid = f_plus - sum_k u_hat[k] - lam / 2, the mode updates' shared
-    # numerator; half_lam = lam / 2 stays zero without the dual ascent.
+    # resid = f_plus - sum_k u_hat[k], the mode updates' shared numerator.
     resid = f_plus.copy()
     for row in u_rows:
         resid -= row
-    half_lam = np.zeros(P, dtype=complex)
-    step = np.empty(P, dtype=complex)
     # |u_hat|^2 as re^2 and im^2 side by side. One BLAS product with the
     # rows of weights, each bin's frequency twice and then ones, gives every
     # mode's first moment and power: moments[k] = (sum f |u_k|^2, sum |u_k|^2).
@@ -309,14 +302,6 @@ def vmd_decompose(
         np.square(u_parts, out=sq)
         np.dot(sq, weights.T, out=moments)
         np.divide(first_moment, power, out=omega, where=power > 1e-300)
-        if dual:
-            # lam += tau (sum_k u_hat[k] - f_plus) = -tau (resid + half_lam).
-            # step is minus half that change: half_lam falls by it and resid
-            # rises by it, so resid keeps its definition.
-            np.add(resid, half_lam, out=step)
-            step *= tau / 2.0
-            half_lam -= step
-            resid += step
         # |u_hat - u_prev|^2 = |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>, from
         # the powers at hand and one dot, with no difference pass. Near
         # convergence the terms cancel, so this is the exact sum of squares

@@ -10,7 +10,6 @@ from hrrkit.config import PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
 from hrrkit.hr_estimate import WindowConfig, condition_heartbeat, run_composite_windows
 from hrrkit.io import read_trace
-from hrrkit.mode_select import ModeSelectConfig
 from hrrkit.preprocess import FilterSpec
 from hrrkit.signal_model import ExponentialRecovery
 from hrrkit.vmd import GateThresholds, VmdParams, select_alpha
@@ -30,8 +29,11 @@ class TestParseConfig:
             parse_config(overrides={"mu2": "1.5"})
 
     def test_unknown_key_lists_valid(self):
-        with pytest.raises(ConfigError, match="valid keys"):
-            parse_config(overrides={"nonsense": "1"})
+        # tau, mirror_frac and rel_peak_floor were keys once; a config
+        # naming them is rejected like any unknown key.
+        for key in ("nonsense", "tau", "mirror_frac", "rel_peak_floor"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'.*valid keys"):
+                parse_config(overrides={key: "1"})
 
     def test_file_plus_override_precedence(self, tmp_path):
         f = tmp_path / "cfg.txt"
@@ -49,7 +51,6 @@ class TestParseConfig:
         # The sweep edge is the one VMD value the pipeline sets itself.
         assert replace(cfg.vmd_params(), max_freq=None) == VmdParams()
         assert cfg.gates() == GateThresholds()
-        assert cfg.mode_select_config() == ModeSelectConfig()
         assert cfg.window_config() == WindowConfig()
         alpha_search = inspect.signature(select_alpha).parameters
         assert alpha_search["alpha_range"].default == (cfg.alpha_lo, cfg.alpha_hi)
@@ -71,14 +72,13 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "overrides, match",
         [({"smooth_window": -1.0}, "smooth_window must be > 0"),
-         ({"carry_limit": 5.0}, "carry_limit must be in"),
-         ({"tau": -1.0}, "tau must be >= 0")],
+         ({"carry_limit": 5.0}, "carry_limit must be in")],
     )
     def test_config_built_in_code_is_checked(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             PipelineConfig(**overrides)
 
-    @pytest.mark.parametrize("key", ["smooth_window", "peak_band_halfwidth", "envelope_floor"])
+    @pytest.mark.parametrize("key", ["smooth_window", "cadence", "envelope_floor"])
     @pytest.mark.parametrize("raw", ["0", "-1"])
     def test_non_positive_width_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key} must be > 0"):
@@ -370,6 +370,14 @@ class TestCliFlows:
             "--set", "mu2=1.5",
         ])
         assert rc == 1
+
+    def test_removed_key_is_usage_error(self, synth_dir, tmp_path, capsys):
+        rc = main([
+            "estimate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "out"),
+            "--set", "tau=0",
+        ])
+        assert rc == 1
+        assert "config error: unknown config key 'tau'" in capsys.readouterr().err
 
     def test_synth_writes_ground_truth(self, synth_dir):
         trace = read_trace(synth_dir / "trace.csv")

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from hrrkit import mode_select
 from hrrkit.mode_select import (
     LABEL_HARMONIC,
     LABEL_HEARTBEAT,
     LABEL_NOISE,
     LABEL_RESPIRATION,
-    ModeSelectConfig,
     classify_modes,
     peak_frequency,
 )
@@ -172,6 +172,5 @@ class TestClassifyModes:
         assert hb == 2
 
     def test_respiration_band_bounds(self):
-        cfg = ModeSelectConfig()
-        assert cfg.respiration_band == (0.167, 0.7)
-        assert cfg.hr_band == (0.6, 3.4)
+        assert mode_select._RESPIRATION_BAND == (0.167, 0.7)
+        assert mode_select._HR_BAND == (0.6, 3.4)

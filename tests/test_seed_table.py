@@ -92,3 +92,20 @@ def test_child_scores_every_seed_of_a_scenario():
     assert all(m <= e for m, e in zip(row["mae_bpm"], row["max_err_bpm"]))
     assert all(0.0 <= share <= 1.0 for share in row["gates_relaxed_share"])
     assert 0 < row["decompositions"] < row["admm_sweeps"]
+
+
+def test_child_rejects_a_tree_without_the_score_fields(tmp_path):
+    # A package whose ScoreRow predates max_err_bpm and hrr60_err_bpm.
+    package = tmp_path / "src" / "hrrkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "vmd.py").write_text("vmd_decompose = None\n")
+    (package / "evaluate.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass ScoreRow:\n    scenario: str\n    delta_hr_bpm: float\n\n"
+        "estimate_trace = None\n"
+    )
+    proc = seed_table.start_side(tmp_path, 3, [])
+    with pytest.raises(RuntimeError,
+                       match="base side exited 1:\n.*no max_err_bpm and hrr60_err_bpm"):
+        seed_table.finish_side(proc, "base")

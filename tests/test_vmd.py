@@ -56,7 +56,7 @@ def two_sided_reference(signal, fs, params):
     """
     f = np.asarray(signal, dtype=float)
     n = len(f)
-    m = max(1, round(params.mirror_frac * n))
+    m = max(1, round(vmd._MIRROR_FRAC * n))
     ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
     T = len(ext)
     freqs = np.fft.fftfreq(T)
@@ -65,7 +65,6 @@ def two_sided_reference(signal, fs, params):
     weights = np.stack([np.repeat(freqs[pos], 2), np.ones(2 * np.count_nonzero(pos))])
     K = params.K
     u_hat = np.zeros((K, T), dtype=complex)
-    half_lam = np.zeros(T, dtype=complex)
     omega = (np.arange(K) + 0.5) / K * 0.25
     resid = f_plus
     denom = np.zeros(K)
@@ -82,10 +81,6 @@ def two_sided_reference(signal, fs, params):
         first_moment, denom = np.dot(sq, weights.T).T
         live = denom > 1e-300
         omega[live] = first_moment[live] / denom[live]
-        if params.tau != 0.0:
-            step = params.tau / 2.0 * (resid + half_lam)
-            half_lam = half_lam - step
-            resid = resid + step
         parts = np.ascontiguousarray((u_hat - u_prev)[:, pos]).view(float).ravel()
         if np.dot(parts, parts) <= params.tolerance * max(norm, 1e-300):
             converged = True
@@ -104,7 +99,7 @@ def one_sided_setup(signal, fs, params, init_freqs, max_freq):
     """Mirror extension, swept frequencies, one-sided spectrum and start omega."""
     f = np.asarray(signal, dtype=float)
     n = len(f)
-    m = max(1, round(params.mirror_frac * n))
+    m = max(1, round(vmd._MIRROR_FRAC * n))
     ext = np.concatenate([f[:m][::-1], f, f[-m:][::-1]])
     T = len(ext)
     P = (T + 1) // 2
@@ -142,7 +137,6 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     resid = f_plus
     for k in range(K):
         resid = resid - u_hat[k]
-    half_lam = np.zeros(P, dtype=complex)
     # Each mode's first moment and power, sum f |u_k|^2 and sum |u_k|^2,
     # over re^2 and im^2 side by side.
     weights = np.stack([np.repeat(freqs, 2), np.ones(2 * P)])
@@ -160,10 +154,6 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
         first_moment, denom = np.dot(np.square(u_hat.view(float)), weights.T).T
         live = denom > 1e-300
         omega[live] = first_moment[live] / denom[live]
-        if params.tau != 0.0:
-            step = params.tau / 2.0 * (resid + half_lam)
-            half_lam = half_lam - step
-            resid = resid + step
         cross = np.dot(u_hat.view(float).ravel(), u_prev.view(float).ravel())
         change = denom.sum() + norm - 2.0 * cross
         if record is not None:
@@ -191,7 +181,6 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
     u_hat = np.zeros((K, P), dtype=complex)
     if init_spectra is not None:
         u_hat = np.array(init_spectra, dtype=complex)
-    lam = np.zeros(P, dtype=complex)
     sum_u = np.zeros(P, dtype=complex)
     for k in range(K):
         sum_u = sum_u + u_hat[k]
@@ -201,15 +190,12 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
         u_prev = u_hat.copy()
         for k in range(K):
             sum_u = sum_u - u_hat[k]
-            numer = f_plus - sum_u - lam / 2.0
-            u_hat[k] = numer / (1.0 + alpha * (freqs - omega[k]) ** 2)
+            u_hat[k] = (f_plus - sum_u) / (1.0 + alpha * (freqs - omega[k]) ** 2)
             sum_u = sum_u + u_hat[k]
             power = np.abs(u_hat[k]) ** 2
             denom = power.sum()
             if denom > 1e-300:
                 omega[k] = float(np.dot(freqs, power) / denom)
-        if params.tau != 0.0:
-            lam = lam + params.tau * (sum_u - f_plus)
         diff = np.sum(np.abs(u_hat - u_prev) ** 2)
         norm = np.sum(np.abs(u_prev) ** 2)
         if diff <= params.tolerance * max(norm, 1e-300):
@@ -229,23 +215,22 @@ def three_tone(n):
     )
 
 
-# (n, tau, alpha, tolerance, max_iters). n = 768 extends to an even T = 922,
+# (n, alpha, tolerance, max_iters). n = 768 extends to an even T = 922,
 # n = 769 to an odd T = 923. Loose tolerances stop in the first sweeps, where
 # the norms of u_prev and u_hat still differ enough to move the stopping
 # sweep; max_iters = 5 stops unconverged.
 IN_PLACE_CASES = (
-    [(n, tau, alpha, 1e-7, 500) for n in (768, 769) for tau in (0.0, 0.1)
-     for alpha in (10.0, 2000.0, 1e6)]
-    + [(768, 0.0, alpha, tol, 500) for alpha in (2000.0, 1e6) for tol in (1e-1, 3e-2, 1e-3)]
-    + [(768, tau, 2000.0, 1e-7, 5) for tau in (0.0, 0.1)]
+    [(n, alpha, 1e-7, 500) for n in (768, 769) for alpha in (10.0, 2000.0, 1e6)]
+    + [(768, alpha, tol, 500) for alpha in (2000.0, 1e6) for tol in (1e-1, 3e-2, 1e-3)]
+    + [(768, 2000.0, 1e-7, 5)]
 )
 
 
 class TestInPlaceSweep:
-    @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
-    def test_matches_allocating_reference_bit_for_bit(self, n, tau, alpha, tolerance, max_iters):
+    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    def test_matches_allocating_reference_bit_for_bit(self, n, alpha, tolerance, max_iters):
         sig = three_tone(n)
-        params = VmdParams(K=4, alpha=alpha, tau=tau, tolerance=tolerance, max_iters=max_iters)
+        params = VmdParams(K=4, alpha=alpha, tolerance=tolerance, max_iters=max_iters)
         modes, center_freqs, converged, n_iters = allocating_reference(sig, FS, params)
         ms = vmd_decompose(sig, FS, params)
         assert ms.n_iters == n_iters and ms.converged == converged
@@ -254,7 +239,6 @@ class TestInPlaceSweep:
         if max_iters == 5:
             assert not converged and n_iters == 5
 
-    @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize(
         "init_freqs",
         [
@@ -263,8 +247,8 @@ class TestInPlaceSweep:
             [0.3, 2.0, 6.0, FS / 2 - 1e-9],  # one just below Nyquist
         ],
     )
-    def test_explicit_init_matches_allocating_reference(self, tau, init_freqs):
-        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+    def test_explicit_init_matches_allocating_reference(self, init_freqs):
+        params = VmdParams(K=4, alpha=2000.0)
         assert_matches_allocating_reference(three_tone(768), FS, params, init_freqs)
 
 
@@ -323,9 +307,8 @@ def spectra_cases():
 
 
 class TestInitSpectra:
-    @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("start", ["other_alpha", "random"])
-    def test_matches_allocating_reference(self, tau, start):
+    def test_matches_allocating_reference(self, start):
         sig = three_tone(768)
         if start == "other_alpha":
             prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0))
@@ -335,7 +318,7 @@ class TestInitSpectra:
             rng = np.random.default_rng(3)
             init_freqs = FREQS_4
             init_spectra = rng.normal(size=(4, 461)) + 1j * rng.normal(size=(4, 461))
-        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+        params = VmdParams(K=4, alpha=2000.0)
         assert_matches_allocating_reference(sig, FS, params, init_freqs, init_spectra)
 
     @pytest.mark.parametrize("init_freqs, init_spectra, match", spectra_cases())
@@ -443,19 +426,17 @@ class TestSweepBand:
     # n = 768 extends to T = 922 bins, n = 769 to T = 923. At 20 Hz, 6 Hz
     # keeps 277 of 461 bins and 4.0 Hz cuts right through the 4 Hz tone.
     @pytest.mark.parametrize("n", [768, 769])
-    @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("max_freq", [6.0, 4.0, 1.0])
-    def test_matches_allocating_reference(self, n, tau, max_freq):
-        params = VmdParams(K=4, alpha=2000.0, tau=tau)
+    def test_matches_allocating_reference(self, n, max_freq):
+        params = VmdParams(K=4, alpha=2000.0)
         assert_matches_allocating_reference(three_tone(n), FS, params, max_freq=max_freq)
 
-    @pytest.mark.parametrize("tau", [0.0, 0.1])
-    def test_warm_start_matches_allocating_reference(self, tau):
+    def test_warm_start_matches_allocating_reference(self):
         sig = three_tone(768)
         prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0, max_freq=6.0))
         order = np.argsort(prev.center_freqs, kind="stable")
         assert_matches_allocating_reference(
-            sig, FS, VmdParams(K=4, alpha=2000.0, tau=tau),
+            sig, FS, VmdParams(K=4, alpha=2000.0),
             prev.center_freqs[order], prev.spectra[order], max_freq=6.0,
         )
 
@@ -540,11 +521,11 @@ class TestStoppingRule:
             prev_alpha = alpha
         assert 64.0 * eps < 1.5e-7 * params.tolerance
 
-    @pytest.mark.parametrize("n, tau, alpha, tolerance, max_iters", IN_PLACE_CASES)
-    def test_exact_sum_on_every_sweep(self, n, tau, alpha, tolerance, max_iters):
+    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    def test_exact_sum_on_every_sweep(self, n, alpha, tolerance, max_iters):
         # The literal sweep stops on the exact sum of np.abs(delta) ** 2,
         # taken on every sweep; the core's dot stops at the same sweep.
-        params = VmdParams(K=4, alpha=alpha, tau=tau, tolerance=tolerance, max_iters=max_iters)
+        params = VmdParams(K=4, alpha=alpha, tolerance=tolerance, max_iters=max_iters)
         assert_agrees_with_literal_sweep(three_tone(n), FS, params)
 
     def test_literal_sweep_on_the_benchmark_alpha_path(self):
@@ -572,8 +553,7 @@ class TestSpectrumConvention:
     # n = 768 extends to an even T = 922 (Nyquist bin present), n = 769 to
     # an odd T = 923.
     @pytest.mark.parametrize("n", [768, 769])
-    @pytest.mark.parametrize("tau", [0.0, 0.1])
-    def test_one_sided_core_matches_two_sided_reference(self, n, tau):
+    def test_one_sided_core_matches_two_sided_reference(self, n):
         duration = n / FS
         sig = (
             tone(0.35, FS, duration, phase=0.3)
@@ -581,7 +561,7 @@ class TestSpectrumConvention:
             + tone(4.0, FS, duration, amp=0.2, phase=0.5)
         )
         assert len(sig) == n
-        params = VmdParams(K=3, alpha=2000.0, tau=tau)
+        params = VmdParams(K=3, alpha=2000.0)
         modes, center_freqs, converged, n_iters = two_sided_reference(sig, FS, params)
         ms = vmd_decompose(sig, FS, params)
         assert ms.n_iters == n_iters and ms.converged == converged

@@ -12,12 +12,15 @@ the scenario took; and per scenario how many seeds the change made better, worse
 in MAE. A seed whose run failed on one side only counts as worse for that
 side. ``--scenario`` (repeatable) runs a subset.
 
-The errors are perfbench's ``hr_accuracy``: the max error is the largest
-|HR - truth| over the series, and the hrr60 error is |reported hrr_60 - true
-HRR|, the true HRR being truth(first non-carried point) - truth(60 s). On a
-scene of several subjects a seed's max error is the largest of theirs, its
-hrr60 error their mean (as its MAE is), and its relaxed share counts all of
-their windows.
+The errors are the ones ``evaluate.run_scenario`` scores each repetition
+with, its ``ScoreRow`` fields ``delta_hr_bpm``, ``max_err_bpm`` and
+``hrr60_err_bpm``: the max error is the largest |HR - truth| over the
+series, and the hrr60 error is |reported hrr_60 - true HRR|, the true HRR
+being truth(first non-carried point) - truth(60 s). On a scene of several
+subjects a seed's max error is the largest of theirs and its hrr60 error
+their mean, as its MAE is. The relaxed share counts all of their windows.
+A revision whose ``ScoreRow`` lacks the two error fields (any before
+45aaf9d) cannot be compared: its side stops with one message saying so.
 """
 from __future__ import annotations
 
@@ -36,22 +39,24 @@ from bench_pairs import ROOT, SIDES, export_tree, git
 # mean and a worst.
 METRICS = ("mae_bpm", "max_err_bpm", "hrr60_err_bpm", "gates_relaxed_share")
 
-# Runs in each tree with that tree's package first on the path. It counts
-# decompositions and their ADMM sweeps by rebinding vmd_decompose where
-# select_alpha looks it up,
-# scores each estimate by rebinding estimate_trace where run_scenario looks
-# it up, and prints one JSON object per scenario. run_scenario seeds subject
-# si of a repetition with seed + 1000 * si, which is how the estimates are
-# matched to their repetition.
+# Runs in each tree with that tree's package first on the path. It takes
+# the errors from run_scenario's rows, counts decompositions and their ADMM
+# sweeps by rebinding vmd_decompose where select_alpha looks it up, counts
+# each estimate's relaxed windows by rebinding estimate_trace where
+# run_scenario looks it up, and prints one JSON object per scenario.
+# run_scenario seeds subject si of a repetition with seed + 1000 * si, which
+# is how the estimates are matched to their repetition.
 CHILD = f"METRICS = {METRICS!r}\n" + r"""
-import json, math, sys
-import numpy as np
+import dataclasses, json, math, sys
 from hrrkit import evaluate, vmd
-from hrrkit.hr_estimate import FLAG_CARRY
+
+if not {"max_err_bpm", "hrr60_err_bpm"} <= {f.name for f in dataclasses.fields(evaluate.ScoreRow)}:
+    sys.exit("this tree's evaluate.ScoreRow has no max_err_bpm and hrr60_err_bpm "
+             "to read; compare with a revision that scores them (45aaf9d or later)")
 
 reps, names = int(sys.argv[1]), set(sys.argv[2:])
 decompose, estimate = vmd.vmd_decompose, evaluate.estimate_trace
-sweeps, decomps, scored = 0, 0, {}
+sweeps, decomps, relaxed = 0, 0, {}
 
 def counting(*args, **kwargs):
     global sweeps, decomps
@@ -60,34 +65,27 @@ def counting(*args, **kwargs):
     decomps += 1
     return ms
 
-def scoring(trace, *args, **kwargs):
+def counting_relaxed(trace, *args, **kwargs):
     series, report = estimate(trace, *args, **kwargs)
-    truth = trace.ground_truth.heartbeat.rate_trajectory
-    t_first = next(p.time for p in series.points if p.flag != FLAG_CARRY)
     statuses = [w.status for w in series.window_results.values()]
-    scored[trace.ground_truth.seed] = (
-        float(np.max(np.abs(series.hr_bpm - np.asarray(truth(series.times), dtype=float)))),
-        abs(report.hrr_60 - float(truth(t_first) - truth(60.0))),
-        statuses.count("gates_relaxed"),
-        len(statuses),
-    )
+    relaxed[trace.ground_truth.seed] = (statuses.count("gates_relaxed"), len(statuses))
     return series, report
 
-vmd.vmd_decompose, evaluate.estimate_trace = counting, scoring
+vmd.vmd_decompose, evaluate.estimate_trace = counting, counting_relaxed
 for scenario in evaluate.default_scenarios(repetitions=reps):
     if names and scenario.name not in names:
         continue
-    sweeps, decomps, scored = 0, 0, {}
+    sweeps, decomps, relaxed = 0, 0, {}
     rows = evaluate.run_scenario(scenario)
     columns = []
     for r in rows:
         if math.isnan(r.delta_hr_bpm):
             columns.append([None] * len(METRICS))
             continue
-        max_err, hrr60_err, relaxed, windows = zip(
-            *(scored[r.seed + 1000 * si] for si in range(len(scenario.subjects))))
-        columns.append([r.delta_hr_bpm, max(max_err), sum(hrr60_err) / len(hrr60_err),
-                        sum(relaxed) / sum(windows)])
+        counts, windows = zip(
+            *(relaxed[r.seed + 1000 * si] for si in range(len(scenario.subjects))))
+        columns.append([r.delta_hr_bpm, r.max_err_bpm, r.hrr60_err_bpm,
+                        sum(counts) / sum(windows)])
     print(json.dumps({
         "scenario": scenario.name,
         "seeds": [r.seed for r in rows],
@@ -174,7 +172,13 @@ def main(argv=None) -> int:
         commit = export_tree(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         procs = {side: start_side(trees[side], args.reps, args.scenario) for side in SIDES}
-        results = {side: finish_side(procs[side], side) for side in SIDES}
+        try:
+            results = {side: finish_side(procs[side], side) for side in SIDES}
+        except RuntimeError as exc:
+            for proc in procs.values():
+                proc.kill()
+                proc.wait()
+            parser.exit(1, f"seed_table: {exc}")
 
     report = {
         "reps": args.reps,
