@@ -224,10 +224,15 @@ IN_PLACE_CASES = (
     + [(768, alpha, tol, 500) for alpha in (2000.0, 1e6) for tol in (1e-1, 3e-2, 1e-3)]
     + [(768, 2000.0, 1e-7, 5)]
 )
+# VMD runs at tau = 0 only since the dual ascent went. Case ids keep the
+# "0.0" tau slot they had while tau = 0.1 cases ran beside them, so each
+# tau = 0 case is still known by the same id.
+TAU_SLOT = "0.0"
+IN_PLACE_IDS = [f"{n}-{TAU_SLOT}-{alpha}-{tol}-{iters}" for n, alpha, tol, iters in IN_PLACE_CASES]
 
 
 class TestInPlaceSweep:
-    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES, ids=IN_PLACE_IDS)
     def test_matches_allocating_reference_bit_for_bit(self, n, alpha, tolerance, max_iters):
         sig = three_tone(n)
         params = VmdParams(K=4, alpha=alpha, tolerance=tolerance, max_iters=max_iters)
@@ -246,6 +251,7 @@ class TestInPlaceSweep:
             [1.5, 1.5, 1.5, 1.5],           # all four on one tone
             [0.3, 2.0, 6.0, FS / 2 - 1e-9],  # one just below Nyquist
         ],
+        ids=[f"init_freqs{i}-{TAU_SLOT}" for i in range(3)],
     )
     def test_explicit_init_matches_allocating_reference(self, init_freqs):
         params = VmdParams(K=4, alpha=2000.0)
@@ -307,7 +313,9 @@ def spectra_cases():
 
 
 class TestInitSpectra:
-    @pytest.mark.parametrize("start", ["other_alpha", "random"])
+    @pytest.mark.parametrize(
+        "start", ["other_alpha", "random"], ids=lambda start: f"{start}-{TAU_SLOT}"
+    )
     def test_matches_allocating_reference(self, start):
         sig = three_tone(768)
         if start == "other_alpha":
@@ -426,7 +434,7 @@ class TestSweepBand:
     # n = 768 extends to T = 922 bins, n = 769 to T = 923. At 20 Hz, 6 Hz
     # keeps 277 of 461 bins and 4.0 Hz cuts right through the 4 Hz tone.
     @pytest.mark.parametrize("n", [768, 769])
-    @pytest.mark.parametrize("max_freq", [6.0, 4.0, 1.0])
+    @pytest.mark.parametrize("max_freq", [6.0, 4.0, 1.0], ids=lambda f: f"{f}-{TAU_SLOT}")
     def test_matches_allocating_reference(self, n, max_freq):
         params = VmdParams(K=4, alpha=2000.0)
         assert_matches_allocating_reference(three_tone(n), FS, params, max_freq=max_freq)
@@ -521,7 +529,7 @@ class TestStoppingRule:
             prev_alpha = alpha
         assert 64.0 * eps < 1.5e-7 * params.tolerance
 
-    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES)
+    @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES, ids=IN_PLACE_IDS)
     def test_exact_sum_on_every_sweep(self, n, alpha, tolerance, max_iters):
         # The literal sweep stops on the exact sum of np.abs(delta) ** 2,
         # taken on every sweep; the core's dot stops at the same sweep.
@@ -552,7 +560,7 @@ class TestStoppingRule:
 class TestSpectrumConvention:
     # n = 768 extends to an even T = 922 (Nyquist bin present), n = 769 to
     # an odd T = 923.
-    @pytest.mark.parametrize("n", [768, 769])
+    @pytest.mark.parametrize("n", [768, 769], ids=lambda n: f"{TAU_SLOT}-{n}")
     def test_one_sided_core_matches_two_sided_reference(self, n):
         duration = n / FS
         sig = (
