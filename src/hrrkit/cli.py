@@ -18,7 +18,6 @@ from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import ConfigError, DegradedQualityError, InputError
 from .evaluate import default_scenarios, sweep
-from .hr_estimate import REPORT_TIME_S, output_times, reaches_report_time
 from .io import (
     read_cube,
     read_trace,
@@ -199,25 +198,9 @@ def _load_input_trace(args):
 
 def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
-    trace = _load_input_trace(args)
-    if trace.unit != "mm":
-        raise InputError(f"estimate needs a displacement trace in mm, got {trace.unit!r}")
-    wcfg = cfg.window_config()
-    if trace.duration < wcfg.l_a:
-        raise InputError(
-            f"input lasts {trace.duration:.2f} s but the analysis window "
-            f"needs at least {wcfg.l_a:.2f} s"
-        )
-    grid = output_times(trace.duration, wcfg.cadence)
-    last = grid[-1] if len(grid) else 0.0
-    if not reaches_report_time(last, wcfg.cadence):
-        raise InputError(
-            f"input lasts {trace.duration:.2f} s but the recovery report needs "
-            f"HR up to {REPORT_TIME_S:g} s (last output at {last:.2f} s)"
-        )
+    series, report = estimate_trace(_load_input_trace(args), cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series, report = estimate_trace(trace, cfg)
     write_hr_series(series, out / "hr.csv")
     write_report(report, out / "report.txt")
     (out / "config_echo.txt").write_text(cfg.echo())

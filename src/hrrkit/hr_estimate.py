@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegradedQualityError
+from .errors import DegradedQualityError, InputError
 from .signal_model import ChestMotionTrace
 
 PEAK_AMPLITUDE_FLOOR = 0.5
@@ -379,14 +379,25 @@ def run_composite_windows(
     Windows with no usable heartbeat carry the last valid estimate forward,
     flagged; more than ``carry_limit`` of carried points raises
     DegradedQualityError.
+
+    Before any window runs, a trace shorter than ``cfg.l_a``, or one whose
+    output grid ends short of REPORT_TIME_S less half a cadence, raises
+    InputError, in that order.
     """
     fs = trace.sample_rate
     x = trace.samples
     duration = trace.duration
     if duration < cfg.l_a:
-        raise ValueError(
+        raise InputError(
             f"trace duration {duration:.2f} s is shorter than the analysis "
             f"window l_a={cfg.l_a:.2f} s"
+        )
+    grid = output_times(duration, cfg.cadence)
+    last = grid[-1] if len(grid) else 0.0
+    if last < REPORT_TIME_S - cfg.cadence / 2:
+        raise InputError(
+            f"trace lasts {duration:.2f} s but the recovery report needs "
+            f"HR up to {REPORT_TIME_S:g} s (last output at {last:.2f} s)"
         )
     k_max = int(math.floor((duration - cfg.l_a) / cfg.stride + 1e-9))
     cache: dict[int, WindowResult] = {}
@@ -401,8 +412,6 @@ def run_composite_windows(
             cache[k] = stage(x[i0:i1], fs, t0, cache.get(k - 1))
         peaks = cache[k].peaks
         return None if peaks is None else count_hr(peaks, cfg, t, l_min=l_min)
-
-    grid = output_times(duration, cfg.cadence)
 
     # One l_min per grid time in, one entry per grid time out: None before
     # the pass's first estimate, a point at every grid time after it.
@@ -472,11 +481,6 @@ def output_times(duration: float, cadence: float) -> np.ndarray:
     return np.arange(1, n_steps + 1) * cadence
 
 
-def reaches_report_time(last_time: float, cadence: float) -> bool:
-    """Whether a series ending at ``last_time`` has a point at REPORT_TIME_S."""
-    return last_time >= REPORT_TIME_S - cadence / 2
-
-
 @dataclass
 class HrrReport:
     """Recovery summary over the observation window."""
@@ -514,11 +518,6 @@ def build_report(
     """
     if not series.points:
         raise ValueError("empty HR series")
-    if not reaches_report_time(series.times[-1], series.cadence):
-        raise ValueError(
-            f"series must span at least {REPORT_TIME_S:g} s, last point at "
-            f"{series.times[-1]:.1f} s"
-        )
     initial = next(p.hr_bpm for p in series.points if p.flag != FLAG_CARRY)
     at60 = series.value_at(REPORT_TIME_S).hr_bpm
     mae = None

@@ -6,6 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import InputError
 from .hr_estimate import (
     HrrReport,
     HrSeries,
@@ -33,9 +34,9 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     rather than dropped, so the output curve stays continuous.
 
     The alpha search's first step starts at the center frequencies where
-    the previous window's search ended, ascending, with its mode spectra
-    cold, since the two segments differ. Without a previous window, or
-    after one that ran no search, it starts cold.
+    the previous window's search ended, with its mode spectra cold, since
+    the two segments differ. Without a previous window, or after one that
+    ran no search, it starts cold.
     """
     params = cfg.vmd_params()
     gates = cfg.gates()
@@ -44,9 +45,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
               prev: Optional[WindowResult] = None) -> WindowResult:
         if not np.any(segment):
             return WindowResult(t0, None, status="no_heartbeat")
-        init_freqs = None
-        if prev is not None and prev.unmerged_freqs is not None:
-            init_freqs = np.sort(prev.unmerged_freqs)
         search = select_alpha(
             segment,
             fs,
@@ -54,7 +52,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             gates=gates,
             alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
             ratio_tol=cfg.alpha_ratio_tol,
-            init_freqs=init_freqs,
+            init_freqs=None if prev is None else prev.unmerged_freqs,
         )
         ms, alpha, freqs = search.modes, search.alpha, search.unmerged_freqs
         labels, hb_index = classify_modes(ms)
@@ -109,11 +107,13 @@ def estimate_trace(
     """Run the full pipeline on a displacement trace and build the report.
 
     Ground truth attached to the trace (synthetic runs) is scored into the
-    report's mean absolute error.
+    report's mean absolute error. A trace that is not in mm, or whose first
+    difference is too short for the windows or the report (see
+    ``run_composite_windows``), raises InputError before any window runs.
     """
     cfg = cfg or PipelineConfig()
     if trace.unit != "mm":
-        raise ValueError("estimate_trace expects a displacement trace in mm")
+        raise InputError(f"estimate needs a displacement trace in mm, got {trace.unit!r}")
     prepared = preprocess_trace(trace, cfg)
     series = run_composite_windows(
         prepared, cfg.window_config(), make_window_stage(cfg), carry_limit=cfg.carry_limit

@@ -1,10 +1,11 @@
 """Trace conditioning: vital-band filtering and the energy-rebalancing difference.
 
-The band-pass keeps 0.2-3.4 Hz (below adult respiratory floor, above the
-220 bpm detector ceiling) and is applied forward-backward so peak timing
-downstream is undistorted. The first difference then tilts the spectrum,
-deflating the dominant low-frequency respiration relative to heartbeat
-and respiratory-harmonic content before decomposition.
+The band-pass keeps 0.2-3.4 Hz (just above the 0.167 Hz adult respiratory
+floor, and up to 204 bpm, below the 220 bpm detector ceiling) and is
+applied forward-backward so peak timing downstream is undistorted. The
+first difference then tilts the spectrum, deflating the dominant
+low-frequency respiration relative to heartbeat and respiratory-harmonic
+content before decomposition.
 """
 from __future__ import annotations
 

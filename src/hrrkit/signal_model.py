@@ -244,9 +244,9 @@ def synthesize_trace(
     resp: Optional[RespirationModel],
     heart: Optional[HeartbeatModel],
     noise_std: float,
-    sample_rate: float = 100.0,
-    duration: float = 60.0,
-    seed: int = 0,
+    sample_rate: float,
+    duration: float,
+    seed: int,
 ) -> ChestMotionTrace:
     """Superpose respiration, heartbeat, and noise into a displacement trace.
 

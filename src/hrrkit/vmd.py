@@ -378,23 +378,21 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
 def mode_correlation_max(ms: ModeSet) -> float:
     """Largest |Pearson r| over mode pairs, the aliasing diagnostic.
 
-    r_ij = (E(u_i u_j) - E(u_i) E(u_j)) / sqrt(D(u_i) D(u_j)). Modes with
+    r_ij = (E(u_i u_j) - E(u_i) E(u_j)) / sqrt(D(u_i) D(u_j)), every
+    covariance taken at once as one product of the centred modes. Modes with
     negligible variance are excluded; fewer than two usable modes gives 0.
     """
-    modes = ms.modes
-    variances = modes.var(axis=1)
+    variances = ms.modes.var(axis=1)
     floor = _NEGLIGIBLE_VAR_FRACTION * max(ms.input_signal.var(), 1e-300)
     usable = np.flatnonzero(variances > floor)
     if len(usable) < 2:
         return 0.0
-    r_max = 0.0
-    for a in range(len(usable)):
-        for b in range(a + 1, len(usable)):
-            i, j = usable[a], usable[b]
-            cov = np.mean(modes[i] * modes[j]) - modes[i].mean() * modes[j].mean()
-            r = abs(cov) / math.sqrt(variances[i] * variances[j])
-            r_max = max(r_max, r)
-    return r_max
+    modes = ms.modes[usable]
+    centred = modes - modes.mean(axis=1, keepdims=True)
+    std = np.sqrt(variances[usable])
+    r = np.abs(centred @ centred.T / centred.shape[1]) / np.outer(std, std)
+    np.fill_diagonal(r, 0.0)   # each mode with itself
+    return float(r.max())
 
 
 def energy_loss(ms: ModeSet) -> float:
@@ -459,12 +457,13 @@ def select_alpha(
     least-violating attempt (the earliest on ties) with ``feasible=False``.
     Every decomposition uses ``params`` with its alpha replaced by the
     bisection midpoint. The first starts its center frequencies at
-    ``init_freqs``, K values in Hz (None: the uniform cold start), and its
-    mode spectra at zero. Each later one starts from the previous step's
-    center frequencies in ascending order, which saves sweeps because
-    neighbouring alphas settle on nearby frequencies. When the two alphas
-    are within a factor of ``_SPECTRA_WARM_RATIO``, the previous step's mode
-    spectra go along in the same order.
+    ``init_freqs``, K values in Hz taken in ascending order (None: the
+    uniform cold start), and its mode spectra at zero. Each later one
+    starts from the previous step's center frequencies in ascending order,
+    which saves sweeps because neighbouring alphas settle on nearby
+    frequencies. When the two alphas are within a factor of
+    ``_SPECTRA_WARM_RATIO``, the previous step's mode spectra go along in
+    the same order.
 
     Each decomposition's modes closer than ``merge_hz``, in Hz, are summed
     by ``merge_close_modes`` before the gates judge them, and the merged set
@@ -475,9 +474,10 @@ def select_alpha(
     if not merge_hz >= 0.0:
         raise ValueError(f"merge_hz must be >= 0, got {merge_hz}")
     lo, hi = alpha_range
+    if init_freqs is not None:
+        init_freqs = np.sort(init_freqs)
     path = []
-    # (violation, alpha, modes, r_max, p, unmerged freqs) of the least-violating attempt
-    best = None
+    best, best_violation = None, math.inf   # the least-violating attempt
     ms = None   # the step before's unmerged decomposition, at alpha path[-1][0]
     while True:
         mid = math.sqrt(lo * hi)
@@ -494,17 +494,18 @@ def select_alpha(
         r = mode_correlation_max(gated)
         p = energy_loss(gated)
         path.append((mid, r, p))
-        if r <= gates.mu1 and p <= gates.mu2:
-            return AlphaSearch(mid, gated, r, p, True, path, ms.center_freqs)
+        feasible = r <= gates.mu1 and p <= gates.mu2
+        search = AlphaSearch(mid, gated, r, p, feasible, path, ms.center_freqs)
+        if feasible:
+            return search
         violation = max(r / gates.mu1 - 1.0, 0.0) + (
             max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
         )
-        if best is None or violation < best[0]:
-            best = (violation, mid, gated, r, p, ms.center_freqs)
+        if best is None or violation < best_violation:
+            best, best_violation = search, violation
         if p > gates.mu2:
             hi = mid
         else:
             lo = mid
         if hi / lo < ratio_tol:
-            alpha, modes, r_max, p, freqs = best[1:]
-            return AlphaSearch(alpha, modes, r_max, p, False, path, freqs)
+            return best

@@ -6,6 +6,7 @@ from hrrkit.signal_model import (
     HeartbeatModel,
     RespirationModel,
     WaveformShape,
+    noise_std_for_snr,
     synthesize_trace,
 )
 
@@ -26,8 +27,7 @@ def noisy_recovery(seed):
     """The standard noisy recovery trace: 66 s at 100 Hz, 15 dB SNR."""
     resp = RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04))
     heart = HeartbeatModel(ExponentialRecovery(152.0, 120.0, 30.0), 0.15, WaveformShape.SINUSOID)
-    clean = synthesize_trace(resp, heart, 0.0, 100.0, 66.0, 0)
-    noise_std = float(np.sqrt(np.mean(clean.samples**2))) * 10 ** (-15 / 20)
+    noise_std = noise_std_for_snr(resp, heart, 15, 100.0, 66.0)
     return synthesize_trace(resp, heart, noise_std, 100.0, 66.0, seed)
 
 

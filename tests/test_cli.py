@@ -156,15 +156,13 @@ class TestCliFlows:
         assert abs(float(report["hrr_60_bpm"]) - true_drop) <= 3.5
 
     def test_too_short_trace_names_minimum(self, synth_dir, capsys):
-        short = synth_dir / "short"
-        assert main([
-            "synth", "-o", str(short / "t.csv"), "--duration", "10",
-        ]) == 0 or True  # synth of short traces is fine
-        main(["synth", "-o", str(synth_dir / "short.csv"), "--duration", "10"])
+        # Short of both l_a and the report time, the l_a rule is named.
+        assert main(["synth", "-o", str(synth_dir / "short.csv"), "--duration", "10"]) == 0
         rc = main(["estimate", str(synth_dir / "short.csv"), "-o", str(synth_dir / "x")])
         captured = capsys.readouterr()
         assert rc == 2
         assert "16" in captured.err  # names the l_a minimum
+        assert not (synth_dir / "x").exists()
 
     def test_cube_flow(self, synth_dir):
         cube = synth_dir / "cube.bin"
@@ -271,6 +269,28 @@ class TestCliFlows:
         rc = main(["estimate", str(trace), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "recovery report needs HR up to 60 s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "duration, extra, message",
+        [
+            # 60.00 s differences to 59.99 s, one output short of 60 s.
+            ("60", [], "recovery report needs HR up to 60 s"),
+            # l_a = 66 s, one sample longer than the differenced trace.
+            ("66", ["--set", "l_b_max=33"], "l_a=66.00 s"),
+        ],
+        ids=["60s", "66s-l_b_max33"],
+    )
+    def test_trace_short_after_differencing_is_input_error(
+        self, tmp_path, capsys, duration, extra, message
+    ):
+        trace = tmp_path / "t.csv"
+        assert main(["synth", "-o", str(trace), "--duration", duration]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = main(["estimate", str(trace), "-o", str(out), *extra])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
+from hrrkit.errors import InputError
 from hrrkit.hr_estimate import (
     _find_peaks,
     _natural_spline,
@@ -300,6 +301,21 @@ class TestCompositeWindows:
                 self.make_trace(10.0), WindowConfig(), uniform_peak_stage(100.0)
             )
 
+    @pytest.mark.parametrize("duration", [59.99, 30.0])
+    def test_trace_short_of_report_time_rejected_before_any_window(self, duration):
+        def refuse(*args):
+            raise AssertionError("a window ran")
+
+        with pytest.raises(InputError, match="recovery report needs HR up to 60 s"):
+            run_composite_windows(self.make_trace(duration), WindowConfig(), refuse)
+
+    def test_trace_reaching_report_time_runs(self):
+        series = run_composite_windows(
+            self.make_trace(60.0), WindowConfig(), uniform_peak_stage(100.0)
+        )
+        assert series.times[-1] == 60.0
+        assert build_report(series).hr_at_60s == pytest.approx(100.0)
+
     def test_stage_gets_the_placement_before(self):
         seen = []
         inner = uniform_peak_stage(100.0)
@@ -430,10 +446,9 @@ class TestBuildReport:
         assert report.mean_abs_error == pytest.approx(0.0, abs=1e-12)
 
     def test_short_series_rejected(self):
-        series = run_composite_windows(
-            ChestMotionTrace(np.zeros(round(30.0 * FS)), FS),
-            WindowConfig(),
-            uniform_peak_stage(120.0),
-        )
+        # run_composite_windows refuses a trace this short, so the series is
+        # cut by hand: it ends at 30 s, with no point near 60 s.
+        series = self.make_series()
+        series.points = [p for p in series.points if p.time <= 30.0]
         with pytest.raises(ValueError, match="60"):
             build_report(series)

@@ -8,6 +8,7 @@ import pytest
 
 from hrrkit import pipeline, vmd
 from hrrkit.config import PipelineConfig
+from hrrkit.errors import InputError
 from hrrkit.evaluate import default_scenarios
 from hrrkit.hr_estimate import run_composite_windows
 from hrrkit.io import read_trace, write_hr_series, write_mode_dump, write_report, write_trace
@@ -104,6 +105,39 @@ def test_degenerate_window_keeps_its_mode_table(monkeypatch):
     # Merged or not, the table's rows account for each of the K modes once.
     parts = sorted(i for row in w.mode_table for i in row["merged_from"])
     assert parts == list(range(cfg.k_modes))
+
+
+def refuse_search(*args, **kwargs):
+    raise AssertionError("a window ran")
+
+
+@pytest.mark.parametrize(
+    "duration, cfg, match",
+    [
+        # 60.00 s differences to 59.99 s: its last output, at 59 s, is more
+        # than half a cadence short of the report's 60 s.
+        (60.0, PipelineConfig(), "recovery report needs HR up to 60 s"),
+        # l_a = 66 s, one sample longer than the differenced 66 s trace.
+        (66.0, PipelineConfig(l_b_max=33.0), "l_a=66.00 s"),
+        # Short of both rules, the l_a rule is the one named.
+        (10.0, PipelineConfig(), "l_a=16.00 s"),
+    ],
+    ids=["60s", "66s-l_b_max33", "10s"],
+)
+def test_short_trace_is_input_error_before_any_window(monkeypatch, duration, cfg, match):
+    resp = RespirationModel(0.35, (1.0, 0.25))
+    heart = HeartbeatModel(ExponentialRecovery(152.0, 120.0, 30.0), 0.15)
+    trace = synthesize_trace(resp, heart, 0.0, 100.0, duration, 0)
+    monkeypatch.setattr(pipeline, "select_alpha", refuse_search)
+    with pytest.raises(InputError, match=match):
+        pipeline.estimate_trace(trace, cfg)
+
+
+def test_phase_trace_is_input_error_before_any_window(monkeypatch):
+    trace = replace(noisy_recovery(1), unit="rad")
+    monkeypatch.setattr(pipeline, "select_alpha", refuse_search)
+    with pytest.raises(InputError, match="displacement trace in mm, got 'rad'"):
+        pipeline.estimate_trace(trace)
 
 
 def test_sweep_edge_follows_the_pass_band():
@@ -233,3 +267,37 @@ def test_cold_windows_stop_on_the_exact_sum_sweep(monkeypatch, tmp_path, scenari
         for change, norm, exact in record:
             threshold = params.tolerance * max(norm, 1e-300)
             assert (exact <= threshold) == (change <= threshold)
+
+
+def pairwise_correlation_max(ms):
+    """mode_correlation_max's definition, taken one mode pair at a time."""
+    variances = ms.modes.var(axis=1)
+    floor = vmd._NEGLIGIBLE_VAR_FRACTION * max(ms.input_signal.var(), 1e-300)
+    usable = np.flatnonzero(variances > floor)
+    r_max = 0.0
+    for a, i in enumerate(usable):
+        for j in usable[a + 1:]:
+            u_i, u_j = ms.modes[i], ms.modes[j]
+            cov = np.mean(u_i * u_j) - u_i.mean() * u_j.mean()
+            r_max = max(r_max, abs(cov) / math.sqrt(variances[i] * variances[j]))
+    return r_max
+
+
+@pytest.mark.parametrize(
+    "scenario_name, seed", [("recovery_snr15", 120), ("harmonic_coincidence", 130)]
+)
+def test_correlation_matches_the_pairwise_form_on_panel_windows(
+    monkeypatch, tmp_path, scenario_name, seed
+):
+    # A gate sits on r, so on the decompositions a panel trace's windows
+    # judge, merged or not, the one-product form agrees with the pairwise
+    # form to a few rounding errors.
+    trace = panel_trace(scenario_name, seed, tmp_path)
+    calls = recording_decompositions(monkeypatch)
+    pipeline.estimate_trace(trace)
+    assert len(calls) > 5
+    for *_, ms in calls:
+        for gated in (ms, vmd.merge_close_modes(ms, vmd.MERGE_HZ)):
+            assert abs(mode_correlation_max(gated) - pairwise_correlation_max(gated)) <= (
+                8 * np.finfo(float).eps
+            )
