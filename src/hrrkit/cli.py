@@ -6,7 +6,8 @@ per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
 quality. Only InputError and a missing file are input errors; any other
-ValueError is a pipeline failure.
+ValueError is a pipeline failure. A negative --seed or --seed-base is a
+usage error.
 """
 from __future__ import annotations
 
@@ -54,6 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A seed argument: numpy's generators take only integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hrrkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hrrkit {__version__}")
@@ -63,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="trace CSV path")
     p.add_argument("--duration", type=float, default=66.0)
     p.add_argument("--sample-rate", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--resp-freq", type=float, default=0.35, help="Hz")
     p.add_argument(
         "--resp-amps",
@@ -91,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noise-floor", type=float, default=0.0, help="relative power")
     p.add_argument("--carrier", type=float, default=79e9)
     p.add_argument("--bandwidth", type=float, default=4e9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("estimate", help="HR series + recovery report")
     p.add_argument("input", help="trace CSV or radar cube binary")
@@ -109,7 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed-base", type=int, default=100)
+    p.add_argument("--seed-base", type=_seed, default=100)
     p.add_argument(
         "--scenario", action="append", default=[],
         help="run only the named scenario(s); repeatable",

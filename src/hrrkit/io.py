@@ -35,6 +35,8 @@ MODES_HEADER = (
     "window_start_s,mode_idx,omega_hz,energy_share,label,peak_freq_hz,energy,merged_from"
 )
 _CUBE_MAGIC = "hrrkit-cube v1"
+# The characters of the trace rows that read_trace parses in one pass.
+_PLAIN_ROW_CHARS = b"0123456789+-.eE,\n"
 
 
 def meta_path(csv_path: str | Path) -> Path:
@@ -68,10 +70,9 @@ def _parse_trajectory(text: str):
 def write_trace(trace: ChestMotionTrace, path: str | Path) -> None:
     """Trace CSV plus a key=value sidecar recording models, seed and rate."""
     path = Path(path)
-    lines = [TRACE_HEADER]
-    for i, v in enumerate(trace.samples):
-        lines.append(f"{i / trace.sample_rate:.6f},{v:.12e}")
-    path.write_text("\n".join(lines) + "\n")
+    n = len(trace.samples)
+    rows = np.column_stack((np.arange(n) / trace.sample_rate, trace.samples))
+    path.write_text(f"{TRACE_HEADER}\n" + ("%.6f,%.12e\n" * n) % tuple(rows.ravel().tolist()))
 
     meta = {
         "sample_rate": trace.sample_rate,
@@ -135,19 +136,7 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
     lines = path.read_text(errors="replace").splitlines()
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise InputError(f"{path}:1: expected header {TRACE_HEADER!r}")
-    times, values, linenos = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            t_str, v_str = line.split(",")
-            times.append(float(t_str))
-            values.append(float(v_str))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed row {line!r}") from exc
-        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
-            raise InputError(f"{path}:{lineno}: non-finite value in row {line!r}")
-        linenos.append(lineno)
+    times, values, linenos = _plain_rows(lines[1:]) or _checked_rows(path, lines[1:])
     if len(values) < 2:
         raise InputError(f"{path}: needs at least 2 samples")
 
@@ -183,6 +172,50 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
         )
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _checked_rows(path: Path, body: list[str]) -> tuple[list, list, list]:
+    """Times, values and line numbers of the rows below the header, one
+    line at a time; the first row that is not two finite numbers raises."""
+    times, values, linenos = [], [], []
+    for lineno, line in enumerate(body, start=2):
+        if not line.strip():
+            continue
+        try:
+            t_str, v_str = line.split(",")
+            times.append(float(t_str))
+            values.append(float(v_str))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed row {line!r}") from exc
+        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+            raise InputError(f"{path}:{lineno}: non-finite value in row {line!r}")
+        linenos.append(lineno)
+    return times, values, linenos
+
+
+def _plain_rows(body: list[str]) -> Optional[tuple[list, list, list]]:
+    """``_checked_rows`` in one pass, for rows as ``write_trace`` writes them.
+
+    It takes only lines made of digits, signs, points, exponents and commas,
+    so no whitespace, comment or quote can reach the parser. ``np.loadtxt``
+    then parses each field with the routine that ``float`` uses, skips the
+    empty lines and refuses a row whose field count differs from the one
+    before it. Anything else, a row that is not two fields or a value that
+    is not finite, returns None, and ``_checked_rows`` names the line.
+    """
+    text = "\n".join(body)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_ROW_CHARS):
+        return None
+    linenos = [lineno for lineno, line in enumerate(body, start=2) if line]
+    if not linenos:
+        return None
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 2 or not np.isfinite(rows).all():
+        return None
+    return rows[:, 0].tolist(), rows[:, 1].tolist(), linenos
 
 
 def write_cube(cube: RadarCube, path: str | Path) -> None:

@@ -10,6 +10,7 @@ displacement through delta_d = wavelength * delta_phi / (4*pi).
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -27,9 +28,12 @@ _SNR_PEAK_FACTOR = 3.0
 # bin switch, and the cap the block size doubles up to.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
-# Frames per block where the simulator builds its tones and the tracker
-# sorts spectra for their medians: each temporary stays at or under 1 MB at 256
-# samples per chirp, not a cube's size.
+# Frames per block where the simulator builds its tones and draws its noise,
+# and where the tracker transforms, takes magnitudes and sorts for medians:
+# each temporary stays at or under 1 MB at 256 samples per chirp, not a
+# cube's size. Both functions run their second whole-cube stage on one worker
+# thread, block by block, into arrays the calling thread allocated; only
+# block-sized temporaries are made on the worker.
 _FRAME_BLOCK = 256
 
 
@@ -139,6 +143,16 @@ def simulate_frames(
     evaluation of the closed form, next to 1.84e-12 for one exponential per
     sample. The two float64 forms differ by up to 1.3e-12, so the cube's
     bytes are not those of the per-sample form; the noise draws are.
+
+    The noise is one stream from ``np.random.default_rng(seed)``: the real
+    parts of every frame, then the imaginary parts. One worker thread draws
+    it in ``_FRAME_BLOCK``-row blocks, in that order, while this thread
+    builds the tone blocks; each noise block is added to rows whose tones are
+    finished. A block of draws equals the matching rows of one whole-cube
+    draw, so the cube is the same bit for bit on one core or two. The worker
+    stays one block ahead, so at most two blocks of noise are held beside
+    the cube, not a half cube. The worker has stopped when this function
+    returns or raises.
     """
     if not math.isfinite(duration):
         raise InputError(f"duration must be finite, got {duration}")
@@ -172,21 +186,60 @@ def simulate_frames(
                     )
 
     slope = config.bandwidth / config.chirp_duration
-    iq = _tone_sum(
-        2.0 * np.pi * (2.0 * slope * ranges / SPEED_OF_LIGHT),     # beat, rad/s
-        4.0 * np.pi * ranges / config.wavelength,                   # phase, rad
-        config.samples_per_chirp,
-        config.chirp_duration / config.samples_per_chirp,
-    )
+    omega = 2.0 * np.pi * (2.0 * slope * ranges / SPEED_OF_LIGHT)   # beat, rad/s
+    phase0 = 4.0 * np.pi * ranges / config.wavelength                 # phase, rad
+    n = config.samples_per_chirp
+    dt = config.chirp_duration / n
     if scene.noise_floor > 0:
-        rng = np.random.default_rng(seed)
-        sigma = math.sqrt(scene.noise_floor / 2.0)
-        iq.real += rng.normal(0.0, sigma, iq.shape)
-        iq.imag += rng.normal(0.0, sigma, iq.shape)
+        rng = np.random.default_rng(seed)  # a bad seed raises here, not on the worker
+        iq = _noisy_tone_sum(omega, phase0, n, dt, rng, math.sqrt(scene.noise_floor / 2.0))
+    else:
+        iq = _tone_sum(omega, phase0, n, dt)
     return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
 
 
-def _tone_sum(omega: np.ndarray, phase0: np.ndarray, n: int, dt: float) -> np.ndarray:
+def _noisy_tone_sum(omega, phase0, n: int, dt: float, rng, sigma: float) -> np.ndarray:
+    """``_tone_sum`` plus complex noise of ``sigma`` per part.
+
+    The same as adding ``rng.normal(0.0, sigma, shape)`` to the real parts and
+    then another to the imaginary parts: the blocks come from one worker
+    thread, which has stopped when this returns or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_frames = omega.shape[1]
+    starts = range(0, n_frames, _FRAME_BLOCK)
+    shapes = [(min(_FRAME_BLOCK, n_frames - f0), n) for f0 in starts]
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        noise = _noise_blocks(pool, rng, sigma, shapes + shapes)
+        iq = _tone_sum(omega, phase0, n, dt, real_noise=noise)
+        for f0 in starts:
+            iq.imag[f0:f0 + _FRAME_BLOCK] += next(noise)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return iq
+
+
+def _noise_blocks(pool, rng, sigma: float, shapes):
+    """Yield ``rng.normal(0.0, sigma, shape)`` for each of ``shapes`` in turn.
+
+    Each draw runs on ``pool``, whose one worker takes its tasks in order, so
+    the blocks follow one another in the stream. The worker draws the next
+    block while the consumer uses this one, and no further ahead.
+    """
+    ahead = collections.deque()
+    for shape in shapes:
+        ahead.append(pool.submit(rng.normal, 0.0, sigma, shape))
+        if len(ahead) > 1:
+            yield ahead.popleft().result()
+    while ahead:
+        yield ahead.popleft().result()
+
+
+def _tone_sum(
+    omega: np.ndarray, phase0: np.ndarray, n: int, dt: float, real_noise=None
+) -> np.ndarray:
     """Sum over targets of exp(1j * (omega * t + phase0)) at n fast-time samples.
 
     ``omega`` and ``phase0`` are (targets, frames). Fast time t runs in steps
@@ -200,6 +253,8 @@ def _tone_sum(omega: np.ndarray, phase0: np.ndarray, n: int, dt: float) -> np.nd
     (n_coarse + n_fine) exponentials per frame instead of n, and one complex
     product per sample. Samples past n are cropped. Frames go in blocks of
     ``_FRAME_BLOCK``; the first target's block is written, later ones added.
+    When ``real_noise`` is given, its next block is added to each block's
+    real parts once every target's tone is in.
     """
     n_coarse = math.isqrt(n - 1) + 1
     n_fine = -(-n // n_coarse)
@@ -220,6 +275,8 @@ def _tone_sum(omega: np.ndarray, phase0: np.ndarray, n: int, dt: float) -> np.nd
                 iq[f0:f1] = tone
             else:
                 iq[f0:f1] += tone
+        if real_noise is not None:
+            iq.real[f0:f1] += next(real_noise)
     return iq
 
 
@@ -267,6 +324,10 @@ def track_target(
     whose peak stays below 3x the median spectrum level for more than one
     second raise TrackingLostError. A frame with a non-finite sample raises
     InputError: it makes the frame's whole spectrum non-finite.
+
+    The range FFT, magnitudes and row medians run as two row halves split
+    at a ``_FRAME_BLOCK`` boundary, the second on a worker thread that has
+    stopped when this returns or raises.
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
@@ -278,11 +339,18 @@ def track_target(
         raise InputError(
             f"expected_range {expected_range} m is outside the spectrum"
         )
-    # A non-finite sample is reported below, by frame, not as a warning.
-    with np.errstate(invalid="ignore"):
-        spectra = np.fft.fft(cube.iq, axis=1)
-    mags = np.abs(spectra)
-    floor = _SNR_PEAK_FACTOR * _row_medians(mags)
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_frames = cube.n_frames
+    spectra = np.empty(cube.iq.shape, dtype=complex)
+    mags = np.empty(cube.iq.shape)
+    medians = np.empty(n_frames)
+    split = min(n_frames, _FRAME_BLOCK * -(-n_frames // (2 * _FRAME_BLOCK)))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_cube_pass, cube.iq, spectra, mags, medians, split, n_frames)
+        _cube_pass(cube.iq, spectra, mags, medians, 0, split)
+        second.result()
+    floor = _SNR_PEAK_FACTOR * medians
     bad = ~np.isfinite(floor)
     if bad.any():
         raise InputError(
@@ -312,12 +380,32 @@ def track_target(
     return stitch_phase(raw, bins, cube.frame_rate, switch_phase)
 
 
+def _cube_pass(iq, spectra, mags, medians, r0: int, r1: int) -> None:
+    """Range spectra, magnitudes and row medians of frames r0 to r1, in place.
+
+    ``np.fft.fft``, ``np.abs`` and ``np.median`` over the whole cube, to the
+    bit, one ``_FRAME_BLOCK`` of rows at a time: a row's spectrum does not
+    depend on the rows transformed with it. Safe to run on two threads over
+    disjoint rows. A non-finite sample is reported by the caller, by frame,
+    not as a warning; ``np.errstate`` holds for one thread only, so it is set
+    here.
+    """
+    with np.errstate(invalid="ignore"):
+        for b0 in range(r0, r1, _FRAME_BLOCK):
+            rows = slice(b0, min(b0 + _FRAME_BLOCK, r1))
+            spectra[rows] = np.fft.fft(iq[rows], axis=1)
+            np.abs(spectra[rows], out=mags[rows])
+            medians[rows] = _row_medians(mags[rows])
+
+
 def _row_medians(mags: np.ndarray) -> np.ndarray:
     """``np.median(mags, axis=1)`` to the bit, from one sort per block of rows.
 
     The median is the middle order statistic, or the mean of the two middle
     ones for an even count: the same values, added and halved the same way.
-    Sorting ``_FRAME_BLOCK`` rows at a time keeps the sorted copy small.
+    Sorting ``_FRAME_BLOCK`` rows at a time keeps the sorted copy small. It
+    reads only ``mags`` and allocates its result, so two threads may run it
+    on different rows.
     """
     half = mags.shape[1] // 2
     medians = np.empty(mags.shape[0])

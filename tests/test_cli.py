@@ -428,6 +428,26 @@ class TestCliFlows:
                               "max_err_bpm,mean_hrr60_err_bpm")
         assert (out / "archive" / "zero_noise_no_harmonics" / "rep_0" / "hr.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["synth", "-o", "{out}", "--seed", "-1", "--snr-db", "15"], "--seed"),
+            (["simulate", "{trace}", "-o", "{out}", "--noise-floor", "1e-4", "--seed", "-1"],
+             "--seed"),
+            (["eval", "-o", "{out}", "--seed-base", "-25", "--scenario", "recovery_snr15"],
+             "--seed-base"),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, synth_dir, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        argv = [a.format(out=out, trace=synth_dir / "trace.csv") for a in args]
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected an integer >= 0, got '-" in err
+        assert not out.exists()
+
     def test_eval_unknown_scenario_usage_error(self, tmp_path):
         rc = main(["eval", "-o", str(tmp_path / "x"), "--scenario", "nope"])
         assert rc == 1

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrrkit.errors import InputError
 from hrrkit.hr_estimate import HrSeries, WindowResult
 from hrrkit.io import (
     MODES_HEADER,
+    TRACE_HEADER,
+    _plain_rows,
     read_cube,
     read_trace,
     write_cube,
@@ -34,6 +40,62 @@ def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", na
     )
     path.write_bytes(header.encode("ascii") + payload.tobytes())
     return path
+
+
+def per_row_trace_text(trace):
+    """The trace CSV written one row at a time (test-only)."""
+    lines = [TRACE_HEADER]
+    for i, v in enumerate(trace.samples):
+        lines.append(f"{i / trace.sample_rate:.6f},{v:.12e}")
+    return "\n".join(lines) + "\n"
+
+
+def line_loop_rows(text):
+    """Times, values and line numbers of a trace CSV, one line at a time
+    (test-only); None where a row is not two finite numbers."""
+    times, values, linenos = [], [], []
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            t_str, v_str = line.split(",")
+            t, v = float(t_str), float(v_str)
+        except ValueError:
+            return None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            return None
+        times.append(t)
+        values.append(v)
+        linenos.append(lineno)
+    return times, values, linenos
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def panel_trace(sample_rate=100.0):
+    return synthesize_trace(
+        RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04)),
+        HeartbeatModel(ExponentialRecovery(152.0, 120.0, 30.0), 0.15),
+        0.05, sample_rate, 66.0, 120,
+    )
+
+
+# A CSV with blank lines, signs, bare points and exponents in both cases.
+EXPONENT_CSV = (
+    f"{TRACE_HEADER}\n"
+    "\n"
+    "0.000000,1.5e-3\n"
+    "0.010000,-2.25E+01\n"
+    "\n"
+    "\n"
+    "+0.020,3.\n"
+    "3e-2,.5e2\n"
+    "0.04,-0.0\n"
+    "5.0E-2,7E0\n"
+    "\n"
+)
 
 
 class TestTraceCsv:
@@ -143,6 +205,85 @@ class TestTraceCsv:
         with pytest.raises(InputError, match="t.meta: bad sidecar entry"):
             read_trace(path)
 
+
+    @pytest.mark.parametrize("sample_rate", [100.0, 99.7])
+    def test_bytes_match_per_row_form(self, tmp_path, sample_rate):
+        trace = panel_trace(sample_rate)
+        write_trace(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == per_row_trace_text(trace)
+
+    def test_panel_trace_values_equal_line_loop(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(panel_trace(), path)
+        (tmp_path / "t.meta").unlink()  # the rate comes from the parsed times
+        text = path.read_text()
+        expected = line_loop_rows(text)
+        got = _plain_rows(text.splitlines()[1:])
+        assert got is not None
+        assert [float_bits(a) for a in got[:2]] == [float_bits(a) for a in expected[:2]]
+        assert got[2] == expected[2] == list(range(2, 6602))
+        times, values, _ = expected
+        trace = read_trace(path)
+        assert float_bits(trace.samples) == float_bits(values)
+        assert trace.sample_rate == (len(times) - 1) / (times[-1] - times[0])
+
+    def test_blank_lines_and_exponents_equal_line_loop(self, tmp_path):
+        expected = line_loop_rows(EXPONENT_CSV)
+        got = _plain_rows(EXPONENT_CSV.splitlines()[1:])
+        assert got is not None
+        assert [float_bits(a) for a in got[:2]] == [float_bits(a) for a in expected[:2]]
+        assert got[2] == expected[2] == [3, 4, 7, 8, 9, 10]
+        path = tmp_path / "e.csv"
+        path.write_text(EXPONENT_CSV)
+        assert float_bits(read_trace(path).samples) == float_bits(expected[1])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Three fields beside one: four numbers, but no row is a pair.
+            (["0.00,1.0", "0.01,2.0,3.0", "4.0"], "bad.csv:3: malformed row '0.01,2.0,3.0'"),
+            (["0.00,1.0", "0.01,2.0", "3.0"], "bad.csv:4: malformed row '3.0'"),
+            (["0.00,1.0,5.0", "0.01,2.0,6.0"], "bad.csv:2: malformed row '0.00,1.0,5.0'"),
+            (["0.00,1.0", ",2.0", "0.02,3.0"], "bad.csv:3: malformed row ',2.0'"),
+            (["0.00,1.0", "0.01,", "0.02,3.0"], "bad.csv:3: malformed row '0.01,'"),
+            (["0.00,1.0", "0.01,2.0e", "0.02,3.0"], "bad.csv:3: malformed row '0.01,2.0e'"),
+            (["0.00,1.0", "0.01,2.0 # note"], "bad.csv:3: malformed row '0.01,2.0 # note'"),
+            (["0.00,1.0", "0.01,1e999"], "bad.csv:3: non-finite value in row '0.01,1e999'"),
+        ],
+    )
+    def test_rows_the_loop_rejects_raise_its_error(self, tmp_path, rows, message):
+        text = "\n".join([TRACE_HEADER, *rows]) + "\n"
+        assert _plain_rows(text.splitlines()[1:]) is None
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as raised:
+            read_trace(path)
+        assert str(raised.value) == f"{path.parent}/{message}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(alphabet="0123456789+-.eE,", max_size=12),
+        st.tuples(st.floats(), st.floats()).map(lambda tv: f"{tv[0]!r},{tv[1]:.12e}"),
+    ), max_size=6))
+    def test_plain_rows_are_the_loop_rows_or_none(self, rows):
+        # Any line of number characters and commas: the one-pass parse either
+        # declines it or gives the loop's values and line numbers.
+        text = "\n".join([TRACE_HEADER, *rows]) + "\n"
+        got = _plain_rows(text.splitlines()[1:])
+        expected = line_loop_rows(text)
+        if got is None:
+            return
+        assert expected is not None
+        assert [float_bits(a) for a in got[:2]] == [float_bits(a) for a in expected[:2]]
+        assert got[2] == expected[2]
+
+    @pytest.mark.parametrize("row", ["0.01, 2.0", "0.01,2_0", " 0.01,2.0", "0.01,2.0\t"])
+    def test_rows_only_the_loop_reads_give_its_values(self, tmp_path, row):
+        text = "\n".join([TRACE_HEADER, "0.00,1.0", row, "0.02,3.0"]) + "\n"
+        assert _plain_rows(text.splitlines()[1:]) is None
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert float_bits(read_trace(path).samples) == float_bits(line_loop_rows(text)[1])
 
 class TestCubeFile:
     def test_round_trip(self, tmp_path):

@@ -1,18 +1,24 @@
 import dataclasses
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hrrkit.errors import InputError, TrackingLostError
+from hrrkit.io import write_cube
 from hrrkit.radar import (
     _FRAME_BLOCK,
+    _SNR_PEAK_FACTOR,
     PhaseSequence,
     RadarConfig,
     RadarCube,
     Target,
     TargetScene,
+    _peak_chain,
     _row_medians,
     phase_to_displacement,
     simulate_frames,
@@ -133,6 +139,47 @@ def reference_track(cube, expected_range, search_width=2):
         else:
             low_snr_run = 0
     return reference_stitch(raw, bins, old_bin), bins
+
+
+def sequential_noisy_cube(cfg, scene, duration, seed):
+    """``simulate_frames`` with its noise drawn after the tones, one whole-cube
+    draw for the real parts and then one for the imaginary parts (test-only)."""
+    iq = simulate_frames(cfg, dataclasses.replace(scene, noise_floor=0.0), duration).iq
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(scene.noise_floor / 2.0)
+    iq.real += rng.normal(0.0, sigma, iq.shape)
+    iq.imag += rng.normal(0.0, sigma, iq.shape)
+    return iq
+
+
+def one_call_track(cube, expected_range, search_width=2):
+    """``track_target`` with the range FFT, magnitudes and medians each taken
+    in one call over the whole cube (test-only)."""
+    with np.errstate(invalid="ignore"):
+        spectra = np.fft.fft(cube.iq, axis=1)
+    mags = np.abs(spectra)
+    floor = _SNR_PEAK_FACTOR * np.median(mags, axis=1)
+    bad = ~np.isfinite(floor)
+    if bad.any():
+        raise InputError(f"frame {int(np.argmax(bad))} holds a non-finite I/Q sample")
+    bins = _peak_chain(mags, round(expected_range / cube.bin_size), search_width)
+    rows = np.arange(cube.n_frames)
+    raw = np.array([math.atan2(z.imag, z.real) for z in spectra[rows, bins].tolist()])
+    max_low_run = int(cube.frame_rate)
+    low = np.concatenate(([False], mags[rows, bins] < floor, [False]))
+    edges = np.flatnonzero(low[1:] != low[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    too_long = np.flatnonzero(ends - starts > max_low_run)
+    if too_long.size:
+        frame = int(starts[too_long[0]]) + max_low_run
+        raise TrackingLostError(
+            f"peak below {_SNR_PEAK_FACTOR}x median spectrum level for "
+            f"more than 1 s around frame {frame}"
+        )
+    switches = np.flatnonzero(np.diff(bins))
+    switch_phase = [math.atan2(z.imag, z.real)
+                    for z in spectra[switches + 1, bins[switches]].tolist()]
+    return stitch_phase(raw, bins, cube.frame_rate, switch_phase)
 
 
 def hopping_tone_cube(path, n=256, noise=0.0, seed=0):
@@ -367,7 +414,9 @@ class TestTracking:
             track_target(cube, 1.0)
 
     @pytest.mark.parametrize(
-        "frame,value", [(0, complex(np.nan)), (5, complex(np.nan)), (5, complex(np.inf))]
+        "frame,value",
+        [(0, complex(np.nan)), (5, complex(np.nan)), (5, complex(np.inf)),
+         (900, complex(np.nan)), (900, complex(np.inf))],  # the second half of 1000
     )
     def test_non_finite_sample_is_input_error(self, frame, value):
         cube = simulate_frames(
@@ -554,6 +603,128 @@ class TestMatchesFrameByFrameReference:
         sigma = math.sqrt(0.01 / 2.0)
         iq += rng.normal(0.0, sigma, iq.shape) + 1j * rng.normal(0.0, sigma, iq.shape)
         assert np.array_equal(noisy.iq, iq)
+
+
+def noisy_scene(n_targets):
+    """A noisy drifting scene of 12 s traces, with one target or two."""
+    scene = TestSimulateFrames.two_target_scene()
+    return dataclasses.replace(scene, targets=scene.targets[:n_targets])
+
+
+class TestTwoThreads:
+    """The simulator's noise draws and the tracker's cube pass, split over a
+    worker thread, give the bytes of the one-thread forms."""
+
+    @pytest.mark.parametrize("n_targets", [1, 2])
+    @pytest.mark.parametrize("n_frames", [1, _FRAME_BLOCK - 1, 2 * _FRAME_BLOCK, 549])
+    def test_noisy_cube_equals_sequential_draws(self, n_targets, n_frames):
+        cfg, scene = RadarConfig(), noisy_scene(n_targets)
+        duration = n_frames / cfg.frame_rate
+        cube = simulate_frames(cfg, scene, duration, 21)
+        assert cube.n_frames == n_frames
+        assert np.array_equal(cube.iq, sequential_noisy_cube(cfg, scene, duration, 21))
+
+    def test_cube_file_bytes_pinned(self, tmp_path):
+        # Written by the one-thread simulator, before the noise moved to a worker.
+        cube = simulate_frames(RadarConfig(), noisy_scene(2), 12.0, 5)
+        write_cube(cube, tmp_path / "cube.bin")
+        assert hashlib.sha256((tmp_path / "cube.bin").read_bytes()).hexdigest() == (
+            "a14e7fa465eb26694812dd16384d978097cc95af541df3aa6d6ace1c1982cfe1"
+        )
+
+    @pytest.mark.parametrize(
+        "n_frames", [1, _FRAME_BLOCK, _FRAME_BLOCK + 1, 2 * _FRAME_BLOCK + 1, 1200]
+    )
+    def test_track_equals_one_call_reference(self, n_frames):
+        cfg = RadarConfig()
+        cube = simulate_frames(cfg, noisy_scene(2), n_frames / cfg.frame_rate, 6)
+        for expected_range in (1.0, 2.2):
+            seq = track_target(cube, expected_range)
+            ref = one_call_track(cube, expected_range)
+            assert np.array_equal(seq.source_bins, ref.source_bins)
+            assert np.array_equal(seq.phase, ref.phase)
+
+    def test_first_bad_frame_named_when_both_halves_hold_one(self):
+        cube = simulate_frames(CFG_50MM, TargetScene((Target(1.0, static_trace(10.0)),)), 10.0)
+        cube.iq[[700, 300], 3] = complex(np.nan)
+        with pytest.raises(InputError, match="^frame 300 holds"):
+            track_target(cube, 1.0)
+
+    def test_bad_seed_raises_before_any_thread_starts(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            simulate_frames(RadarConfig(), noisy_scene(1), 5.0, -1)
+        assert threading.active_count() == before
+
+    def test_worker_exception_surfaces_and_worker_stops(self, monkeypatch):
+        real_default_rng = np.random.default_rng
+
+        class FailingDraws:
+            """Draws two blocks, then fails on the worker."""
+
+            def __init__(self, seed):
+                self.rng, self.calls = real_default_rng(seed), 0
+
+            def normal(self, loc, scale, size):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("third draw failed")
+                return self.rng.normal(loc, scale, size)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingDraws)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third draw failed"):
+            simulate_frames(RadarConfig(), noisy_scene(2), 12.0, 4)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        cube = simulate_frames(RadarConfig(), noisy_scene(2), 6.0, 4)
+        track_target(cube, 1.0)
+        flat = np.zeros((600, 64), dtype=complex)
+        flat[:, 0] = 1.0  # an impulse per frame: a flat spectrum, lost after 1 s
+        with pytest.raises(TrackingLostError):
+            track_target(RadarCube(flat, 100.0, 0.05), 1.0)
+        assert threading.active_count() == before
+
+    def test_three_callers_at_once_match_sequential(self):
+        # Each call owns its generator, worker and arrays; with the interpreter
+        # switching threads every microsecond, a shared buffer or a draw out
+        # of stream order would show as a byte difference.
+        cfg, scene, duration = RadarConfig(), noisy_scene(2), 6.0
+        seeds = (31, 32, 33)
+        expected = {}
+        for seed in seeds:
+            iq = sequential_noisy_cube(cfg, scene, duration, seed)
+            ref = one_call_track(RadarCube(iq, cfg.frame_rate, cfg.bin_size), 2.2)
+            expected[seed] = (iq, ref)
+        got, errors = {}, []
+
+        def run(seed):
+            try:
+                cube = simulate_frames(cfg, scene, duration, seed)
+                got[seed] = (cube.iq, track_target(cube, 2.2))
+            except BaseException as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not errors
+        for seed in seeds:
+            iq, seq = got[seed]
+            ref_iq, ref = expected[seed]
+            assert np.array_equal(iq, ref_iq)
+            assert np.array_equal(seq.source_bins, ref.source_bins)
+            assert np.array_equal(seq.phase, ref.phase)
 
 
 class TestPhaseToDisplacement:
