@@ -6,8 +6,8 @@ per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
 quality. Only InputError and a missing file are input errors; any other
-ValueError is a pipeline failure. A negative --seed or --seed-base is a
-usage error.
+ValueError is a pipeline failure. A negative --seed or --seed-base, or
+--reps below the suite's minimum, is a usage error.
 """
 from __future__ import annotations
 
@@ -18,7 +18,17 @@ from pathlib import Path
 from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import ConfigError, DegradedQualityError, InputError
-from .evaluate import default_scenarios, sweep
+from .evaluate import (
+    DURATION,
+    MIN_REPETITIONS,
+    RECOVERY_HEART,
+    RECOVERY_RESP,
+    SAMPLE_RATE,
+    SEED_BASE,
+    Subject,
+    default_scenarios,
+    sweep,
+)
 from .io import (
     read_cube,
     read_trace,
@@ -55,15 +65,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _seed(text: str) -> int:
-    """A seed argument: numpy's generators take only integers >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An integer argument of at least ``least``; a smaller one is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
+# numpy's generators take only seeds >= 0.
+_seed = _int_at_least(0)
 
 
 def _build_parser() -> _Parser:
@@ -71,26 +87,29 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"hrrkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # synth defaults to the evaluation suite's recovery scene.
+    recovery = RECOVERY_HEART.rate_trajectory
     p = sub.add_parser("synth", parents=[], help="synthesize a ground-truth trace")
     p.add_argument("-o", "--output", required=True, help="trace CSV path")
-    p.add_argument("--duration", type=float, default=66.0)
-    p.add_argument("--sample-rate", type=float, default=100.0)
+    p.add_argument("--duration", type=float, default=DURATION)
+    p.add_argument("--sample-rate", type=float, default=SAMPLE_RATE)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--resp-freq", type=float, default=0.35, help="Hz")
+    p.add_argument("--resp-freq", type=float, default=RECOVERY_RESP.fundamental_freq, help="Hz")
     p.add_argument(
         "--resp-amps",
-        default="1.0,0.25,0.1,0.04",
+        default=",".join(map(str, RECOVERY_RESP.harmonic_amplitudes)),
         help="comma list, fundamental first (mm)",
     )
-    p.add_argument("--resp-phase", type=float, default=0.0)
+    p.add_argument("--resp-phase", type=float, default=RECOVERY_RESP.phase_offset)
     p.add_argument("--no-resp", action="store_true")
-    p.add_argument("--hr-initial", type=float, default=152.0)
-    p.add_argument("--hr-final", type=float, default=120.0)
-    p.add_argument("--hr-tau", type=float, default=30.0)
+    p.add_argument("--hr-initial", type=float, default=recovery.hr_initial)
+    p.add_argument("--hr-final", type=float, default=recovery.hr_final)
+    p.add_argument("--hr-tau", type=float, default=recovery.time_constant)
     p.add_argument("--hr-const", type=float, help="overrides the recovery curve")
     p.add_argument("--hr-ramp", help="start,end,t_end linear trajectory")
-    p.add_argument("--heart-amp", type=float, default=0.15, help="mm")
-    p.add_argument("--heart-waveform", choices=["sinusoid", "pulse"], default="sinusoid")
+    p.add_argument("--heart-amp", type=float, default=RECOVERY_HEART.amplitude, help="mm")
+    p.add_argument("--heart-waveform", choices=[s.value for s in WaveformShape],
+                   default=RECOVERY_HEART.waveform_shape.value)
     p.add_argument("--no-heart", action="store_true")
     p.add_argument("--noise-std", type=float, default=0.0, help="mm")
     p.add_argument("--snr-db", type=float, help="displacement SNR; overrides --noise-std")
@@ -98,11 +117,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="radar front end over a trace")
     p.add_argument("trace", help="input trace CSV")
     p.add_argument("-o", "--output", required=True, help="cube binary path")
-    p.add_argument("--base-range", type=float, default=1.0, help="m")
-    p.add_argument("--drift", type=float, default=0.0, help="m/s")
-    p.add_argument("--noise-floor", type=float, default=0.0, help="relative power")
-    p.add_argument("--carrier", type=float, default=79e9)
-    p.add_argument("--bandwidth", type=float, default=4e9)
+    p.add_argument("--base-range", type=float, default=Subject.base_range, help="m")
+    p.add_argument("--drift", type=float, default=Target.drift, help="m/s")
+    p.add_argument("--noise-floor", type=float, default=TargetScene.noise_floor,
+                   help="relative power")
+    p.add_argument("--carrier", type=float, default=RadarConfig.carrier_freq)
+    p.add_argument("--bandwidth", type=float, default=RadarConfig.bandwidth)
     p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("estimate", help="HR series + recovery report")
@@ -120,8 +140,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output-dir", required=True)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed-base", type=_seed, default=100)
+    p.add_argument("--reps", type=_int_at_least(MIN_REPETITIONS), default=MIN_REPETITIONS)
+    p.add_argument("--seed-base", type=_seed, default=SEED_BASE)
     p.add_argument(
         "--scenario", action="append", default=[],
         help="run only the named scenario(s); repeatable",

@@ -51,19 +51,33 @@ DURATION = 66.0
 SAMPLE_RATE = 100.0
 RADAR_NOISE_FLOOR = 1e-4
 
+# The recovery scene: a 0.35 Hz breather with three harmonics, and a heart
+# rate recovering from 152 to 120 bpm with a 30 s time constant.
+RECOVERY_RESP = RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04))
+RECOVERY_HEART = HeartbeatModel(
+    ExponentialRecovery(152.0, 120.0, 30.0), 0.15, WaveformShape.SINUSOID
+)
+
+# A scenario runs at least this many repetitions, the suite's default. The
+# suite's scenarios take their seeds from SEED_BASE up.
+MIN_REPETITIONS = 3
+SEED_BASE = 100
+
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     subjects: tuple[Subject, ...]
     snr_db: Optional[float] = None      # displacement SNR; None is noise-free
-    repetitions: int = 3
+    repetitions: int = MIN_REPETITIONS
     seed_base: int = 0
     use_radar: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 3:
-            raise ValueError(f"repetitions must be >= 3, got {self.repetitions}")
+        if self.repetitions < MIN_REPETITIONS:
+            raise ValueError(
+                f"repetitions must be >= {MIN_REPETITIONS}, got {self.repetitions}"
+            )
         if not self.subjects:
             raise ValueError("scenario needs at least one subject")
 
@@ -228,13 +242,11 @@ def sweep(
     return table
 
 
-def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenario]:
+def default_scenarios(
+    repetitions: int = MIN_REPETITIONS, seed_base: int = SEED_BASE
+) -> list[Scenario]:
     """The stock desk-scale suite: recovery, floors, coincidence, radar."""
-    resp_full = RespirationModel(0.35, (1.0, 0.25, 0.1, 0.04))
     resp_plain = RespirationModel(0.3, (1.0,))
-    recovery = HeartbeatModel(
-        ExponentialRecovery(152.0, 120.0, 30.0), 0.15, WaveformShape.SINUSOID
-    )
     constant = HeartbeatModel(ConstantRate(130.0), 0.15, WaveformShape.SINUSOID)
     # Heart rate sliding through 3x and 2x the respiratory fundamental
     # (0.5 Hz -> crossings at 90 and 60 bpm).
@@ -243,7 +255,7 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
     return [
         Scenario(
             "clean_constant",
-            (Subject(resp_full, constant),),
+            (Subject(RECOVERY_RESP, constant),),
             repetitions=repetitions,
             seed_base=seed_base,
         ),
@@ -255,7 +267,7 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
         ),
         Scenario(
             "recovery_snr15",
-            (Subject(resp_full, recovery),),
+            (Subject(RECOVERY_RESP, RECOVERY_HEART),),
             snr_db=15.0,
             repetitions=repetitions,
             seed_base=seed_base + 20,
@@ -269,7 +281,7 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
         ),
         Scenario(
             "radar_round_trip",
-            (Subject(resp_full, recovery),),
+            (Subject(RECOVERY_RESP, RECOVERY_HEART),),
             snr_db=25.0,
             use_radar=True,
             repetitions=repetitions,
@@ -278,7 +290,7 @@ def default_scenarios(repetitions: int = 3, seed_base: int = 100) -> list[Scenar
         Scenario(
             "radar_two_targets",
             (
-                Subject(resp_full, recovery, base_range=1.0),
+                Subject(RECOVERY_RESP, RECOVERY_HEART, base_range=1.0),
                 Subject(
                     RespirationModel(0.28, (0.9, 0.2)),
                     HeartbeatModel(

@@ -488,7 +488,6 @@ class HrrReport:
     initial_hr: float
     hr_at_60s: float
     hrr_60: float
-    series: HrSeries
     mean_abs_error: Optional[float] = None
     n_points: int = 0
     n_carry: int = 0
@@ -528,7 +527,6 @@ def build_report(
         initial_hr=float(initial),
         hr_at_60s=float(at60),
         hrr_60=float(initial - at60),
-        series=series,
         mean_abs_error=mae,
         n_points=len(series.points),
         n_carry=sum(1 for p in series.points if p.flag == FLAG_CARRY),

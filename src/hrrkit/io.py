@@ -77,7 +77,7 @@ def write_trace(trace: ChestMotionTrace, path: str | Path) -> None:
     meta = {
         "sample_rate": trace.sample_rate,
         "duration": trace.duration,
-        "unit": trace.unit,
+        "unit": "mm",
     }
     gt = trace.ground_truth
     if gt is not None:
@@ -147,6 +147,10 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             if "=" in line:
                 k, _, v = line.partition("=")
                 meta[k.strip()] = v.strip()
+    if meta.get("unit", "mm") != "mm":
+        raise InputError(
+            f"{mp}: estimate needs a displacement trace in mm, got {meta['unit']!r}"
+        )
     if "sample_rate" not in meta and times[-1] <= times[0]:
         raise InputError(f"{path}: timestamps do not increase")
     try:
@@ -154,6 +158,10 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
         ground_truth = _parse_ground_truth(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{mp}: bad sidecar entry: {exc}") from exc
+    try:
+        trace = ChestMotionTrace(np.array(values), sample_rate, ground_truth)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     # A dropped or jittered row would silently shift every later sample.
     grid = times[0] + np.arange(len(times)) / sample_rate
     off = np.flatnonzero(np.abs(np.array(times) - grid) > 0.01 / sample_rate)
@@ -163,15 +171,7 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
             f"{path}:{linenos[i]}: time {times[i]!r} s is off the uniform "
             f"{sample_rate:g} Hz grid (expected {grid[i]:.6f} s)"
         )
-    try:
-        return ChestMotionTrace(
-            samples=np.array(values),
-            sample_rate=sample_rate,
-            unit=meta.get("unit", "mm"),
-            ground_truth=ground_truth,
-        )
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return trace
 
 
 def _checked_rows(path: Path, body: list[str]) -> tuple[list, list, list]:

@@ -6,7 +6,6 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InputError
 from .hr_estimate import (
     HrrReport,
     HrSeries,
@@ -70,9 +69,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
                 "label": lb.label,
                 "peak_freq_hz": lb.peak_freq,
                 "energy": lb.energy,
-                "alpha": alpha,
-                "r_max": search.r_max,
-                "p": search.p,
                 "coincident": lb.label == "heartbeat" and lb.harmonic_order is not None,
                 "merged_from": merged_from[lb.mode_index],
             }
@@ -107,13 +103,11 @@ def estimate_trace(
     """Run the full pipeline on a displacement trace and build the report.
 
     Ground truth attached to the trace (synthetic runs) is scored into the
-    report's mean absolute error. A trace that is not in mm, or whose first
-    difference is too short for the windows or the report (see
-    ``run_composite_windows``), raises InputError before any window runs.
+    report's mean absolute error. A trace whose first difference is too
+    short for the windows or the report (see ``run_composite_windows``)
+    raises InputError before any window runs.
     """
     cfg = cfg or PipelineConfig()
-    if trace.unit != "mm":
-        raise InputError(f"estimate needs a displacement trace in mm, got {trace.unit!r}")
     prepared = preprocess_trace(trace, cfg)
     series = run_composite_windows(
         prepared, cfg.window_config(), make_window_stage(cfg), carry_limit=cfg.carry_limit

@@ -139,12 +139,7 @@ def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestM
     sos = butter_bandpass_sos(spec.pass_low, spec.pass_high, fs)
     padlen = min(len(trace.samples) - 1, int(3.0 * fs / spec.pass_low))
     filtered = sosfiltfilt(sos, trace.samples, padlen)
-    return ChestMotionTrace(
-        samples=filtered,
-        sample_rate=fs,
-        unit=trace.unit,
-        ground_truth=trace.ground_truth,
-    )
+    return ChestMotionTrace(filtered, fs, trace.ground_truth)
 
 
 def difference(trace: ChestMotionTrace) -> ChestMotionTrace:
@@ -156,9 +151,4 @@ def difference(trace: ChestMotionTrace) -> ChestMotionTrace:
     """
     if len(trace.samples) < 2:
         raise ValueError("difference requires at least 2 samples")
-    return ChestMotionTrace(
-        samples=np.diff(trace.samples),
-        sample_rate=trace.sample_rate,
-        unit=trace.unit,
-        ground_truth=trace.ground_truth,
-    )
+    return ChestMotionTrace(np.diff(trace.samples), trace.sample_rate, trace.ground_truth)

@@ -24,6 +24,9 @@ SPEED_OF_LIGHT = 299792458.0
 # Tracking-SNR floor: spectral peak below this multiple of the median
 # spectrum level counts as a low-SNR frame.
 _SNR_PEAK_FACTOR = 3.0
+# Per frame the tracker searches this many bins either side of the last
+# frame's peak bin.
+_SEARCH_WIDTH = 2
 # Frames per vectorized argmax in the peak chain: the first block after a
 # bin switch, and the cap the block size doubles up to.
 _FIRST_BLOCK = 64
@@ -163,8 +166,6 @@ def simulate_frames(
 
     ranges = np.empty((len(scene.targets), n_frames))
     for ti, tgt in enumerate(scene.targets):
-        if tgt.trace.unit != "mm":
-            raise InputError("target traces must be displacement in mm")
         if tgt.trace.duration < duration - 1e-9:
             raise InputError(
                 f"target trace ({tgt.trace.duration:.2f} s) shorter than the "
@@ -312,14 +313,10 @@ def stitch_phase(
     return PhaseSequence(phase=phase, source_bins=source_bins, sample_rate=sample_rate)
 
 
-def track_target(
-    cube: RadarCube,
-    expected_range: float,
-    search_width: int = 2,
-) -> PhaseSequence:
+def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
     """Follow one target's spectral peak and extract its stitched phase.
 
-    Per frame the bin is the magnitude argmax within ``search_width`` bins
+    Per frame the bin is the magnitude argmax within ``_SEARCH_WIDTH`` bins
     of the previous frame's bin (seeded from ``expected_range``). Frames
     whose peak stays below 3x the median spectrum level for more than one
     second raise TrackingLostError. A frame with a non-finite sample raises
@@ -357,7 +354,7 @@ def track_target(
             f"frame {int(np.argmax(bad))} holds a non-finite I/Q sample"
         )
 
-    bins = _peak_chain(mags, center, search_width)
+    bins = _peak_chain(mags, center, _SEARCH_WIDTH)
     rows = np.arange(cube.n_frames)
     # math.atan2, not np.arctan2: the two differ in the last bit.
     raw = np.array([math.atan2(z.imag, z.real) for z in spectra[rows, bins].tolist()])
@@ -451,8 +448,4 @@ def phase_to_displacement(seq: PhaseSequence, wavelength: float) -> ChestMotionT
     if not 0 < wavelength < math.inf:
         raise InputError(f"wavelength must be finite and > 0, got {wavelength}")
     disp_m = wavelength * (seq.phase - seq.phase[0]) / (4.0 * np.pi)
-    return ChestMotionTrace(
-        samples=disp_m * 1000.0,
-        sample_rate=seq.sample_rate,
-        unit="mm",
-    )
+    return ChestMotionTrace(disp_m * 1000.0, seq.sample_rate)

@@ -49,15 +49,20 @@ class RespirationModel:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.fundamental_freq < MIN_RESP_FREQ_HZ:
+        # Negated comparisons here and below, so that NaN fails them too.
+        if not MIN_RESP_FREQ_HZ <= self.fundamental_freq < math.inf:
             raise ValueError(
-                f"fundamental_freq must be >= {MIN_RESP_FREQ_HZ:.4f} Hz "
+                f"fundamental_freq must be finite and >= {MIN_RESP_FREQ_HZ:.4f} Hz "
                 f"(10 breaths/min), got {self.fundamental_freq}"
             )
         amps = tuple(float(a) for a in self.harmonic_amplitudes)
         object.__setattr__(self, "harmonic_amplitudes", amps)
-        if not amps or amps[0] <= 0:
-            raise ValueError("fundamental amplitude (harmonic_amplitudes[0]) must be > 0")
+        if not amps or not 0 < amps[0] < math.inf:
+            raise ValueError(
+                "fundamental amplitude (harmonic_amplitudes[0]) must be finite and > 0"
+            )
+        if not all(math.isfinite(a) for a in amps) or not math.isfinite(self.phase_offset):
+            raise ValueError("harmonic amplitudes and phase_offset must be finite")
         n_upper = sum(1 for a in amps[1:] if a != 0.0)
         if n_upper > MAX_RESP_HARMONICS:
             raise ValueError(
@@ -93,8 +98,8 @@ class ExponentialRecovery:
                 f"require hr_initial >= hr_final > 0, got "
                 f"({self.hr_initial}, {self.hr_final})"
             )
-        if self.time_constant <= 0:
-            raise ValueError(f"time_constant must be > 0, got {self.time_constant}")
+        if not 0 < self.time_constant < math.inf:
+            raise ValueError(f"time_constant must be finite and > 0, got {self.time_constant}")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -122,8 +127,8 @@ class LinearRamp:
     t_end: float
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -146,8 +151,8 @@ class HeartbeatModel:
     waveform_shape: WaveformShape = WaveformShape.SINUSOID
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"heartbeat amplitude must be > 0, got {self.amplitude}")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"heartbeat amplitude must be finite and > 0, got {self.amplitude}")
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         """Accumulated beat phase (radians) on a uniform time grid ``t``."""
@@ -158,7 +163,7 @@ class HeartbeatModel:
         n_fine = (t.size - 1) * _PHASE_OVERSAMPLE + 1
         t_fine = np.linspace(t[0], t[-1], n_fine)
         rate = np.asarray(self.rate_trajectory(t_fine), dtype=float)
-        if rate.min() < HR_FLOOR_BPM or rate.max() > HR_CEILING_BPM:
+        if not (rate.min() >= HR_FLOOR_BPM and rate.max() <= HR_CEILING_BPM):
             raise InputError(
                 f"rate_trajectory must stay within [{HR_FLOOR_BPM:.0f}, "
                 f"{HR_CEILING_BPM:.0f}] bpm over the window, got "
@@ -210,26 +215,21 @@ class GroundTruth:
 
 @dataclass
 class ChestMotionTrace:
-    """Uniformly sampled chest-motion sequence, the pipeline's central type.
-
-    ``unit`` is "mm" for displacement or "rad" for raw phase.
-    """
+    """Uniformly sampled chest displacement in mm, the pipeline's central type."""
 
     samples: np.ndarray
     sample_rate: float
-    unit: str = "mm"
     ground_truth: Optional[GroundTruth] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.sample_rate < MIN_SAMPLE_RATE_HZ:
+        if not MIN_SAMPLE_RATE_HZ <= self.sample_rate < math.inf:
             raise ValueError(
-                f"sample_rate must be >= {MIN_SAMPLE_RATE_HZ} Hz, got {self.sample_rate}"
+                f"sample_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, "
+                f"got {self.sample_rate}"
             )
-        if self.unit not in ("mm", "rad"):
-            raise ValueError(f"unit must be 'mm' or 'rad', got {self.unit!r}")
 
     @property
     def duration(self) -> float:
@@ -265,8 +265,8 @@ def synthesize_trace(
         raise InputError(
             f"{duration} s at {sample_rate} Hz gives {n} sample(s); at least 2 are needed"
         )
-    if noise_std < 0:
-        raise InputError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < math.inf:
+        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
     if resp is not None and heart is not None:
         if heart.amplitude >= resp.harmonic_amplitudes[0]:
             raise InputError(
@@ -283,12 +283,7 @@ def synthesize_trace(
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         x = x + rng.normal(0.0, noise_std, n)
-    return ChestMotionTrace(
-        samples=x,
-        sample_rate=sample_rate,
-        unit="mm",
-        ground_truth=GroundTruth(resp, heart, noise_std, seed),
-    )
+    return ChestMotionTrace(x, sample_rate, GroundTruth(resp, heart, noise_std, seed))
 
 
 def noise_std_for_snr(

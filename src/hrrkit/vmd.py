@@ -136,15 +136,10 @@ class GateThresholds:
 
 @dataclass
 class ModeSet:
-    """Result of one decomposition, modes ordered by descending energy.
-
-    ``residual`` is defined as ``input - modes.sum(axis=0)`` evaluated in
-    that fixed order, so ``input - sum(modes) - residual`` is exactly zero.
-    """
+    """Result of one decomposition, modes ordered by descending energy."""
 
     modes: np.ndarray          # (K, n)
     center_freqs: np.ndarray   # Hz, aligned with mode order
-    residual: np.ndarray
     input_signal: np.ndarray
     input_energy: float
     sample_rate: float
@@ -324,11 +319,9 @@ def vmd_decompose(
     modes = modes[order]
     center_freqs = omega[order] * sample_rate
 
-    residual = f - modes.sum(axis=0)
     return ModeSet(
         modes=modes,
         center_freqs=center_freqs,
-        residual=residual,
         input_signal=f,
         input_energy=float(np.dot(f, f)),
         sample_rate=sample_rate,
@@ -344,9 +337,7 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
     The modes are taken in ascending center frequency, and each run of
     neighbours less than ``width_hz`` apart, a chain, becomes one mode: the
     sum of their modes, at their energy-weighted center frequency. The
-    merged modes are ordered by descending energy and ``residual`` is
-    recomputed as ``input - modes.sum(axis=0)``, so the ModeSet invariant
-    holds exactly. ``merged_from`` names the modes of ``ms`` that each
+    merged modes are ordered by descending energy. ``merged_from`` names the modes of ``ms`` that each
     merged mode sums; a merged set carries no spectra. With no pair closer
     than ``width_hz``, which a width of 0 guarantees, ``ms`` itself comes
     back.
@@ -364,12 +355,10 @@ def merge_close_modes(ms: ModeSet, width_hz: float) -> ModeSet:
         for c in chains
     ])
     by_energy = np.argsort(np.sum(modes**2, axis=1), kind="stable")[::-1]
-    modes = modes[by_energy]
     return replace(
         ms,
-        modes=modes,
+        modes=modes[by_energy],
         center_freqs=center_freqs[by_energy],
-        residual=ms.input_signal - modes.sum(axis=0),
         spectra=None,
         merged_from=tuple(tuple(sorted(int(i) for i in chains[j])) for j in by_energy),
     )
@@ -399,7 +388,8 @@ def energy_loss(ms: ModeSet) -> float:
     """Residual-to-input energy ratio p = ||f - sum(u_k)||^2 / ||f||^2."""
     if ms.input_energy <= 0.0:
         raise ValueError("energy loss is undefined for a zero-energy input")
-    return float(np.dot(ms.residual, ms.residual)) / ms.input_energy
+    residual = ms.input_signal - ms.modes.sum(axis=0)
+    return float(np.dot(residual, residual)) / ms.input_energy
 
 
 def check_alpha_bracket(alpha_range: tuple[float, float], ratio_tol: float) -> None:

@@ -6,12 +6,13 @@ import pytest
 
 from hrrkit import cli
 from hrrkit.cli import main
+from hrrkit.evaluate import DURATION, RECOVERY_HEART, RECOVERY_RESP, SAMPLE_RATE
 from hrrkit.config import PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
 from hrrkit.hr_estimate import WindowConfig, condition_heartbeat, run_composite_windows
-from hrrkit.io import read_trace
+from hrrkit.io import read_trace, write_trace
 from hrrkit.preprocess import FilterSpec
-from hrrkit.signal_model import ExponentialRecovery
+from hrrkit.signal_model import ExponentialRecovery, synthesize_trace
 from hrrkit.vmd import GateThresholds, VmdParams, select_alpha
 
 
@@ -216,6 +217,18 @@ class TestCliFlows:
         assert rc == 2
         assert "displacement trace in mm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-100.0"])
+    def test_unusable_sidecar_rate_is_input_error(self, synth_dir, tmp_path, capsys, rate):
+        (tmp_path / "t.csv").write_bytes((synth_dir / "trace.csv").read_bytes())
+        meta = (synth_dir / "trace.meta").read_text()
+        assert "sample_rate=100.0\n" in meta
+        (tmp_path / "t.meta").write_text(meta.replace("sample_rate=100.0", f"sample_rate={rate}"))
+        out = tmp_path / "out"
+        assert main(["estimate", str(tmp_path / "t.csv"), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 't.csv'}: sample_rate must be finite and >= 20.0 Hz" in err
+        assert not out.exists()
+
     def test_pass_band_above_nyquist_is_input_error(self, synth_dir, tmp_path, capsys):
         rc = main([
             "estimate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "out"),
@@ -248,6 +261,26 @@ class TestCliFlows:
         rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--duration", "20", *args])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--heart-amp", "nan"], ["--heart-amp", "inf"], ["--hr-const", "nan"],
+         ["--resp-freq", "nan"], ["--resp-amps", "1.0,nan"], ["--resp-phase", "inf"],
+         ["--noise-std", "nan"], ["--hr-tau", "nan"], ["--hr-ramp", "100,55,nan"]],
+    )
+    def test_non_finite_synthesis_argument_is_input_error(self, tmp_path, capsys, args):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "-o", str(out), *args]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".meta").exists()
+
+    def test_synth_defaults_are_the_recovery_scene(self, tmp_path):
+        assert main(["synth", "-o", str(tmp_path / "t.csv")]) == 0
+        trace = synthesize_trace(RECOVERY_RESP, RECOVERY_HEART, 0.0, SAMPLE_RATE, DURATION, 0)
+        write_trace(trace, tmp_path / "scene.csv")
+        for suffix in (".csv", ".meta"):
+            assert (tmp_path / f"t{suffix}").read_bytes() == (
+                tmp_path / f"scene{suffix}").read_bytes()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -446,6 +479,15 @@ class TestCliFlows:
         assert stopped.value.code == 1
         err = capsys.readouterr().err
         assert f"error: argument {flag}: expected an integer >= 0, got '-" in err
+        assert not out.exists()
+
+    def test_too_few_reps_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stopped:
+            main(["eval", "-o", str(out), "--reps", "2", "--scenario", "recovery_snr15"])
+        assert stopped.value.code == 1
+        assert "error: argument --reps: expected an integer >= 3, got '2'" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_eval_unknown_scenario_usage_error(self, tmp_path):

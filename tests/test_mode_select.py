@@ -32,7 +32,6 @@ def make_modeset(freq_amp_pairs, noise_modes=0, seed=0, fs=FS):
     return ModeSet(
         modes=modes,
         center_freqs=np.array([f for f, _ in freq_amp_pairs] + [0.0] * noise_modes),
-        residual=signal - modes.sum(axis=0),
         input_signal=signal,
         input_energy=float(np.dot(signal, signal)),
         sample_rate=fs,
@@ -139,7 +138,6 @@ class TestClassifyModes:
             ms = ModeSet(
                 modes=base.modes[list(perm)],
                 center_freqs=base.center_freqs[list(perm)],
-                residual=base.residual,
                 input_signal=base.input_signal,
                 input_energy=base.input_energy,
                 sample_rate=base.sample_rate,

@@ -67,8 +67,6 @@ def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path)
         assert s.p == energy_loss(s.modes)
         assert w.alpha == s.alpha
         assert w.mode_table
-        for row in w.mode_table:
-            assert (row["alpha"], row["r_max"], row["p"]) == (s.alpha, s.r_max, s.p)
         if w.status in ("ok", "gates_relaxed"):
             assert (w.status == "ok") == s.feasible
     assert {"ok", "gates_relaxed"} <= {w.status for w in windows}
@@ -131,13 +129,6 @@ def test_short_trace_is_input_error_before_any_window(monkeypatch, duration, cfg
     monkeypatch.setattr(pipeline, "select_alpha", refuse_search)
     with pytest.raises(InputError, match=match):
         pipeline.estimate_trace(trace, cfg)
-
-
-def test_phase_trace_is_input_error_before_any_window(monkeypatch):
-    trace = replace(noisy_recovery(1), unit="rad")
-    monkeypatch.setattr(pipeline, "select_alpha", refuse_search)
-    with pytest.raises(InputError, match="displacement trace in mm, got 'rad'"):
-        pipeline.estimate_trace(trace)
 
 
 def test_sweep_edge_follows_the_pass_band():

@@ -93,6 +93,40 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="sample_rate"):
             ChestMotionTrace(np.zeros(100), 10.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_trace_sample_rate_is_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be finite"):
+            ChestMotionTrace(np.zeros(100), rate)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda v: RespirationModel(v, (1.0,)), "fundamental_freq"),
+            (lambda v: RespirationModel(0.3, (v,)), "fundamental amplitude"),
+            (lambda v: RespirationModel(0.3, (1.0, v)), "finite"),
+            (lambda v: RespirationModel(0.3, (1.0,), v), "finite"),
+            (lambda v: HeartbeatModel(ConstantRate(100.0), v), "amplitude"),
+            (lambda v: ExponentialRecovery(150.0, 120.0, v), "time_constant"),
+            (lambda v: LinearRamp(100.0, 55.0, v), "t_end"),
+        ],
+        ids=["resp_freq", "resp_fundamental", "resp_harmonic", "resp_phase",
+             "heart_amplitude", "time_constant", "t_end"],
+    )
+    def test_non_finite_model_value_rejected(self, build, match, bad):
+        with pytest.raises(ValueError, match=match):
+            build(bad)
+
+    @pytest.mark.parametrize("trajectory", [ConstantRate(math.nan), LinearRamp(100.0, math.nan, 30.0)])
+    def test_non_finite_rate_rejected_at_synthesis(self, trajectory):
+        with pytest.raises(ValueError, match="rate_trajectory"):
+            synthesize_trace(None, HeartbeatModel(trajectory, 0.1), 0.0, 100.0, 10.0, 0)
+
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            synthesize_trace(RespirationModel(0.3, (1.0,)), None, noise_std, 100.0, 10.0, 0)
+
 
 class TestSynthesizeTrace:
     def test_two_pure_tones_peak_where_expected(self):
