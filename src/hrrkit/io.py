@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .hr_estimate import HrrReport, HrSeries
-from .radar import RadarCube
+from .radar import _FRAME_BLOCK, RadarCube
 from .signal_model import (
     MIN_SAMPLE_RATE_HZ,
     ChestMotionTrace,
@@ -219,7 +220,10 @@ def _plain_rows(body: list[str]) -> Optional[tuple[list, list, list]]:
 
 
 def write_cube(cube: RadarCube, path: str | Path) -> None:
-    """Binary cube: text header, then little-endian float32 interleaved I/Q."""
+    """Binary cube: text header, then little-endian float32 interleaved I/Q.
+
+    The samples are cast and written ``_FRAME_BLOCK`` frames at a time.
+    """
     path = Path(path)
     header = (
         f"{_CUBE_MAGIC}\n"
@@ -231,7 +235,8 @@ def write_cube(cube: RadarCube, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(cube.iq, dtype="<c8"))
+        for f0 in range(0, cube.n_frames, _FRAME_BLOCK):
+            fh.write(np.ascontiguousarray(cube.iq[f0:f0 + _FRAME_BLOCK], dtype="<c8"))
 
 
 def read_cube(path: str | Path) -> RadarCube:
@@ -240,6 +245,10 @@ def read_cube(path: str | Path) -> RadarCube:
     Besides a well-formed header and payload, the radar stage needs at
     least one frame of at least two samples, a finite frame rate of at
     least MIN_SAMPLE_RATE_HZ, a finite positive bin size and finite samples.
+
+    The payload's length is checked against the header before anything of
+    the cube's size is allocated. The samples then pass ``_FRAME_BLOCK``
+    frames at a time through a small float32 buffer into the cube.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -255,36 +264,43 @@ def read_cube(path: str | Path) -> RadarCube:
                 raise InputError(f"{path}: malformed cube header line {line!r}")
             k, _, v = line.partition("=")
             fields[k] = v
-        payload = np.frombuffer(fh.read(), dtype="<f4")
-    try:
-        frames = int(fields["frames"])
-        samples = int(fields["samples_per_chirp"])
-        frame_rate = float(fields["frame_rate"])
-        bin_size = float(fields["bin_size"])
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: bad or missing cube header field {exc}") from exc
-    if frames < 1 or samples < 2:
-        raise InputError(
-            f"{path}: needs frames >= 1 and samples_per_chirp >= 2, got "
-            f"{frames} x {samples}"
-        )
-    if not MIN_SAMPLE_RATE_HZ <= frame_rate < math.inf:
-        raise InputError(
-            f"{path}: frame_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, "
-            f"got {frame_rate}"
-        )
-    if not 0 < bin_size < math.inf:
-        raise InputError(f"{path}: bin_size must be finite and > 0, got {bin_size}")
-    if payload.size != frames * samples * 2:
-        raise InputError(
-            f"{path}: payload holds {payload.size} floats, expected "
-            f"{frames * samples * 2}"
-        )
-    if not np.isfinite(payload).all():
-        frame = int(np.argmin(np.isfinite(payload))) // (2 * samples)
-        raise InputError(f"{path}: frame {frame} holds a non-finite I/Q sample")
-    iq = payload.view("<c8").astype(complex)
-    return RadarCube(iq=iq.reshape(frames, samples), frame_rate=frame_rate, bin_size=bin_size)
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        try:
+            frames = int(fields["frames"])
+            samples = int(fields["samples_per_chirp"])
+            frame_rate = float(fields["frame_rate"])
+            bin_size = float(fields["bin_size"])
+        except (KeyError, ValueError) as exc:
+            raise InputError(f"{path}: bad or missing cube header field {exc}") from exc
+        if frames < 1 or samples < 2:
+            raise InputError(
+                f"{path}: needs frames >= 1 and samples_per_chirp >= 2, got "
+                f"{frames} x {samples}"
+            )
+        if not MIN_SAMPLE_RATE_HZ <= frame_rate < math.inf:
+            raise InputError(
+                f"{path}: frame_rate must be finite and >= {MIN_SAMPLE_RATE_HZ} Hz, "
+                f"got {frame_rate}"
+            )
+        if not 0 < bin_size < math.inf:
+            raise InputError(f"{path}: bin_size must be finite and > 0, got {bin_size}")
+        if payload_bytes != frames * samples * 8:
+            raise InputError(
+                f"{path}: payload holds {payload_bytes / 4:.15g} floats, expected "
+                f"{frames * samples * 2}"
+            )
+        iq = np.empty((frames, samples), dtype=complex)
+        buf = np.empty((min(frames, _FRAME_BLOCK), samples), dtype="<c8")
+        for f0 in range(0, frames, _FRAME_BLOCK):
+            block = buf[:min(_FRAME_BLOCK, frames - f0)]
+            if fh.readinto(block) != block.nbytes:
+                raise InputError(f"{path}: payload ended early, at frame {f0}")
+            finite = np.isfinite(block)
+            if not finite.all():
+                frame = f0 + int(np.argmin(finite)) // samples
+                raise InputError(f"{path}: frame {frame} holds a non-finite I/Q sample")
+            iq[f0:f0 + block.shape[0]] = block
+    return RadarCube(iq=iq, frame_rate=frame_rate, bin_size=bin_size)
 
 
 def write_hr_series(series: HrSeries, path: str | Path) -> None:

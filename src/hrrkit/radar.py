@@ -32,11 +32,11 @@ _SEARCH_WIDTH = 2
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 # Frames per block where the simulator builds its tones and draws its noise,
-# and where the tracker transforms, takes magnitudes and sorts for medians:
-# each temporary stays at or under 1 MB at 256 samples per chirp, not a
-# cube's size. Both functions run their second whole-cube stage on one worker
-# thread, block by block, into arrays the calling thread allocated; only
-# block-sized temporaries are made on the worker.
+# where the tracker transforms, takes magnitudes and sorts for medians, and
+# where the cube file is read and written: each temporary stays at or under
+# 1 MB at 256 samples per chirp, not a cube's size. The simulator draws its
+# noise on one worker thread, block by block; the tracker keeps only
+# per-frame values from each block.
 _FRAME_BLOCK = 256
 
 
@@ -320,11 +320,16 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
     of the previous frame's bin (seeded from ``expected_range``). Frames
     whose peak stays below 3x the median spectrum level for more than one
     second raise TrackingLostError. A frame with a non-finite sample raises
-    InputError: it makes the frame's whole spectrum non-finite.
+    InputError naming the first such frame: it makes the frame's whole
+    spectrum non-finite.
 
-    The range FFT, magnitudes and row medians run as two row halves split
-    at a ``_FRAME_BLOCK`` boundary, the second on a worker thread that has
-    stopped when this returns or raises.
+    One loop over ``_FRAME_BLOCK``-row blocks takes each block's range FFT,
+    magnitudes and row medians and continues the peak chain from the last
+    block's final bin. Only per-frame values outlive a block: the chosen bin,
+    the complex value there, the low-SNR flag and, at each bin switch, the
+    next frame's value in the bin being left. A row's spectrum does not
+    depend on the rows transformed with it, so these are the values of one
+    whole-cube pass, bit for bit.
     """
     if cube.n_frames < 1:
         raise ValueError("cube has no frames")
@@ -336,31 +341,34 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
         raise InputError(
             f"expected_range {expected_range} m is outside the spectrum"
         )
-    from concurrent.futures import ThreadPoolExecutor
-
     n_frames = cube.n_frames
-    spectra = np.empty(cube.iq.shape, dtype=complex)
-    mags = np.empty(cube.iq.shape)
-    medians = np.empty(n_frames)
-    split = min(n_frames, _FRAME_BLOCK * -(-n_frames // (2 * _FRAME_BLOCK)))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_cube_pass, cube.iq, spectra, mags, medians, split, n_frames)
-        _cube_pass(cube.iq, spectra, mags, medians, 0, split)
-        second.result()
-    floor = _SNR_PEAK_FACTOR * medians
-    bad = ~np.isfinite(floor)
-    if bad.any():
-        raise InputError(
-            f"frame {int(np.argmax(bad))} holds a non-finite I/Q sample"
-        )
-
-    bins = _peak_chain(mags, center, _SEARCH_WIDTH)
-    rows = np.arange(cube.n_frames)
-    # math.atan2, not np.arctan2: the two differ in the last bit.
-    raw = np.array([math.atan2(z.imag, z.real) for z in spectra[rows, bins].tolist()])
+    bins = np.empty(n_frames, dtype=int)
+    peaks = np.empty(n_frames, dtype=complex)
+    low = np.zeros(n_frames + 2, dtype=bool)  # padded by one frame each side
+    left = []  # at each bin switch, the next frame's value in the bin being left
+    prev = center
+    for b0 in range(0, n_frames, _FRAME_BLOCK):
+        with np.errstate(invalid="ignore"):
+            spectra = np.fft.fft(cube.iq[b0:b0 + _FRAME_BLOCK], axis=1)
+        mags = np.abs(spectra)
+        floor = _SNR_PEAK_FACTOR * _row_medians(mags)
+        bad = ~np.isfinite(floor)
+        if bad.any():
+            raise InputError(
+                f"frame {b0 + int(np.argmax(bad))} holds a non-finite I/Q sample"
+            )
+        chain = _peak_chain(mags, prev, _SEARCH_WIDTH)
+        rows = np.arange(chain.size)
+        bins[b0:b0 + chain.size] = chain
+        peaks[b0:b0 + chain.size] = spectra[rows, chain]
+        low[b0 + 1:b0 + 1 + chain.size] = mags[rows, chain] < floor
+        # Frame 0 follows no frame, so its bin is never a switch.
+        path = np.concatenate(([prev if b0 else chain[0]], chain))
+        switches = np.flatnonzero(np.diff(path))
+        left.append(spectra[switches, path[switches]])
+        prev = int(chain[-1])
 
     max_low_run = int(cube.frame_rate)  # one second
-    low = np.concatenate(([False], mags[rows, bins] < floor, [False]))
     edges = np.flatnonzero(low[1:] != low[:-1])
     starts, ends = edges[::2], edges[1::2]
     too_long = np.flatnonzero(ends - starts > max_low_run)
@@ -370,50 +378,23 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
             f"peak below {_SNR_PEAK_FACTOR}x median spectrum level for "
             f"more than 1 s around frame {frame}"
         )
-    # At each bin switch, the next frame's phase in the bin being left.
-    switches = np.flatnonzero(np.diff(bins))
-    switch_phase = [math.atan2(z.imag, z.real)
-                    for z in spectra[switches + 1, bins[switches]].tolist()]
+    # math.atan2, not np.arctan2: the two differ in the last bit.
+    raw = np.array([math.atan2(z.imag, z.real) for z in peaks.tolist()])
+    switch_phase = [math.atan2(z.imag, z.real) for z in np.concatenate(left).tolist()]
     return stitch_phase(raw, bins, cube.frame_rate, switch_phase)
 
 
-def _cube_pass(iq, spectra, mags, medians, r0: int, r1: int) -> None:
-    """Range spectra, magnitudes and row medians of frames r0 to r1, in place.
-
-    ``np.fft.fft``, ``np.abs`` and ``np.median`` over the whole cube, to the
-    bit, one ``_FRAME_BLOCK`` of rows at a time: a row's spectrum does not
-    depend on the rows transformed with it. Safe to run on two threads over
-    disjoint rows. A non-finite sample is reported by the caller, by frame,
-    not as a warning; ``np.errstate`` holds for one thread only, so it is set
-    here.
-    """
-    with np.errstate(invalid="ignore"):
-        for b0 in range(r0, r1, _FRAME_BLOCK):
-            rows = slice(b0, min(b0 + _FRAME_BLOCK, r1))
-            spectra[rows] = np.fft.fft(iq[rows], axis=1)
-            np.abs(spectra[rows], out=mags[rows])
-            medians[rows] = _row_medians(mags[rows])
-
-
 def _row_medians(mags: np.ndarray) -> np.ndarray:
-    """``np.median(mags, axis=1)`` to the bit, from one sort per block of rows.
+    """``np.median(mags, axis=1)`` to the bit, from one sort of the rows.
 
     The median is the middle order statistic, or the mean of the two middle
     ones for an even count: the same values, added and halved the same way.
-    Sorting ``_FRAME_BLOCK`` rows at a time keeps the sorted copy small. It
-    reads only ``mags`` and allocates its result, so two threads may run it
-    on different rows.
     """
     half = mags.shape[1] // 2
-    medians = np.empty(mags.shape[0])
-    for r0 in range(0, mags.shape[0], _FRAME_BLOCK):
-        rows = slice(r0, r0 + _FRAME_BLOCK)
-        ordered = np.sort(mags[rows], axis=1)
-        if mags.shape[1] % 2:
-            medians[rows] = ordered[:, half]
-        else:
-            medians[rows] = (ordered[:, half - 1] + ordered[:, half]) / 2
-    return medians
+    ordered = np.sort(mags, axis=1)
+    if mags.shape[1] % 2:
+        return ordered[:, half]
+    return (ordered[:, half - 1] + ordered[:, half]) / 2
 
 
 def _peak_chain(mags: np.ndarray, center: int, search_width: int) -> np.ndarray:

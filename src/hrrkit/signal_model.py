@@ -293,7 +293,12 @@ def noise_std_for_snr(
     sample_rate: float,
     duration: float,
 ) -> float:
-    """Additive-noise sigma that puts the clean displacement's RMS at ``snr_db``."""
+    """Additive-noise sigma that puts the clean displacement's RMS at ``snr_db``.
+
+    A NaN or -inf ``snr_db`` raises InputError: neither gives a noise level.
+    """
+    if not snr_db > -math.inf:
+        raise InputError(f"snr_db must be a number above -inf, got {snr_db}")
     clean = synthesize_trace(resp, heart, 0.0, sample_rate, duration, 0)
     rms = float(np.sqrt(np.mean(clean.samples**2)))
     return rms * 10.0 ** (-snr_db / 20.0)

@@ -255,12 +255,15 @@ class TestCliFlows:
             (["--noise-std", "-1"], "noise_std"),
             (["--heart-amp", "1.5"], "heartbeat amplitude"),
             (["--hr-const", "300"], "rate_trajectory"),
+            (["--snr-db", "nan"], "snr_db must be a number above -inf, got nan"),
         ],
     )
     def test_bad_synthesis_argument_is_input_error(self, tmp_path, capsys, args, message):
-        rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--duration", "20", *args])
+        out = tmp_path / "t.csv"
+        rc = main(["synth", "-o", str(out), "--duration", "20", *args])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",

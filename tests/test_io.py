@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hrrkit.io import (
     write_mode_dump,
     write_trace,
 )
-from hrrkit.radar import RadarConfig, Target, TargetScene, simulate_frames
+from hrrkit.radar import RadarConfig, RadarCube, Target, TargetScene, simulate_frames
 from hrrkit.signal_model import (
     ConstantRate,
     ExponentialRecovery,
@@ -29,8 +30,10 @@ from hrrkit.signal_model import (
 )
 
 
-def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", nan_at=None):
-    """A small hand-made cube file; ``nan_at`` poisons one payload float."""
+def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", nan_at=None,
+              cut=0):
+    """A small hand-made cube file; ``nan_at`` poisons one payload float and
+    ``cut`` drops that many bytes from the end."""
     payload = np.ones(frames * samples * 2, dtype="<f4")
     if nan_at is not None:
         payload[nan_at] = np.nan
@@ -38,8 +41,20 @@ def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", na
         f"hrrkit-cube v1\nframes={frames}\nsamples_per_chirp={samples}\n"
         f"frame_rate={frame_rate}\nbin_size={bin_size}\nend-header\n"
     )
-    path.write_bytes(header.encode("ascii") + payload.tobytes())
+    data = header.encode("ascii") + payload.tobytes()
+    path.write_bytes(data[:len(data) - cut])
     return path
+
+
+def traced_peak(fn):
+    """The peak of memory that Python's allocators traced while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def per_row_trace_text(trace):
@@ -350,12 +365,39 @@ class TestCubeFile:
             ({"bin_size": "nan"}, "bin_size"),
             ({"nan_at": 13}, "frame 1 holds a non-finite"),
             ({"nan_at": 0}, "frame 0 holds a non-finite"),
+            ({"cut": 1}, r"payload holds 23\.75 floats, expected 24"),
         ],
     )
     def test_unusable_cube_is_input_error(self, tmp_path, fields, message):
         path = cube_file(tmp_path / "bad.bin", **fields)
         with pytest.raises(InputError, match=f"bad.bin: .*{message}"):
             read_cube(path)
+
+    def test_first_bad_frame_named_when_two_blocks_hold_one(self, tmp_path):
+        payload_at = (300 * 4 + 1, 700 * 4 + 2)  # frame 300, imaginary; frame 700, real
+        path = cube_file(tmp_path / "bad.bin", frames=1000, samples=2, nan_at=list(payload_at))
+        with pytest.raises(InputError, match="bad.bin: frame 300 holds a non-finite"):
+            read_cube(path)
+
+    @pytest.fixture
+    def cube_3000(self):
+        rng = np.random.default_rng(4)
+        iq = rng.normal(size=(3000, 256)) + 1j * rng.normal(size=(3000, 256))
+        return RadarCube(iq, 100.0, 0.05)
+
+    def test_write_peak_memory_is_a_few_blocks(self, tmp_path, cube_3000):
+        peak = traced_peak(lambda: write_cube(cube_3000, tmp_path / "cube.bin"))
+        # Measured 0.043 cubes at 3000 frames: one block cast to float32. A
+        # whole-cube cast would be half a cube.
+        assert peak < 0.1 * cube_3000.iq.nbytes
+
+    def test_read_peak_memory_near_one_cube(self, tmp_path, cube_3000):
+        write_cube(cube_3000, tmp_path / "cube.bin")
+        peak = traced_peak(lambda: read_cube(tmp_path / "cube.bin"))
+        # Measured 1.054 cubes at 3000 frames: the cube read, one float32
+        # block and its finiteness mask. Holding the raw payload beside the
+        # cube would add half a cube.
+        assert peak < 1.15 * cube_3000.iq.nbytes
 
     def test_writes_are_deterministic(self, tmp_path):
         trace = synthesize_trace(RespirationModel(0.3, (0.5,)), None, 0.0, 100.0, 2.0, 0)
