@@ -150,7 +150,7 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
                 meta[k.strip()] = v.strip()
     if meta.get("unit", "mm") != "mm":
         raise InputError(
-            f"{mp}: estimate needs a displacement trace in mm, got {meta['unit']!r}"
+            f"{mp}: expected a displacement trace in mm, got unit {meta['unit']!r}"
         )
     if "sample_rate" not in meta and times[-1] <= times[0]:
         raise InputError(f"{path}: timestamps do not increase")
@@ -247,8 +247,10 @@ def read_cube(path: str | Path) -> RadarCube:
     least MIN_SAMPLE_RATE_HZ, a finite positive bin size and finite samples.
 
     The payload's length is checked against the header before anything of
-    the cube's size is allocated. The samples then pass ``_FRAME_BLOCK``
-    frames at a time through a small float32 buffer into the cube.
+    the cube's size is allocated. The cube is complex64, the file's own
+    precision, at half the memory of complex128: the samples are read
+    ``_FRAME_BLOCK`` frames at a time straight into its rows, and each block
+    is checked for non-finite values as it lands.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -289,17 +291,15 @@ def read_cube(path: str | Path) -> RadarCube:
                 f"{path}: payload holds {payload_bytes / 4:.15g} floats, expected "
                 f"{frames * samples * 2}"
             )
-        iq = np.empty((frames, samples), dtype=complex)
-        buf = np.empty((min(frames, _FRAME_BLOCK), samples), dtype="<c8")
+        iq = np.empty((frames, samples), dtype="<c8")
         for f0 in range(0, frames, _FRAME_BLOCK):
-            block = buf[:min(_FRAME_BLOCK, frames - f0)]
+            block = iq[f0:f0 + _FRAME_BLOCK]
             if fh.readinto(block) != block.nbytes:
                 raise InputError(f"{path}: payload ended early, at frame {f0}")
             finite = np.isfinite(block)
             if not finite.all():
                 frame = f0 + int(np.argmin(finite)) // samples
                 raise InputError(f"{path}: frame {frame} holds a non-finite I/Q sample")
-            iq[f0:f0 + block.shape[0]] = block
     return RadarCube(iq=iq, frame_rate=frame_rate, bin_size=bin_size)
 
 

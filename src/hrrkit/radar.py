@@ -24,6 +24,12 @@ SPEED_OF_LIGHT = 299792458.0
 # Tracking-SNR floor: spectral peak below this multiple of the median
 # spectrum level counts as a low-SNR frame.
 _SNR_PEAK_FACTOR = 3.0
+# A peak at or above this multiple of its frame's mean magnitude clears the
+# floor without the median: magnitudes are not negative, so the median is at
+# most twice the mean. The 1e-6 over that covers the rounding of the mean
+# and the median, for rows of up to some 1e8 bins whose mean is a normal float.
+_CLEAR_PEAK_FACTOR = 2.0 * _SNR_PEAK_FACTOR + 1e-6
+_TINY = np.finfo(float).tiny
 # Per frame the tracker searches this many bins either side of the last
 # frame's peak bin.
 _SEARCH_WIDTH = 2
@@ -32,8 +38,8 @@ _SEARCH_WIDTH = 2
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 # Frames per block where the simulator builds its tones and draws its noise,
-# where the tracker transforms, takes magnitudes and sorts for medians, and
-# where the cube file is read and written: each temporary stays at or under
+# where the tracker widens, transforms, takes magnitudes and sorts for medians,
+# and where the cube file is read and written: each temporary stays at or under
 # 1 MB at 256 samples per chirp, not a cube's size. The simulator draws its
 # noise on one worker thread, block by block; the tracker keeps only
 # per-frame values from each block.
@@ -101,14 +107,22 @@ class TargetScene:
 
 @dataclass
 class RadarCube:
-    """Per-frame complex IF samples plus the spectral geometry."""
+    """Per-frame complex IF samples plus the spectral geometry.
+
+    ``iq`` stays complex64 or complex128 when given either, so a cube read
+    from a float32 file keeps half the memory; any other input becomes
+    complex128. The tracker widens each block of rows to complex128 before
+    its FFT, so both precisions of the same values track alike.
+    """
 
     iq: np.ndarray                     # (frames, samples_per_chirp), complex
     frame_rate: float
     bin_size: float
 
     def __post_init__(self):
-        self.iq = np.asarray(self.iq, dtype=complex)
+        self.iq = np.asarray(self.iq)
+        if self.iq.dtype not in (np.complex64, np.complex128):
+            self.iq = self.iq.astype(complex)
         if self.iq.ndim != 2:
             raise ValueError("iq must be (frames, samples)")
 
@@ -231,11 +245,23 @@ def _noise_blocks(pool, rng, sigma: float, shapes):
     """
     ahead = collections.deque()
     for shape in shapes:
-        ahead.append(pool.submit(rng.normal, 0.0, sigma, shape))
+        ahead.append(pool.submit(_scaled_normal, rng, sigma, shape))
         if len(ahead) > 1:
             yield ahead.popleft().result()
     while ahead:
         yield ahead.popleft().result()
+
+
+def _scaled_normal(rng, sigma: float, shape) -> np.ndarray:
+    """``rng.normal(0.0, sigma, shape)`` bit for bit, and faster.
+
+    The generator draws a normal value as ``loc + scale * z`` from the same
+    standard normal z, and ``0.0 + x`` is x, so scaling the standard draws in
+    place gives the same floats from the same stream.
+    """
+    z = rng.standard_normal(shape)
+    z *= sigma
+    return z
 
 
 def _tone_sum(
@@ -254,8 +280,9 @@ def _tone_sum(
     (n_coarse + n_fine) exponentials per frame instead of n, and one complex
     product per sample. Samples past n are cropped. Frames go in blocks of
     ``_FRAME_BLOCK``; the first target's block is written, later ones added.
-    When ``real_noise`` is given, its next block is added to each block's
-    real parts once every target's tone is in.
+    When the tables cover exactly n samples, the first target's product goes
+    straight into the cube's rows. When ``real_noise`` is given, its next
+    block is added to each block's real parts once every target's tone is in.
     """
     n_coarse = math.isqrt(n - 1) + 1
     n_fine = -(-n // n_coarse)
@@ -269,8 +296,12 @@ def _tone_sum(
         tones = block[:f1 - f0]
         for ti in range(n_targets):
             w, p0 = omega[ti, f0:f1, None], phase0[ti, f0:f1, None]
-            np.multiply(np.exp(1j * (w * coarse_t + p0))[:, :, None],
-                        np.exp(1j * (w * fine_t))[:, None, :], out=tones)
+            coarse = np.exp(1j * (w * coarse_t + p0))[:, :, None]
+            fine = np.exp(1j * (w * fine_t))[:, None, :]
+            if ti == 0 and n_coarse * n_fine == n:
+                np.multiply(coarse, fine, out=iq[f0:f1].reshape(f1 - f0, n_coarse, n_fine))
+                continue
+            np.multiply(coarse, fine, out=tones)
             tone = tones.reshape(f1 - f0, -1)[:, :n]
             if ti == 0:
                 iq[f0:f1] = tone
@@ -323,9 +354,13 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
     InputError naming the first such frame: it makes the frame's whole
     spectrum non-finite.
 
-    One loop over ``_FRAME_BLOCK``-row blocks takes each block's range FFT,
-    magnitudes and row medians and continues the peak chain from the last
-    block's final bin. Only per-frame values outlive a block: the chosen bin,
+    One loop over ``_FRAME_BLOCK``-row blocks widens each block to
+    complex128 (a complex128 cube takes no copy), takes its range FFT and
+    magnitudes, and continues the peak chain from the last block's final
+    bin. A complex64 cube thus gives the spectra, bins and phases of its
+    complex128 widening, bit for bit. Only frames whose peak does not clear
+    the floor on their mean magnitude alone are sorted for their median
+    (``_snr_floor``). Only per-frame values outlive a block: the chosen bin,
     the complex value there, the low-SNR flag and, at each bin switch, the
     next frame's value in the bin being left. A row's spectrum does not
     depend on the rows transformed with it, so these are the values of one
@@ -348,20 +383,22 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
     left = []  # at each bin switch, the next frame's value in the bin being left
     prev = center
     for b0 in range(0, n_frames, _FRAME_BLOCK):
+        block = cube.iq[b0:b0 + _FRAME_BLOCK].astype(complex, copy=False)
         with np.errstate(invalid="ignore"):
-            spectra = np.fft.fft(cube.iq[b0:b0 + _FRAME_BLOCK], axis=1)
+            spectra = np.fft.fft(block, axis=1)
         mags = np.abs(spectra)
-        floor = _SNR_PEAK_FACTOR * _row_medians(mags)
+        chain = _peak_chain(mags, prev, _SEARCH_WIDTH)
+        rows = np.arange(chain.size)
+        peak = mags[rows, chain]
+        floor = _snr_floor(mags, peak)
         bad = ~np.isfinite(floor)
         if bad.any():
             raise InputError(
                 f"frame {b0 + int(np.argmax(bad))} holds a non-finite I/Q sample"
             )
-        chain = _peak_chain(mags, prev, _SEARCH_WIDTH)
-        rows = np.arange(chain.size)
         bins[b0:b0 + chain.size] = chain
         peaks[b0:b0 + chain.size] = spectra[rows, chain]
-        low[b0 + 1:b0 + 1 + chain.size] = mags[rows, chain] < floor
+        low[b0 + 1:b0 + 1 + chain.size] = peak < floor
         # Frame 0 follows no frame, so its bin is never a switch.
         path = np.concatenate(([prev if b0 else chain[0]], chain))
         switches = np.flatnonzero(np.diff(path))
@@ -379,9 +416,28 @@ def track_target(cube: RadarCube, expected_range: float) -> PhaseSequence:
             f"more than 1 s around frame {frame}"
         )
     # math.atan2, not np.arctan2: the two differ in the last bit.
-    raw = np.array([math.atan2(z.imag, z.real) for z in peaks.tolist()])
-    switch_phase = [math.atan2(z.imag, z.real) for z in np.concatenate(left).tolist()]
+    left = np.concatenate(left)
+    raw = np.array(list(map(math.atan2, peaks.imag.tolist(), peaks.real.tolist())))
+    switch_phase = list(map(math.atan2, left.imag.tolist(), left.real.tolist()))
     return stitch_phase(raw, bins, cube.frame_rate, switch_phase)
+
+
+def _snr_floor(mags: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Per row, ``_SNR_PEAK_FACTOR`` times the median, or 0 where ``peak``
+    clears that floor on the mean alone.
+
+    Half a row's values are at least its median and none is negative, so the
+    median is at most twice the mean. A peak at least ``_CLEAR_PEAK_FACTOR``
+    times a finite, normal mean is at or above the floor, and only the other
+    rows are sorted. So ``peak < floor``, and whether ``floor`` is finite,
+    are row for row what the floor from ``np.median`` gives.
+    """
+    mean = mags.mean(axis=1)
+    clear = (peak >= _CLEAR_PEAK_FACTOR * mean) & (mean >= _TINY) & (mean < math.inf)
+    unsure = np.flatnonzero(~clear)
+    floor = np.zeros(mags.shape[0])
+    floor[unsure] = _SNR_PEAK_FACTOR * _row_medians(mags[unsure])
+    return floor
 
 
 def _row_medians(mags: np.ndarray) -> np.ndarray:

@@ -217,6 +217,17 @@ class TestCliFlows:
         assert rc == 2
         assert "displacement trace in mm" in capsys.readouterr().err
 
+    def test_phase_trace_is_input_error_for_simulate(self, synth_dir, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes((synth_dir / "trace.csv").read_bytes())
+        meta = (synth_dir / "trace.meta").read_text()
+        (tmp_path / "t.meta").write_text(meta.replace("unit=mm", "unit=rad"))
+        rc = main(["simulate", str(tmp_path / "t.csv"), "-o", str(tmp_path / "c.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "displacement trace in mm" in err
+        assert "estimate" not in err
+        assert not (tmp_path / "c.bin").exists()
+
     @pytest.mark.parametrize("rate", ["nan", "inf", "-100.0"])
     def test_unusable_sidecar_rate_is_input_error(self, synth_dir, tmp_path, capsys, rate):
         (tmp_path / "t.csv").write_bytes((synth_dir / "trace.csv").read_bytes())

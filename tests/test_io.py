@@ -315,6 +315,22 @@ class TestCubeFile:
         # float32 storage quantization
         assert np.allclose(restored.iq, cube.iq, atol=1e-5)
 
+    @pytest.mark.parametrize("frames", [1, 300, 549])
+    def test_read_gives_complex64_holding_the_file_floats(self, tmp_path, frames):
+        # 300 and 549 frames end in a part block.
+        trace = synthesize_trace(RespirationModel(0.3, (0.5,)), None, 0.0, 100.0, 6.0, 0)
+        cube = simulate_frames(
+            RadarConfig(), TargetScene((Target(1.0, trace),), noise_floor=0.01),
+            frames / 100.0, 2,
+        )
+        path = tmp_path / "cube.bin"
+        write_cube(cube, path)
+        restored = read_cube(path)
+        assert restored.iq.dtype == np.complex64
+        assert restored.iq.shape == (frames, 256)
+        payload = path.read_bytes().split(b"end-header\n", 1)[1]
+        assert restored.iq.tobytes() == payload
+
     def test_not_a_cube_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_text("time_s,displacement_mm\n0,1\n")
@@ -394,10 +410,10 @@ class TestCubeFile:
     def test_read_peak_memory_near_one_cube(self, tmp_path, cube_3000):
         write_cube(cube_3000, tmp_path / "cube.bin")
         peak = traced_peak(lambda: read_cube(tmp_path / "cube.bin"))
-        # Measured 1.054 cubes at 3000 frames: the cube read, one float32
-        # block and its finiteness mask. Holding the raw payload beside the
-        # cube would add half a cube.
-        assert peak < 1.15 * cube_3000.iq.nbytes
+        # Measured 1.022 complex64 cubes at 3000 frames: the cube read and one
+        # block's finiteness mask. A complex128 cube, or a buffer holding the
+        # whole payload beside the cube, would add one more.
+        assert peak < 1.1 * cube_3000.iq.size * np.dtype(np.complex64).itemsize
 
     def test_writes_are_deterministic(self, tmp_path):
         trace = synthesize_trace(RespirationModel(0.3, (0.5,)), None, 0.0, 100.0, 2.0, 0)

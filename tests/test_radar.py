@@ -7,9 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hrrkit import radar
 from hrrkit.errors import InputError, TrackingLostError
-from hrrkit.io import write_cube
+from hrrkit.io import read_cube, write_cube
 from hrrkit.radar import (
     _FRAME_BLOCK,
     _SNR_PEAK_FACTOR,
@@ -20,6 +23,7 @@ from hrrkit.radar import (
     TargetScene,
     _peak_chain,
     _row_medians,
+    _snr_floor,
     phase_to_displacement,
     simulate_frames,
     stitch_phase,
@@ -189,6 +193,23 @@ def hopping_tone_cube(path, n=256, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     iq += noise * (rng.normal(size=iq.shape) + 1j * rng.normal(size=iq.shape))
     return RadarCube(iq=iq, frame_rate=100.0, bin_size=0.05)
+
+
+def weak_run_cube(runs, frames=900, n=256, seed=3):
+    """A unit tone at bin 20 in complex noise, its amplitude set to ``amp``
+    over each ``(start, length, amp)`` of ``runs``; also the number of such
+    frames.
+
+    Outside the runs the peak is about 128 times the mean magnitude. Inside
+    them it is under 6 times, so the low-SNR call takes the sorted median.
+    """
+    amp = np.ones(frames)
+    for start, length, a in runs:
+        amp[start:start + length] = a
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(frames, n)) + 1j * rng.normal(size=(frames, n))
+    iq = amp[:, None] * np.exp(2j * np.pi * 20 * np.arange(n) / n) + 0.05 * noise
+    return RadarCube(iq, 100.0, 0.05), int(np.count_nonzero(amp != 1.0))
 
 
 def flat_gap_cube(run, start=200, frames=600):
@@ -610,6 +631,78 @@ class TestMatchesFrameByFrameReference:
         assert str(got.value) == str(expected.value) == str(one_call.value)
         assert str(got.value).endswith("around frame 300")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+                    st.floats(0.0, 1e-300),
+                    st.floats(0.0, 1e300),
+                ),
+                min_size=2, max_size=12,
+            ).map(lambda row: (row * 40)[:40]),
+            min_size=1, max_size=6,
+        ),
+        at=st.integers(0, 39),
+        scale=st.sampled_from([1.0, 2.0, 3.0, 6.0, 6.000001, 6.5, 40.0]),
+    )
+    def test_snr_floor_flags_equal_numpy_median(self, rows, at, scale):
+        # Rows of repeated values tie at the median; the peak is one row
+        # value scaled around the 3x-median and 6x-mean marks.
+        mags = np.abs(np.array(rows))
+        peak = mags[:, at] * scale
+        mags[:, at] = peak
+        floor = _snr_floor(mags, peak)
+        expected = _SNR_PEAK_FACTOR * np.median(mags, axis=1)
+        assert np.array_equal(peak < floor, peak < expected)
+        assert np.array_equal(np.isfinite(floor), np.isfinite(expected))
+
+    @pytest.mark.parametrize("n_bins", [16, 256, 4096])
+    def test_snr_floor_near_the_mean_bound(self, n_bins):
+        # Half the row zero and half at 1, with the peak above: the median is
+        # close to twice the mean, the case the bound must hold for.
+        half = n_bins // 2
+        peaks = np.linspace(2.9, 5.0, 421)
+        mags = np.zeros((peaks.size, n_bins))
+        mags[:, half - 1:n_bins - 1] = 1.0
+        mags[:, -1] = peaks
+        floor = _snr_floor(mags, peaks)
+        expected = _SNR_PEAK_FACTOR * np.median(mags, axis=1)
+        assert np.array_equal(peaks < floor, peaks < expected)
+        assert np.count_nonzero(floor == 0.0) > 0  # some rows clear on the mean
+
+    @pytest.mark.parametrize(
+        "runs, lost",
+        [
+            # Peak near 3x the median in each run: its low calls flip, and
+            # no run of them lasts a second.
+            ([(100, 80, 0.011), (300, 100, 0.011), (600, 120, 0.011)], False),
+            # Noise alone for the last 400 frames: lost.
+            ([(100, 60, 0.011), (500, 400, 0.0)], True),
+        ],
+    )
+    def test_weak_frames_take_the_median_floor(self, runs, lost, monkeypatch):
+        cube, n_weak = weak_run_cube(runs)
+        sorted_rows = []
+
+        def counted(mags):
+            sorted_rows.append(mags.shape[0])
+            return _row_medians(mags)
+
+        monkeypatch.setattr(radar, "_row_medians", counted)
+        if lost:
+            with pytest.raises(TrackingLostError) as expected:
+                reference_track(cube, 1.0)
+            with pytest.raises(TrackingLostError) as got:
+                track_target(cube, 1.0)
+            assert str(got.value) == str(expected.value)
+        else:
+            self.assert_same_track(cube, 1.0)
+        # Only the tracker sorts: its weak frames, and none of the others.
+        assert sum(sorted_rows) == n_weak
+
     def test_noise_added_in_place_equals_complex_sum(self):
         trace = static_trace()
         scene = TargetScene((Target(1.0, trace),), noise_floor=0.01)
@@ -698,11 +791,11 @@ class TestTwoThreads:
             def __init__(self, seed):
                 self.rng, self.calls = real_default_rng(seed), 0
 
-            def normal(self, loc, scale, size):
+            def standard_normal(self, size):
                 self.calls += 1
                 if self.calls == 3:
                     raise RuntimeError("third draw failed")
-                return self.rng.normal(loc, scale, size)
+                return self.rng.standard_normal(size)
 
         monkeypatch.setattr(np.random, "default_rng", FailingDraws)
         before = threading.active_count()
@@ -758,6 +851,51 @@ class TestTwoThreads:
             assert np.array_equal(iq, ref_iq)
             assert np.array_equal(seq.source_bins, ref.source_bins)
             assert np.array_equal(seq.phase, ref.phase)
+
+
+class TestFloat32Cube:
+    """A cube read from file stays complex64 and tracks as its complex128
+    widening does, bit for bit."""
+
+    def test_cube_keeps_either_complex_precision(self):
+        for dtype in (np.complex64, np.complex128):
+            iq = np.ones((3, 4), dtype=dtype)
+            assert RadarCube(iq, 100.0, 0.05).iq is iq
+        floats = RadarCube([[1.0, 2.0], [3.0, 4.0]], 100.0, 0.05).iq
+        assert floats.dtype == np.complex128
+        assert np.array_equal(floats, [[1, 2], [3, 4]])
+        assert RadarCube(np.ones((2, 2), dtype=np.float32), 100.0, 0.05).iq.dtype == np.complex128
+
+    @pytest.mark.parametrize("n_frames", [1, _FRAME_BLOCK - 1, 2 * _FRAME_BLOCK, 549])
+    def test_read_cube_tracks_as_its_widening(self, tmp_path, n_frames):
+        cfg = RadarConfig()
+        write_cube(simulate_frames(cfg, noisy_scene(2), n_frames / cfg.frame_rate, 8),
+                   tmp_path / "cube.bin")
+        cube = read_cube(tmp_path / "cube.bin")
+        assert cube.iq.dtype == np.complex64
+        wide = RadarCube(cube.iq.astype(complex), cube.frame_rate, cube.bin_size)
+        for expected_range in (1.0, 2.2):
+            seq = track_target(cube, expected_range)
+            ref = track_target(wide, expected_range)
+            assert np.array_equal(seq.source_bins, ref.source_bins)
+            assert np.array_equal(seq.phase, ref.phase)
+            one = one_call_track(wide, expected_range)
+            assert np.array_equal(seq.phase, one.phase)
+
+    def test_track_peak_memory_on_complex64_is_a_few_blocks(self):
+        iq = hopping_tone_cube(np.full(3000, 20), noise=0.1, seed=6).iq.astype(np.complex64)
+        cube = RadarCube(iq, 100.0, 0.05)
+        tracemalloc.start()
+        try:
+            track_target(cube, 20 * 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured 3.6 blocks of complex128 rows at 3000 frames: one block
+        # widened, its spectra, magnitudes and sorted copy, and a few values
+        # per frame. Widening the whole cube would be 11.7 blocks by itself.
+        block = _FRAME_BLOCK * cube.iq.shape[1] * 16
+        assert peak < 4.5 * block
 
 
 class TestPhaseToDisplacement:
