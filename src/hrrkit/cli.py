@@ -220,10 +220,9 @@ def _load_input_trace(args):
     with open(path, "rb") as fh:
         head = fh.read(16)
     if head.startswith(b"hrrkit-cube"):
-        cube = read_cube(path)
         if args.expected_range is None:
             raise ConfigError("cube input requires --expected-range")
-        seq = track_target(cube, args.expected_range)
+        seq = track_target(read_cube(path), args.expected_range)
         return phase_to_displacement(seq, args.wavelength)
     return read_trace(path)
 

@@ -19,7 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegradedQualityError, InputError
+from .mode_select import LABEL_HEARTBEAT, ModeLabel
 from .signal_model import ChestMotionTrace
+from .vmd import AlphaSearch
 
 PEAK_AMPLITUDE_FLOOR = 0.5
 PEAK_MIN_INTERVAL_S = 0.27   # 220 bpm ceiling
@@ -310,12 +312,33 @@ class WindowResult:
 
     start_time: float
     peaks: Optional[PeakTrain]            # absolute times, None if unusable
-    alpha: Optional[float] = None
-    mode_table: list = field(default_factory=list)
     status: str = "ok"                    # ok | gates_relaxed | no_heartbeat | degenerate
-    # Hz; the K center frequencies the window's alpha search ended at,
-    # before any merge. None when the window ran no search.
-    unmerged_freqs: Optional[np.ndarray] = None
+    search: Optional[AlphaSearch] = None  # None when the window ran no search
+    labels: list[ModeLabel] = field(default_factory=list)  # of search.modes
+
+    @property
+    def mode_table(self) -> list[dict]:
+        """The window's modes.csv rows, each also saying whether the coincidence
+        rule chose it; [] when no mode is the heartbeat."""
+        if not any(lb.label == LABEL_HEARTBEAT for lb in self.labels):
+            return []
+        ms = self.search.modes
+        total_energy = max(ms.input_energy, 1e-300)
+        merged_from = ms.merged_from or tuple((i,) for i in range(ms.n_modes))
+        return [
+            {
+                "window_start_s": self.start_time,
+                "mode_idx": lb.mode_index,
+                "omega_hz": float(ms.center_freqs[lb.mode_index]),
+                "energy_share": lb.energy / total_energy,
+                "label": lb.label,
+                "peak_freq_hz": lb.peak_freq,
+                "energy": lb.energy,
+                "coincident": lb.label == LABEL_HEARTBEAT and lb.harmonic_order is not None,
+                "merged_from": merged_from[lb.mode_index],
+            }
+            for lb in self.labels
+        ]
 
 
 # stage(segment, fs, t0, prev): prev is the WindowResult of the placement
@@ -329,9 +352,7 @@ class HrPoint:
     hr_bpm: float
     l_b: float
     flag: str
-    wa_index: int
-    wa_start: float
-    wa_end: float
+    wa_index: int         # W_a spans [wa_index * stride, that + l_a]
     wb_start: float
     wb_end: float
     hr_first_pass: float = math.nan  # default-l_min estimate at this time
@@ -432,23 +453,19 @@ def run_composite_windows(
                     est = estimate_at(k, t, l_min)
                 else:
                     break
-            wa_start = k * cfg.stride
-            wa_end = wa_start + cfg.l_a
             if est is None:
                 if last_valid is None:
                     points.append(None)  # nothing to carry yet; series starts later
                 else:
                     points.append(
-                        HrPoint(float(t), last_valid, math.nan, FLAG_CARRY, k,
-                                wa_start, wa_end, math.nan, math.nan)
+                        HrPoint(float(t), last_valid, math.nan, FLAG_CARRY, k, math.nan, math.nan)
                     )
                 continue
             hr = min(max(est.hr_bpm, HR_MIN_BPM), HR_MAX_BPM)
             flag = FLAG_OK if hr == est.hr_bpm else FLAG_CLAMPED
             last_valid = hr
             points.append(
-                HrPoint(float(t), hr, est.l_b, flag, k, wa_start, wa_end,
-                        est.window_start, est.window_end)
+                HrPoint(float(t), hr, est.l_b, flag, k, est.window_start, est.window_end)
             )
         return points
 

@@ -43,7 +43,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     def stage(segment: np.ndarray, fs: float, t0: float,
               prev: Optional[WindowResult] = None) -> WindowResult:
         if not np.any(segment):
-            return WindowResult(t0, None, status="no_heartbeat")
+            return WindowResult(t0, None, "no_heartbeat")
         search = select_alpha(
             segment,
             fs,
@@ -51,42 +51,22 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             gates=gates,
             alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
             ratio_tol=cfg.alpha_ratio_tol,
-            init_freqs=None if prev is None else prev.unmerged_freqs,
+            init_freqs=prev.search.unmerged_freqs if prev and prev.search else None,
         )
-        ms, alpha, freqs = search.modes, search.alpha, search.unmerged_freqs
-        labels, hb_index = classify_modes(ms)
+        labels, hb_index = classify_modes(search.modes)
         if hb_index is None:
-            return WindowResult(t0, None, alpha=alpha, status="no_heartbeat",
-                                unmerged_freqs=freqs)
-        total_energy = max(ms.input_energy, 1e-300)
-        merged_from = ms.merged_from or tuple((i,) for i in range(ms.n_modes))
-        table = [
-            {
-                "window_start_s": t0,
-                "mode_idx": lb.mode_index,
-                "omega_hz": float(ms.center_freqs[lb.mode_index]),
-                "energy_share": lb.energy / total_energy,
-                "label": lb.label,
-                "peak_freq_hz": lb.peak_freq,
-                "energy": lb.energy,
-                "coincident": lb.label == "heartbeat" and lb.harmonic_order is not None,
-                "merged_from": merged_from[lb.mode_index],
-            }
-            for lb in labels
-        ]
+            return WindowResult(t0, None, "no_heartbeat", search, labels)
         conditioned = condition_heartbeat(
-            ms.modes[hb_index],
+            search.modes.modes[hb_index],
             fs,
             smooth_window=cfg.smooth_window,
             envelope_floor=cfg.envelope_floor,
         )
         if conditioned is None:
-            return WindowResult(t0, None, alpha=alpha, mode_table=table, status="degenerate",
-                                unmerged_freqs=freqs)
+            return WindowResult(t0, None, "degenerate", search, labels)
         train = detect_peaks(conditioned, fs).shifted(t0)
         status = "ok" if search.feasible else "gates_relaxed"
-        return WindowResult(t0, train, alpha=alpha, mode_table=table, status=status,
-                            unmerged_freqs=freqs)
+        return WindowResult(t0, train, status, search, labels)
 
     return stage
 

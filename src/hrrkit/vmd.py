@@ -408,19 +408,18 @@ def check_alpha_bracket(alpha_range: tuple[float, float], ratio_tol: float) -> N
 class AlphaSearch:
     """Outcome of one select_alpha run.
 
-    ``alpha``, ``modes``, ``r_max`` and ``p`` describe the first
-    decomposition that passed both gates or, when ``feasible`` is False, the
+    ``alpha`` and ``modes`` describe the chosen decomposition: the first
+    that passed both gates or, when ``feasible`` is False, the
     least-violating one; ``modes`` is its merged set.
     ``path`` holds one ``(alpha, r_max, p)`` tuple per decomposition, in
-    search order. ``unmerged_freqs`` holds the K center frequencies of that
+    search order, so the chosen one's gate diagnostics are its entry at
+    ``alpha``. ``unmerged_freqs`` holds the K center frequencies of that
     decomposition before the merge, in Hz, in its energy order: where the
     search ended, for a later search to start from.
     """
 
     alpha: float
     modes: ModeSet
-    r_max: float
-    p: float
     feasible: bool
     path: list[tuple[float, float, float]]
     unmerged_freqs: np.ndarray
@@ -485,7 +484,7 @@ def select_alpha(
         p = energy_loss(gated)
         path.append((mid, r, p))
         feasible = r <= gates.mu1 and p <= gates.mu2
-        search = AlphaSearch(mid, gated, r, p, feasible, path, ms.center_freqs)
+        search = AlphaSearch(mid, gated, feasible, path, ms.center_freqs)
         if feasible:
             return search
         violation = max(r / gates.mu1 - 1.0, 0.0) + (

@@ -285,9 +285,10 @@ def test_criterion_09_composite_window_structure(recovery_run):
         for p in series.points:
             if p.flag == FLAG_CARRY:
                 continue
-            assert p.wa_start <= p.wb_start <= p.wb_end <= p.wa_end
+            wa_start = p.wa_index * cfg.stride
+            assert wa_start <= p.wb_start <= p.wb_end <= wa_start + cfg.l_a
             assert p.wb_end <= p.time + 1e-9
-            advanceable = p.wb_start >= p.wa_start + cfg.stride and p.wa_index < k_max
+            advanceable = p.wb_start >= wa_start + cfg.stride and p.wa_index < k_max
             assert not advanceable, f"W_a lagged behind at t={p.time}"
 
 

@@ -182,6 +182,16 @@ class TestCliFlows:
         rc = main(["estimate", str(cube), "-o", str(synth_dir / "y")])
         assert rc == 1
 
+    def test_cut_cube_without_range_names_the_flag(self, cube_1m, tmp_path, capsys):
+        # The flag is checked before the payload is read, so a cube cut
+        # mid-float reports the missing flag, not the payload (exit 2).
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(cube_1m.read_bytes()[:-1])
+        capsys.readouterr()
+        rc = main(["estimate", str(cut), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--expected-range" in capsys.readouterr().err
+
     def test_nonuniform_trace_is_input_error(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "trace.csv").read_text().splitlines()
         del lines[1001]  # data row 1000 (t = 10 s) sat on line 1002

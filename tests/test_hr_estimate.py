@@ -283,9 +283,10 @@ class TestCompositeWindows:
         for p in series.points:
             if p.flag == FLAG_CARRY:
                 continue
-            assert p.wa_start <= p.wb_start <= p.wb_end <= p.wa_end
+            wa_start = p.wa_index * cfg.stride
+            assert wa_start <= p.wb_start <= p.wb_end <= wa_start + cfg.l_a
             # minimality: no further advance was possible at this instant
-            assert p.wb_start < p.wa_start + cfg.stride or p.wa_index == k_max
+            assert p.wb_start < wa_start + cfg.stride or p.wa_index == k_max
 
     def test_wa_indices_monotone(self):
         series = run_composite_windows(
@@ -434,8 +435,7 @@ class TestBuildReport:
         # a series that tracks a 152 -> 120 decay over 60 s exactly
         truth = LinearRamp(152.0, 120.0, 60.0)
         points = [
-            HrPoint(float(t), float(truth(float(t))), 5.0, "ok", 0,
-                    0.0, 16.0, t - 5.0, float(t))
+            HrPoint(float(t), float(truth(float(t))), 5.0, "ok", 0, t - 5.0, float(t))
             for t in np.arange(0.0, 66.0, 1.0)
         ]
         series = HrSeries(points=points, cadence=1.0, window_results={})

@@ -18,6 +18,7 @@ from hrrkit.io import (
     write_mode_dump,
     write_trace,
 )
+from hrrkit.mode_select import ModeLabel
 from hrrkit.radar import RadarConfig, RadarCube, Target, TargetScene, simulate_frames
 from hrrkit.signal_model import (
     ConstantRate,
@@ -28,6 +29,7 @@ from hrrkit.signal_model import (
     WaveformShape,
     synthesize_trace,
 )
+from hrrkit.vmd import AlphaSearch, ModeSet
 
 
 def cube_file(path, frames=3, samples=4, frame_rate="100.0", bin_size="0.05", nan_at=None,
@@ -424,23 +426,26 @@ class TestCubeFile:
         assert a.read_bytes() == b.read_bytes()
 
 
-def mode_row(mode_idx, merged_from, label, energy):
-    return {"window_start_s": 8.0, "mode_idx": mode_idx, "omega_hz": 2.17,
-            "energy_share": 0.25, "label": label, "peak_freq_hz": 2.175,
-            "energy": energy, "merged_from": merged_from}
+def labelled_window():
+    """A degenerate window at 8 s: a respiration mode and a heartbeat merged
+    from modes 1 and 4 of its unmerged decomposition."""
+    ms = ModeSet(np.zeros((2, 4)), np.array([2.17, 2.17]), np.zeros(4), 16.0, 100.0,
+                 True, 1, merged_from=((0,), (1, 4)))
+    search = AlphaSearch(3162.0, ms, False, [(3162.0, 0.3, 0.0)], np.zeros(5))
+    labels = [ModeLabel(0, "respiration", 2.175, 1.0, 4.0),
+              ModeLabel(1, "heartbeat", 2.175, 1.0, 1.5)]
+    return WindowResult(8.0, None, "degenerate", search, labels)
 
 
 class TestModeDump:
     def test_rows_name_the_modes_they_merge(self, tmp_path):
-        window = WindowResult(8.0, None, alpha=3162.0, status="degenerate", mode_table=[
-            mode_row(0, (0,), "respiration", 4.0),
-            mode_row(1, (1, 4), "heartbeat", 1.5),
-        ])
         path = tmp_path / "modes.csv"
-        write_mode_dump(HrSeries([], 1.0, {1: window, 0: WindowResult(0.0, None)}), path)
+        write_mode_dump(
+            HrSeries([], 1.0, {1: labelled_window(), 0: WindowResult(0.0, None)}), path
+        )
         assert MODES_HEADER.endswith(",energy,merged_from")
         assert path.read_text().splitlines() == [
             MODES_HEADER,
             "8.000,0,2.1700,2.500000e-01,respiration,2.1750,4.000000e+00,0",
-            "8.000,1,2.1700,2.500000e-01,heartbeat,2.1750,1.500000e+00,1+4",
+            "8.000,1,2.1700,9.375000e-02,heartbeat,2.1750,1.500000e+00,1+4",
         ]

@@ -1,5 +1,5 @@
-"""The window stage takes alpha, r_max and p from the alpha search, and
-ends every window with a status."""
+"""The window stage keeps its alpha search and mode labels, and ends every
+window with a status."""
 import math
 from dataclasses import replace
 
@@ -22,7 +22,7 @@ from hrrkit.signal_model import (
 from hrrkit.vmd import energy_loss, mode_correlation_max
 
 from conftest import noisy_recovery
-from test_vmd import allocating_reference
+from test_vmd import allocating_reference, chosen_step
 
 
 def written(series, report, out):
@@ -63,9 +63,8 @@ def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path)
     ]
     assert len(windows) == len(searches)
     for w, s in zip(windows, searches):
-        assert s.r_max == mode_correlation_max(s.modes)
-        assert s.p == energy_loss(s.modes)
-        assert w.alpha == s.alpha
+        assert chosen_step(s) == (s.alpha, mode_correlation_max(s.modes), energy_loss(s.modes))
+        assert w.search is s
         assert w.mode_table
         if w.status in ("ok", "gates_relaxed"):
             assert (w.status == "ok") == s.feasible
@@ -86,7 +85,10 @@ def test_window_without_heartbeat_mode():
     assert w.status == "no_heartbeat"
     assert w.peaks is None
     assert w.mode_table == []
-    assert math.isfinite(w.alpha)
+    # The window still keeps what its search and labelling found.
+    assert w.search is not None and math.isfinite(w.search.alpha)
+    assert [lb.mode_index for lb in w.labels] == list(range(w.search.modes.n_modes))
+    assert "heartbeat" not in {lb.label for lb in w.labels}
 
 
 def test_degenerate_window_keeps_its_mode_table(monkeypatch):
@@ -98,7 +100,7 @@ def test_degenerate_window_keeps_its_mode_table(monkeypatch):
     w = pipeline.make_window_stage(cfg)(segment, fs, 0.0)
     assert w.status == "degenerate"
     assert w.peaks is None
-    assert w.alpha == usable.alpha
+    assert w.search.alpha == usable.search.alpha
     assert w.mode_table == usable.mode_table
     # Merged or not, the table's rows account for each of the K modes once.
     parts = sorted(i for row in w.mode_table for i in row["merged_from"])
@@ -199,13 +201,13 @@ def test_each_window_starts_where_the_window_before_ended(monkeypatch):
     windows = series.window_results
     assert list(windows) == list(range(len(windows))) and len(searches) == len(windows) > 2
     for k, (first, search) in enumerate(zip(firsts, searches)):
-        assert np.array_equal(windows[k].unmerged_freqs, search.unmerged_freqs)
+        assert windows[k].search is search
         _, _, _, init_freqs, init_spectra, _ = calls[first]
         assert init_spectra is None
         if k == 0:
             assert init_freqs is None
         else:
-            assert np.array_equal(init_freqs, np.sort(windows[k - 1].unmerged_freqs))
+            assert np.array_equal(init_freqs, np.sort(windows[k - 1].search.unmerged_freqs))
 
 
 def test_window_after_a_search_less_one_starts_cold(monkeypatch):
@@ -213,7 +215,7 @@ def test_window_after_a_search_less_one_starts_cold(monkeypatch):
     segment, fs = first_window(noisy_recovery(120), cfg)
     stage = pipeline.make_window_stage(cfg)
     idle = stage(np.zeros_like(segment), fs, 0.0)
-    assert idle.status == "no_heartbeat" and idle.unmerged_freqs is None
+    assert idle.status == "no_heartbeat" and idle.search is None
     calls = recording_decompositions(monkeypatch)
     after_idle = stage(segment, fs, 8.0, idle)
     assert calls[0][3:5] == (None, None)
@@ -229,6 +231,28 @@ def panel_trace(scenario_name, seed, tmp_path):
     trace = synthesize_trace(subject.resp, subject.heart, noise_std, 100.0, 66.0, seed)
     write_trace(trace, tmp_path / "trace.csv")
     return read_trace(tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize(
+    "scenario_name, seed, n_coincident",
+    [("harmonic_coincidence", 133, 7), ("recovery_snr15", 120, 0)],
+)
+def test_coincident_row_marks_a_harmonic_heartbeat(tmp_path, scenario_name, seed, n_coincident):
+    # A window's mode table has a coincident row exactly when its heartbeat
+    # label carries a harmonic order, that is, when the coincidence rule
+    # chose it; the row is the heartbeat's.
+    series, _ = pipeline.estimate_trace(panel_trace(scenario_name, seed, tmp_path))
+    windows = list(series.window_results.values())
+    assert len(windows) == 7
+    for w in windows:
+        heartbeats = [lb for lb in w.labels if lb.label == "heartbeat"]
+        assert len(heartbeats) <= 1
+        coincident = [row["mode_idx"] for row in w.mode_table if row["coincident"]]
+        if heartbeats and heartbeats[0].harmonic_order is not None:
+            assert coincident == [heartbeats[0].mode_index]
+        else:
+            assert coincident == []
+    assert sum(any(row["coincident"] for row in w.mode_table) for w in windows) == n_coincident
 
 
 # The recovery_estimate and coincidence_estimate benchmark panels.

@@ -845,6 +845,11 @@ SEARCH_CASES = {
 }
 
 
+def chosen_step(search):
+    """The ``(alpha, r_max, p)`` entry of the search's chosen decomposition."""
+    return search.path[[alpha for alpha, _, _ in search.path].index(search.alpha)]
+
+
 def assert_matches_raising_reference(case, **kwargs):
     """Run ``select_alpha`` on a search case, with ``kwargs``, and check it
     against ``raising_reference`` bit for bit; return the search."""
@@ -856,15 +861,14 @@ def assert_matches_raising_reference(case, **kwargs):
         raised = False
     except ReferenceInfeasible as exc:
         alpha, modes = exc.best_alpha, exc.best_modeset
-        assert (search.r_max, search.p) == (exc.best_r_max, exc.best_p)
+        assert chosen_step(search)[1:] == (exc.best_r_max, exc.best_p)
         raised = True
     assert search.feasible == (not raised) == (case == "feasible_two_tone")
     assert search.alpha == alpha
     assert np.array_equal(search.modes.modes, modes.modes)
     assert np.array_equal(search.modes.center_freqs, modes.center_freqs)
     # The window stage used to recompute both diagnostics on the chosen modes.
-    assert search.r_max == mode_correlation_max(modes)
-    assert search.p == energy_loss(modes)
+    assert chosen_step(search) == (alpha, mode_correlation_max(modes), energy_loss(modes))
     assert [a for a, _, _ in search.path] == ref_alphas
     return search
 
@@ -883,7 +887,7 @@ class TestSelectAlpha:
     def test_impossible_energy_gate_is_infeasible(self):
         search = select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
         assert not search.feasible
-        assert search.p > 0.0
+        assert chosen_step(search)[2] > 0.0
 
     def test_infeasible_search_carries_best_attempt(self):
         search = select_alpha(
@@ -891,7 +895,7 @@ class TestSelectAlpha:
         )
         assert not search.feasible
         assert search.alpha in [alpha for alpha, _, _ in search.path]
-        assert energy_loss(search.modes) == search.p
+        assert energy_loss(search.modes) == chosen_step(search)[2]
         assert search.modes.n_modes == 2
 
     def test_search_cost_bounded(self):
@@ -978,7 +982,7 @@ class TestSelectAlpha:
         assert np.array_equal(search.modes.modes, modes.modes)
         assert np.array_equal(search.modes.center_freqs, modes.center_freqs)
         assert search.modes.merged_from == modes.merged_from
-        assert (search.r_max, search.p) == (mode_correlation_max(modes), energy_loss(modes))
+        assert chosen_step(search) == (alpha, mode_correlation_max(modes), energy_loss(modes))
         assert [a for a, _, _ in search.path] == ref_alphas
 
     def test_merge_makes_the_relaxed_window_feasible(self):
