@@ -6,6 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import InputError
 from .hr_estimate import (
     HrrReport,
     HrSeries,
@@ -23,6 +24,14 @@ from .vmd import select_alpha
 # Not called here: perfbench's tracer looks both up on this module by name
 # (make_tracer), so they stay importable until its plan drops them.
 from .vmd import energy_loss, mode_correlation_max  # noqa: F401
+
+
+# A nonzero trace's peak |sample| must lie in this range, in mm. Far outside
+# it the squared mode spectra of the decomposition overflow (an internal
+# failure) or fall below its power floor (a wrong report). The 66 s recovery
+# trace, peak 1.54 mm, gives its unscaled report when scaled by 1e-148 up to
+# 1e152 at 100 Hz; the range keeps clear of both ends, also at 20 and 1000 Hz.
+PEAK_RANGE_MM = (1e-140, 1e151)
 
 
 def make_window_stage(cfg: PipelineConfig) -> StageFn:
@@ -83,11 +92,19 @@ def estimate_trace(
     """Run the full pipeline on a displacement trace and build the report.
 
     Ground truth attached to the trace (synthetic runs) is scored into the
-    report's mean absolute error. A trace whose first difference is too
-    short for the windows or the report (see ``run_composite_windows``)
-    raises InputError before any window runs.
+    report's mean absolute error. A nonzero trace whose peak |sample| lies
+    outside ``PEAK_RANGE_MM``, and a trace whose first difference is too
+    short for the windows or the report (see ``run_composite_windows``),
+    raise InputError before any window runs. An all-zero trace runs, and
+    finds no heartbeat.
     """
     cfg = cfg or PipelineConfig()
+    peak = float(np.max(np.abs(trace.samples), initial=0.0))
+    lo, hi = PEAK_RANGE_MM
+    if peak != 0.0 and not lo <= peak <= hi:
+        raise InputError(
+            f"trace peak |displacement| {peak:g} mm lies outside [{lo:g}, {hi:g}] mm"
+        )
     prepared = preprocess_trace(trace, cfg)
     series = run_composite_windows(
         prepared, cfg.window_config(), make_window_stage(cfg), carry_limit=cfg.carry_limit

@@ -18,6 +18,10 @@ from .signal_model import ChestMotionTrace
 
 _FILTER_ORDER = 4  # per band edge; applied twice (forward-backward)
 
+# Samples per block of the block state-space filter: a padded 66 s pass at
+# 100 Hz is about 150 blocks.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -77,13 +81,21 @@ def sosfiltfilt(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
 
     Each pass starts every section in the steady state of a step at the
     pass's first sample, so a constant input passes without a transient.
+    Each pass runs the cascade ``_BLOCK`` samples at a time in its
+    state-space form (``_block_form``): every block's zero-state response
+    comes from one Toeplitz product, the states at the block boundaries from
+    a short recurrence over the blocks, and their zero-input responses from
+    one more product. This is the arithmetic of running each section in
+    direct form II transposed, sample by sample, regrouped: the two agree
+    within about 1e-12 of the output's peak, not bit for bit.
     """
     x = np.asarray(x, dtype=float)
     x = np.concatenate((2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2:-(padlen + 2):-1]))
-    zi = _steady_state(sos)
-    y = _sosfilt(sos, x.tolist(), zi * x[0])
-    y = _sosfilt(sos, y[::-1], zi * y[-1])[::-1]
-    return np.array(y[padlen:len(y) - padlen])
+    zi = _steady_state(sos).reshape(-1)
+    form = _block_form(sos)
+    y = _block_filter(form, x, zi * x[0])
+    y = _block_filter(form, y[::-1], zi * y[-1])[::-1]
+    return y[padlen:len(y) - padlen].copy()
 
 
 def _steady_state(sos: np.ndarray) -> np.ndarray:
@@ -97,30 +109,65 @@ def _steady_state(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos: np.ndarray, x: list, zi: np.ndarray) -> list:
-    """Run ``x`` through the cascade, each section in direct form II transposed.
+def _block_form(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cascade's block state-space matrices for blocks of ``_BLOCK`` samples.
 
-    Sections go two to a pass over the samples, which halves the
-    interpreter's per-sample cost; each section's arithmetic is unchanged.
-    The band-pass design has one section per prototype pole, so an even
-    number of them.
+    The state s stacks each section's two direct-form-II-transposed states,
+    section 0 first, as ``_steady_state`` lays them out. One sample steps
+    s' = A s + B u with output y = C s + D u. Over a block of L samples
+    u_0..u_{L-1} starting in state s, the outputs are ``toeplitz @ u +
+    free @ s``, and the state after the block is ``carry @ s + drive @ u``.
+    Returns ``(toeplitz, drive, carry, free)``: the (L, L) lower-triangular
+    matrix of the impulse response D, CB, CAB, ...; the (n, L) matrix whose
+    column j is A^(L-1-j) B; A^L; and the (L, n) matrix whose row i is C A^i.
     """
-    y = x
-    for coeffs, state in zip(sos.reshape(-1, 12).tolist(), zi.reshape(-1, 4).tolist()):
-        b0, b1, b2, _, a1, a2, c0, c1, c2, _, d1, d2 = coeffs
-        z0, z1, w0, w1 = state
-        out = []
-        append = out.append
-        for u in y:
-            v = b0 * u + z0
-            z0 = b1 * u - a1 * v + z1
-            z1 = b2 * u - a2 * v
-            w = c0 * v + w0
-            w0 = c1 * v - d1 * w + w1
-            w1 = c2 * v - d2 * w
-            append(w)
-        y = out
-    return y
+    n = 2 * len(sos)
+    # Each signal is a row of its weights on the states and, last, the input.
+    v = np.zeros(n + 1)
+    v[n] = 1.0
+    step = np.zeros((n, n + 1))
+    for si, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        w = b0 * v
+        w[2 * si] += 1.0
+        step[2 * si] = b1 * v - a1 * w
+        step[2 * si, 2 * si + 1] += 1.0
+        step[2 * si + 1] = b2 * v - a2 * w
+        v = w
+    a, b, c, d = step[:, :n], step[:, n], v[:n], v[n]
+    powers = [np.eye(n)]
+    for _ in range(_BLOCK):
+        powers.append(powers[-1] @ a)
+    powers = np.array(powers)
+    free = c @ powers[:_BLOCK]                    # row i: C A^i
+    response = np.concatenate(([d], free[:-1] @ b))   # D, CB, CAB, ...
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    toeplitz = np.where(lag >= 0, response[np.maximum(lag, 0)], 0.0)
+    drive = (powers[_BLOCK - 1::-1] @ b).T        # column j: A^(L-1-j) B
+    return toeplitz, drive, powers[_BLOCK], free
+
+
+def _block_filter(form: tuple, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Run ``x`` through the cascade from state ``zi``, ``_BLOCK`` samples at a time.
+
+    The last block is zero-filled to full length; being causal, the cascade
+    gives the real samples the same outputs either way. The block products
+    go through ``np.einsum``, not BLAS: a BLAS build that runs products this
+    large on several threads took 4-8 ms for the Toeplitz product instead of
+    0.02 ms on a 2-vCPU host.
+    """
+    toeplitz, drive, carry, free = form
+    n_blocks = -(-len(x) // _BLOCK)
+    blocks = np.zeros((n_blocks, _BLOCK))
+    blocks.reshape(-1)[:len(x)] = x
+    states = np.empty((n_blocks, len(zi)))
+    states[0] = zi
+    kicks = np.einsum("bj,sj->bs", blocks, drive)
+    for k in range(1, n_blocks):
+        np.dot(carry, states[k - 1], out=states[k])
+        states[k] += kicks[k - 1]
+    y = np.einsum("bj,ij->bi", blocks, toeplitz)
+    y += np.einsum("bs,is->bi", states, free)
+    return y.reshape(-1)[:len(x)]
 
 
 def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestMotionTrace:

@@ -185,6 +185,14 @@ def vmd_decompose(
     Iteration stops when the relative change of the mode spectra drops
     below ``params.tolerance`` or after ``params.max_iters`` sweeps; the
     termination reason is recorded on the result.
+
+    A sweep is about 30 numpy calls on buffers allocated once, and numpy's
+    dispatch of each costs as much as its arithmetic at these sizes. So the
+    loop calls its ufuncs through local names with a positional ``out``,
+    takes each mode update's row triple from a list zipped once per buffer
+    parity, and writes the live-power mask into a preallocated buffer. The
+    arithmetic and its order are those of the residual form above, so the
+    result does not depend on how the calls are made.
     """
     f = np.asarray(signal, dtype=float)
     if f.ndim != 1:
@@ -236,27 +244,30 @@ def vmd_decompose(
             raise ValueError("init_spectra contains non-finite values")
     f_plus = np.fft.fft(ext)[:P]
 
-    alpha, tolerance = params.alpha, params.tolerance
-    # The sweep's (K, P) buffers are allocated once. u_hat and u_prev trade
-    # places at the start of each sweep instead of copying, and so do the
-    # lists of their row views and their real views, which are built once too.
-    u_hat = np.zeros((K, P), dtype=complex)
-    u_prev = np.empty_like(u_hat)
+    # Local names for the sweep's calls (see the docstring's last paragraph);
+    # alpha is a 0-d array, so no call converts it.
+    dot, square, add, subtract = np.dot, np.square, np.add, np.subtract
+    multiply, reciprocal, divide, greater = np.multiply, np.reciprocal, np.divide, np.greater
+    alpha, tolerance = np.array(params.alpha), params.tolerance
+    # The sweep's (K, P) buffers are allocated once. Sweep ``it`` writes
+    # bufs[it % 2] and reads the one the sweep before wrote, so the two trade
+    # places instead of copying; bufs[0] holds the start.
+    bufs = (np.zeros((K, P), dtype=complex), np.empty((K, P), dtype=complex))
     if init_spectra is not None:
-        u_hat[:] = init_spectra
-    u_rows, prev_rows = list(u_hat), list(u_prev)
-    u_parts, prev_parts = u_hat.view(float), u_prev.view(float)
+        bufs[0][:] = init_spectra
+    views = [buf.view(float) for buf in bufs]   # each buffer's re and im parts
     # resid = f_plus - sum_k u_hat[k], the mode updates' shared numerator.
     resid = f_plus.copy()
-    for row in u_rows:
+    for row in bufs[0]:
         resid -= row
     # |u_hat|^2 as re^2 and im^2 side by side. One BLAS product with the
     # rows of weights, each bin's frequency twice and then ones, gives every
     # mode's first moment and power: moments[k] = (sum f |u_k|^2, sum |u_k|^2).
-    sq = np.square(u_parts)
-    weights = np.stack([np.repeat(freqs, 2), np.ones(2 * P)])
-    moments = np.dot(sq, weights.T)
+    sq = np.square(views[0])
+    weights_t = np.stack([np.repeat(freqs, 2), np.ones(2 * P)]).T
+    moments = np.dot(sq, weights_t)
     first_moment, power = moments[:, 0], moments[:, 1]
+    live = np.empty(K, dtype=bool)   # the modes with power > 1e-300
     # omega is the second column of lead, and offsets holds the frequencies
     # over -1s, so np.dot(lead, offsets) gives every f - omega_k. Its terms
     # 1 * f and -1 * omega_k are exact, so each is rounded once, the same
@@ -270,45 +281,49 @@ def vmd_decompose(
     # so each mode update is a complex product with no cast of its operand.
     gain_c = np.zeros((K, P), dtype=complex)
     gain_re = gain_c.real
-    gain_rows = list(gain_c)
-    # Both spectra as flat runs of re and im, interleaved, for the stopping
-    # test's inner product.
-    u_flat, prev_flat = u_parts.reshape(-1), prev_parts.reshape(-1)
-    norm = power.sum()
+    # Per parity of the sweep count: the mode updates' (row, prev_row,
+    # gain_row) triples, the written buffer's re and im parts, and both
+    # buffers as flat runs of re and im, interleaved, for the stopping test's
+    # inner product.
+    parities = [
+        (list(zip(bufs[p], bufs[1 - p], gain_c)), views[p],
+         views[p].reshape(-1), views[1 - p].reshape(-1))
+        for p in (0, 1)
+    ]
+    norm = add.reduce(power)
 
     converged = False
     for it in range(1, params.max_iters + 1):
-        u_hat, u_prev = u_prev, u_hat
-        u_rows, prev_rows = prev_rows, u_rows
-        u_parts, prev_parts = prev_parts, u_parts
-        u_flat, prev_flat = prev_flat, u_flat
+        triples, parts, u_flat, prev_flat = parities[it & 1]
         # Mode k's Wiener gain 1 / (alpha (f - omega_k)^2 + 1) reads omega_k
         # from the previous sweep, so all K gains are formed up front; only
         # the mode updates are sequential.
-        np.dot(lead, offsets, out=gain)
-        np.square(gain, out=gain)
-        gain *= alpha
-        gain += 1.0
-        np.reciprocal(gain, out=gain_re)
-        for row, prev_row, gain_row in zip(u_rows, prev_rows, gain_rows):
-            resid += prev_row
-            np.multiply(resid, gain_row, out=row)
-            resid -= row
-        np.square(u_parts, out=sq)
-        np.dot(sq, weights.T, out=moments)
-        np.divide(first_moment, power, out=omega, where=power > 1e-300)
+        dot(lead, offsets, gain)
+        square(gain, gain)
+        multiply(gain, alpha, gain)
+        add(gain, 1.0, gain)
+        reciprocal(gain, gain_re)
+        for row, prev_row, gain_row in triples:
+            add(resid, prev_row, resid)
+            multiply(resid, gain_row, row)
+            subtract(resid, row, resid)
+        square(parts, sq)
+        dot(sq, weights_t, moments)
+        greater(power, 1e-300, live)
+        divide(first_moment, power, omega, where=live)
         # |u_hat - u_prev|^2 = |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>, from
         # the powers at hand and one dot, with no difference pass. Near
         # convergence the terms cancel, so this is the exact sum of squares
         # only to a few eps of the power: about 1e-8 of the threshold at the
         # default tolerance.
-        new_norm = power.sum()
-        change = new_norm + norm - 2.0 * np.dot(u_flat, prev_flat)
+        new_norm = add.reduce(power)
+        change = new_norm + norm - 2.0 * dot(u_flat, prev_flat)
         threshold = tolerance * max(norm, 1e-300)
         norm = new_norm
         if change <= threshold:
             converged = True
             break
+    u_hat = bufs[it & 1]
 
     # Real inverse transform of the one-sided spectra, zero above the swept
     # bins, then crop the mirrors.

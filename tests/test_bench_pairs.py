@@ -9,8 +9,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-OP_S = {"name": "op_s", "unit": "s", "better": "lower"}
-RATE = {"name": "signal_s_per_s", "unit": "s/s", "better": "higher"}
+OP_S = {"name": "op_s", "unit": "s", "better": "lower", "bound": 0.25}
+RATE = {"name": "signal_s_per_s", "unit": "s/s", "better": "higher", "bound": 0.25}
 # Base times 1.00 to 1.09 s: median 1.045 s, quartiles 1.0225 and 1.0675 s.
 BASE = [1.0 + 0.01 * p for p in range(10)]
 
@@ -87,6 +87,58 @@ class TestSummarize:
         assert not summary["signal_s_per_s"]["gain"]
 
 
+class TestRegression:
+    def test_median_worse_beyond_the_bound_is_a_regression(self):
+        s = bench_pairs.summarize(make_runs([b * 1.3 for b in BASE]), [OP_S])["op_s"]
+        assert s["losses"] == 10
+        assert s["regressed"] and not s["gain"]
+        s = bench_pairs.summarize(make_runs([b * 1.2 for b in BASE]), [OP_S])["op_s"]
+        assert s["losses"] == 10
+        assert not s["regressed"]
+
+    def test_improvement_is_no_regression(self):
+        s = bench_pairs.summarize(make_runs(faster(10)), [OP_S])["op_s"]
+        assert s["gain"] and not s["regressed"] and not s["unresolved"]
+
+    def test_higher_is_better_regression(self):
+        base = [60.0 + p for p in range(10)]   # median 64.5
+        s = bench_pairs.summarize(make_runs([b * 0.7 for b in base], base, "signal_s_per_s"),
+                                  [RATE])["signal_s_per_s"]
+        assert s["regressed"]
+        s = bench_pairs.summarize(make_runs([b * 0.8 for b in base], base, "signal_s_per_s"),
+                                  [RATE])["signal_s_per_s"]
+        assert not s["regressed"]
+
+    def test_setup_step_between_two_levels_is_a_regression(self):
+        # A setup time that reads one of two levels 50 ms apart: the base at
+        # the lower level, the change mostly at the higher one.
+        setup = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+        base = [0.215] * 10
+        change = [0.265] * 3 + [0.316] * 7
+        s = bench_pairs.summarize(make_runs(change, base, "setup_s"), [setup])["setup_s"]
+        assert s["regressed"] and not s["unresolved"]
+
+    def test_base_spread_wider_than_the_bound_is_unresolved(self):
+        # Base 0.5 to 1.4 s: median 0.95 s, quartiles 0.725 and 1.175 s, an
+        # interquartile range of 47% of the median.
+        wide = [0.5 + 0.1 * p for p in range(10)]
+        s = bench_pairs.summarize(make_runs(wide, wide), [OP_S])["op_s"]
+        assert s["unresolved"] and not s["regressed"]
+        assert not bench_pairs.summarize(make_runs(BASE), [OP_S])["op_s"]["unresolved"]
+
+    def test_change_beating_every_base_run_is_resolved(self):
+        wide = [0.5 + 0.1 * p for p in range(10)]
+        s = bench_pairs.summarize(make_runs([0.45] * 10, wide), [OP_S])["op_s"]
+        assert not s["unresolved"]
+        # One change run no faster than the base's fastest leaves it unresolved.
+        s = bench_pairs.summarize(make_runs([0.45] * 9 + [0.5], wide), [OP_S])["op_s"]
+        assert s["unresolved"]
+        base = [60.0 + 6.0 * p for p in range(10)]
+        s = bench_pairs.summarize(make_runs([200.0] * 10, base, "signal_s_per_s"),
+                                  [RATE])["signal_s_per_s"]
+        assert not s["unresolved"]
+
+
 class TestMain:
     def run_main(self, monkeypatch, tmp_path, incorrect_seed=None, trace_correct=None):
         """Run main on fake runs; ``trace_correct`` adds --trace, its passes correct or not."""
@@ -119,6 +171,7 @@ class TestMain:
         assert code == 0
         assert report["incorrect_runs"] == []
         assert report["summary"]["op_s"]["gain"]
+        assert not any(s["regressed"] or s["unresolved"] for s in report["summary"].values())
         assert report["traced"] == {}
         assert all(trace == 0 for *_, trace in self.calls)
 

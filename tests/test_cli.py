@@ -319,6 +319,26 @@ class TestCliFlows:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e160, "lies outside [1e-140, 1e+151] mm"),
+        (1e-160, "lies outside [1e-140, 1e+151] mm"),
+        (1e100, None),
+    ])
+    def test_extreme_amplitude_is_input_error(self, synth_dir, tmp_path, capsys, scale, message):
+        trace = read_trace(synth_dir / "trace.csv")
+        write_trace(replace(trace, samples=trace.samples * scale), tmp_path / "t.csv")
+        out = tmp_path / "out"
+        rc = main(["estimate", str(tmp_path / "t.csv"), "-o", str(out)])
+        if message is None:
+            assert rc == 0
+            unscaled = tmp_path / "unscaled"
+            assert main(["estimate", str(synth_dir / "trace.csv"), "-o", str(unscaled)]) == 0
+            assert (out / "report.txt").read_text() == (unscaled / "report.txt").read_text()
+        else:
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_trace_short_of_report_time_is_input_error(self, tmp_path, capsys):
         trace = tmp_path / "t20.csv"
         assert main(["synth", "-o", str(trace), "--duration", "20"]) == 0

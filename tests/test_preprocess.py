@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from hrrkit.errors import InputError
-from hrrkit.preprocess import FilterSpec, bandpass, butter_bandpass_sos, difference, sosfiltfilt
+from hrrkit.preprocess import (
+    _BLOCK,
+    FilterSpec,
+    _steady_state,
+    bandpass,
+    butter_bandpass_sos,
+    difference,
+    sosfiltfilt,
+)
 from hrrkit.signal_model import ChestMotionTrace
 
 from conftest import tone
@@ -21,6 +29,40 @@ def trace_of(x, fs=FS):
 
 def rms(x):
     return float(np.sqrt(np.mean(np.square(x))))
+
+
+def sample_loop(sos, x, zi):
+    """Run ``x`` through the cascade one sample at a time, each section in DF2T.
+
+    Sections go two to a pass over the samples; each section's arithmetic is
+    that of scipy's sosfilt.
+    """
+    y = x
+    for coeffs, state in zip(sos.reshape(-1, 12).tolist(), zi.reshape(-1, 4).tolist()):
+        b0, b1, b2, _, a1, a2, c0, c1, c2, _, d1, d2 = coeffs
+        z0, z1, w0, w1 = state
+        out = []
+        append = out.append
+        for u in y:
+            v = b0 * u + z0
+            z0 = b1 * u - a1 * v + z1
+            z1 = b2 * u - a2 * v
+            w = c0 * v + w0
+            w0 = c1 * v - d1 * w + w1
+            w1 = c2 * v - d2 * w
+            append(w)
+        y = out
+    return y
+
+
+def reference_sosfiltfilt(sos, x, padlen):
+    """The package's forward-backward filter with the sample loop in place of its blocks."""
+    x = np.asarray(x, dtype=float)
+    x = np.concatenate((2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2:-(padlen + 2):-1]))
+    zi = _steady_state(sos)
+    y = sample_loop(sos, x.tolist(), zi * x[0])
+    y = sample_loop(sos, y[::-1], zi * y[-1])[::-1]
+    return np.array(y[padlen:len(y) - padlen])
 
 
 class TestBandpass:
@@ -81,8 +123,17 @@ DESIGN_GRID = [
 ]
 
 
+BANDPASS_SOS = butter_bandpass_sos(0.2, 3.4, FS)
+
+
+def random_trace(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 1.0, 6600) + 3.0 * np.sin(np.arange(6600) / 50.0) + 2.0
+
+
 class TestMatchesScipy:
-    """The numpy filter reproduces scipy's design and filtering bit for bit."""
+    """The numpy design, and the sample loop the block filter is pinned to,
+    reproduce scipy's design and filtering bit for bit."""
 
     @pytest.mark.parametrize("fs,band", DESIGN_GRID)
     def test_design(self, fs, band):
@@ -91,24 +142,64 @@ class TestMatchesScipy:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bandpass_random_traces(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(0.0, 1.0, 6600) + 3.0 * np.sin(np.arange(6600) / 50.0) + 2.0
+        x = random_trace(seed)
         sos = signal.butter(4, (0.2, 3.4), btype="bandpass", output="sos", fs=FS)
         ref = signal.sosfiltfilt(sos, x, padlen=1500)
-        assert np.array_equal(bandpass(trace_of(x)).samples, ref)
+        assert np.array_equal(reference_sosfiltfilt(BANDPASS_SOS, x, 1500), ref)
 
     def test_bandpass_short_trace_pads_all_but_one_sample(self):
         x = np.random.default_rng(7).normal(0.0, 1.0, 300)  # padlen = 1500 > 299
         sos = signal.butter(4, (0.2, 3.4), btype="bandpass", output="sos", fs=FS)
         ref = signal.sosfiltfilt(sos, x, padlen=len(x) - 1)
-        assert np.array_equal(bandpass(trace_of(x)).samples, ref)
+        assert np.array_equal(reference_sosfiltfilt(BANDPASS_SOS, x, len(x) - 1), ref)
 
     @pytest.mark.parametrize("n,padlen", [(1, 0), (2, 1), (40, 0), (40, 17)])
     def test_sosfiltfilt_pad_lengths(self, n, padlen):
         x = np.random.default_rng(n).normal(0.0, 1.0, n)
         sos = butter_bandpass_sos(0.5, 3.0, 20.0)
         ref = signal.sosfiltfilt(sos, x, padlen=padlen)
-        assert np.array_equal(sosfiltfilt(sos, x, padlen), ref)
+        assert np.array_equal(reference_sosfiltfilt(sos, x, padlen), ref)
+
+
+def assert_near_sample_loop(got, x, sos, padlen):
+    """Within 1e-11 of the peak of the sample loop's output, or of the input's
+    where that is larger: a rejected input, such as a constant, leaves only
+    rounding noise in the output."""
+    ref = reference_sosfiltfilt(sos, x, padlen)
+    assert got.shape == ref.shape
+    scale = max(np.max(np.abs(ref)), np.max(np.abs(x)))
+    assert np.max(np.abs(got - ref)) <= 1e-11 * scale
+
+
+# Input lengths around the block length, each filtered without padding, so
+# the passes run exactly that many samples.
+BLOCK_LENGTHS = sorted({1, 2, 40, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+                        2 * _BLOCK, 2 * _BLOCK + 1, 10 * _BLOCK - 1, 10 * _BLOCK,
+                        10 * _BLOCK + 1})
+
+
+class TestBlockFilter:
+    """The block filter matches the sample loop to rounding."""
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_lengths_around_the_block(self, n):
+        x = np.random.default_rng(n).normal(0.0, 1.0, n)
+        assert_near_sample_loop(sosfiltfilt(BANDPASS_SOS, x, 0), x, BANDPASS_SOS, 0)
+
+    @pytest.mark.parametrize("padlen", [0, 1, 17, 299])
+    def test_pad_lengths(self, padlen):
+        x = np.random.default_rng(padlen).normal(0.0, 1.0, 300)
+        assert_near_sample_loop(sosfiltfilt(BANDPASS_SOS, x, padlen), x, BANDPASS_SOS, padlen)
+
+    def test_constant_input(self):
+        x = np.full(3000, 3.7)
+        y = sosfiltfilt(BANDPASS_SOS, x, 1500)
+        assert_near_sample_loop(y, x, BANDPASS_SOS, 1500)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bandpass_random_traces(self, seed):
+        x = random_trace(seed)
+        assert_near_sample_loop(bandpass(trace_of(x)).samples, x, BANDPASS_SOS, 1500)
 
 
 class TestDifference:

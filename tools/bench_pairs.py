@@ -10,13 +10,18 @@ runs first alternates from pair to pair. ``BENCH_<tag>.json`` records every
 run's end-to-end metrics, each side's median, quartiles and minimum per
 metric, and per metric how many pairs the change won, lost and tied. A metric shows a
 gain when the change wins at least nine pairs in ten and its median beats the
-base's by more than the distance between the base's quartiles.
+base's by more than the distance between the base's quartiles. It is
+``regressed`` when the change's median is worse than the base's by more than
+the metric's ``BENCHMARK.json`` bound, taken relative to the base's median,
+and ``unresolved`` when the distance between the base's own quartiles is
+wider than that bound, unless every change run beats every base run.
 
 With ``--trace``, each side also runs one ``--trace 1 --seconds 1`` pass on
 the first pair's seed, after the pairs. Its per-layer work and cost figures
 (``TRACED_METRICS``: µs per ADMM sweep, sweeps, decompositions, unconverged
-and relaxed-gate shares; the radar simulator's seconds per operation and µs
-per frame, and the tracker's µs per frame) go under ``traced`` in the
+and relaxed-gate shares; the band-pass filter's seconds per operation; the
+radar simulator's seconds per operation and µs per frame, and the tracker's
+µs per frame) go under ``traced`` in the
 report, apart from the untraced runs, whose times alone decide the gains.
 A workload that never reaches a layer records 0 for its figures.
 
@@ -38,8 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 TRACED_METRICS = ("vmd.us_per_sweep", "vmd.admm_sweeps", "vmd.decompose_calls",
                   "vmd.unconverged_frac", "pipeline.gates_relaxed_frac",
-                  "radar.simulate_us_per_frame", "radar.simulate_s",
-                  "radar.track_us_per_frame")
+                  "preprocess.bandpass_s", "radar.simulate_us_per_frame",
+                  "radar.simulate_s", "radar.track_us_per_frame")
 
 
 def git(*args: str) -> str:
@@ -76,7 +81,9 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per metric: each side's spread, pair wins, and whether the gain holds.
+    """Per metric: each side's spread, pair wins, whether the gain holds, and
+    whether the change regressed beyond the metric's bound or the base spreads
+    too widely for that bound to tell.
 
     No gain holds when any run, on either side, was incorrect.
     """
@@ -100,10 +107,18 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
         if not lower:
             gap = -gap
         base_iqr = stats["base"]["q3"] - stats["base"]["q1"]
+        allowed = m["bound"] * abs(stats["base"]["median"])
+        base_values, change_values = by_side["base"].values(), by_side["change"].values()
+        if lower:
+            separated = max(change_values) < min(base_values)
+        else:
+            separated = min(change_values) > max(base_values)
         summary[name] = {
-            "unit": m["unit"], "better": m["better"], **stats,
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"], **stats,
             "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
             "gain": all_correct and wins >= 0.9 * len(pairs) and gap > base_iqr,
+            "regressed": -gap > allowed,
+            "unresolved": base_iqr > allowed and not separated,
         }
     return summary
 
@@ -170,7 +185,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     for name, s in report["summary"].items():
         print(f"{name}: base {s['base']['median']:.6g} change {s['change']['median']:.6g} "
-              f"{s['unit']}, wins {s['wins']}/{args.pairs}, gain {s['gain']}")
+              f"{s['unit']}, wins {s['wins']}/{args.pairs}, gain {s['gain']}, "
+              f"regressed {s['regressed']}, unresolved {s['unresolved']}")
     print(f"wrote {out}")
     if report["incorrect_runs"]:
         print(f"incorrect outputs in {len(report['incorrect_runs'])} run(s): "
