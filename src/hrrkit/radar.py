@@ -10,7 +10,6 @@ displacement through delta_d = wavelength * delta_phi / (4*pi).
 """
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 
@@ -33,15 +32,13 @@ _TINY = np.finfo(float).tiny
 # Per frame the tracker searches this many bins either side of the last
 # frame's peak bin.
 _SEARCH_WIDTH = 2
-# Frames per vectorized argmax in the peak chain: the first block after a
-# bin switch, and the cap the block size doubles up to.
+# Frames in the peak chain's first vectorized argmax after a bin switch; the
+# block doubles while the peak stays put.
 _FIRST_BLOCK = 64
-_MAX_BLOCK = 4096
 # Frames per block where the simulator builds its tones and draws its noise,
 # where the tracker widens, transforms, takes magnitudes and sorts for medians,
 # and where the cube file is read and written: each temporary stays at or under
-# 1 MB at 256 samples per chirp, not a cube's size. The simulator draws its
-# noise on one worker thread, block by block; the tracker keeps only
+# 1 MB at 256 samples per chirp, not a cube's size. The tracker keeps only
 # per-frame values from each block.
 _FRAME_BLOCK = 256
 
@@ -162,14 +159,11 @@ def simulate_frames(
     bytes are not those of the per-sample form; the noise draws are.
 
     The noise is one stream from ``np.random.default_rng(seed)``: the real
-    parts of every frame, then the imaginary parts. One worker thread draws
-    it in ``_FRAME_BLOCK``-row blocks, in that order, while this thread
-    builds the tone blocks; each noise block is added to rows whose tones are
-    finished. A block of draws equals the matching rows of one whole-cube
-    draw, so the cube is the same bit for bit on one core or two. The worker
-    stays one block ahead, so at most two blocks of noise are held beside
-    the cube, not a half cube. The worker has stopped when this function
-    returns or raises.
+    parts of every frame, then the imaginary parts, drawn and added in
+    ``_FRAME_BLOCK``-row blocks in that order. A block of draws equals the
+    matching rows of one whole-cube draw, so the cube is the same bit for
+    bit, and only one block of noise is held beside the cube, not a half
+    cube.
     """
     if not math.isfinite(duration):
         raise InputError(f"duration must be finite, got {duration}")
@@ -206,8 +200,8 @@ def simulate_frames(
     n = config.samples_per_chirp
     dt = config.chirp_duration / n
     if scene.noise_floor > 0:
-        rng = np.random.default_rng(seed)  # a bad seed raises here, not on the worker
-        iq = _noisy_tone_sum(omega, phase0, n, dt, rng, math.sqrt(scene.noise_floor / 2.0))
+        iq = _noisy_tone_sum(omega, phase0, n, dt, np.random.default_rng(seed),
+                             math.sqrt(scene.noise_floor / 2.0))
     else:
         iq = _tone_sum(omega, phase0, n, dt)
     return RadarCube(iq=iq, frame_rate=config.frame_rate, bin_size=config.bin_size)
@@ -217,39 +211,14 @@ def _noisy_tone_sum(omega, phase0, n: int, dt: float, rng, sigma: float) -> np.n
     """``_tone_sum`` plus complex noise of ``sigma`` per part.
 
     The same as adding ``rng.normal(0.0, sigma, shape)`` to the real parts and
-    then another to the imaginary parts: the blocks come from one worker
-    thread, which has stopped when this returns or raises.
+    then another to the imaginary parts, one ``_FRAME_BLOCK`` of rows at a time.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_frames = omega.shape[1]
-    starts = range(0, n_frames, _FRAME_BLOCK)
-    shapes = [(min(_FRAME_BLOCK, n_frames - f0), n) for f0 in starts]
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        noise = _noise_blocks(pool, rng, sigma, shapes + shapes)
-        iq = _tone_sum(omega, phase0, n, dt, real_noise=noise)
-        for f0 in starts:
-            iq.imag[f0:f0 + _FRAME_BLOCK] += next(noise)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    iq = _tone_sum(omega, phase0, n, dt)
+    for part in (iq.real, iq.imag):
+        for f0 in range(0, iq.shape[0], _FRAME_BLOCK):
+            rows = part[f0:f0 + _FRAME_BLOCK]
+            rows += _scaled_normal(rng, sigma, rows.shape)
     return iq
-
-
-def _noise_blocks(pool, rng, sigma: float, shapes):
-    """Yield ``rng.normal(0.0, sigma, shape)`` for each of ``shapes`` in turn.
-
-    Each draw runs on ``pool``, whose one worker takes its tasks in order, so
-    the blocks follow one another in the stream. The worker draws the next
-    block while the consumer uses this one, and no further ahead.
-    """
-    ahead = collections.deque()
-    for shape in shapes:
-        ahead.append(pool.submit(_scaled_normal, rng, sigma, shape))
-        if len(ahead) > 1:
-            yield ahead.popleft().result()
-    while ahead:
-        yield ahead.popleft().result()
 
 
 def _scaled_normal(rng, sigma: float, shape) -> np.ndarray:
@@ -264,9 +233,7 @@ def _scaled_normal(rng, sigma: float, shape) -> np.ndarray:
     return z
 
 
-def _tone_sum(
-    omega: np.ndarray, phase0: np.ndarray, n: int, dt: float, real_noise=None
-) -> np.ndarray:
+def _tone_sum(omega: np.ndarray, phase0: np.ndarray, n: int, dt: float) -> np.ndarray:
     """Sum over targets of exp(1j * (omega * t + phase0)) at n fast-time samples.
 
     ``omega`` and ``phase0`` are (targets, frames). Fast time t runs in steps
@@ -281,8 +248,7 @@ def _tone_sum(
     product per sample. Samples past n are cropped. Frames go in blocks of
     ``_FRAME_BLOCK``; the first target's block is written, later ones added.
     When the tables cover exactly n samples, the first target's product goes
-    straight into the cube's rows. When ``real_noise`` is given, its next
-    block is added to each block's real parts once every target's tone is in.
+    straight into the cube's rows.
     """
     n_coarse = math.isqrt(n - 1) + 1
     n_fine = -(-n // n_coarse)
@@ -307,8 +273,6 @@ def _tone_sum(
                 iq[f0:f1] = tone
             else:
                 iq[f0:f1] += tone
-        if real_noise is not None:
-            iq.real[f0:f1] += next(real_noise)
     return iq
 
 
@@ -474,7 +438,7 @@ def _peak_chain(mags: np.ndarray, center: int, search_width: int) -> np.ndarray:
             prev = int(found[-1])
             block = _FIRST_BLOCK
         else:
-            block = min(2 * block, _MAX_BLOCK)
+            block *= 2
         bins[i:i + found.size] = found
         i += found.size
     return bins

@@ -140,19 +140,27 @@ class TestRegression:
 
 
 class TestMain:
-    def run_main(self, monkeypatch, tmp_path, incorrect_seed=None, trace_correct=None):
-        """Run main on fake runs; ``trace_correct`` adds --trace, its passes correct or not."""
+    def run_main(self, monkeypatch, tmp_path, incorrect_seed=None, trace_correct=None,
+                 incorrect_traced=None):
+        """Run main on fake runs; ``trace_correct`` adds --trace, its passes
+        correct or not. ``incorrect_traced``, as (whether it is the change's,
+        its number k from 1 among that side's traced passes), names one more
+        incorrect pass. A side's k-th traced pass reports k times its µs per
+        sweep.
+        """
         declared = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
         calls = []
 
         def run_once(tree, workload, seed, seconds, trace=0):
-            calls.append((tree == bench_pairs.ROOT, seed, seconds, trace))
             change = tree == bench_pairs.ROOT
+            calls.append((change, seed, seconds, trace))
             if trace:
+                k = sum(1 for c in calls if c[0] == change and c[3])
                 metrics = {m["name"]: 2.0 for m in declared["per_layer"]}
-                metrics["vmd.us_per_sweep"] = 70.0 if change else 140.0
+                metrics["vmd.us_per_sweep"] = (70.0 if change else 140.0) * k
                 metrics["radar.simulate_us_per_frame"] = 21.0 if change else 38.0
-                return {"correct": trace_correct, "metrics": metrics}
+                correct = trace_correct and (change, k) != incorrect_traced
+                return {"correct": correct, "metrics": metrics}
             metrics = {m["name"]: 1.0 for m in declared["end_to_end"]}
             metrics["op_s"] = 0.8 if change else 1.0 + 0.001 * seed
             return {"correct": seed != incorrect_seed, "metrics": metrics}
@@ -182,17 +190,23 @@ class TestMain:
                                             {"pair": 3, "seed": 4, "side": "base"}]
         assert not any(s["gain"] for s in report["summary"].values())
 
-    def test_trace_adds_one_traced_pass_per_side(self, monkeypatch, tmp_path):
+    def test_trace_adds_three_alternating_passes_per_side(self, monkeypatch, tmp_path):
         code, report = self.run_main(monkeypatch, tmp_path, trace_correct=True)
         assert code == 0
         traced_calls = [c for c in self.calls if c[3] == 1]
-        assert sorted(traced_calls) == [(False, 1, 1.0, 1), (True, 1, 1.0, 1)]
+        # Base first on passes 0 and 2, the change first on pass 1.
+        assert [change for change, *_ in traced_calls] == [False, True, True, False, False, True]
+        assert all(c[1:] == (1, 1.0, 1) for c in traced_calls)
         assert set(report["traced"]) == {"base", "change"}
         for side, sweep_us in (("base", 140.0), ("change", 70.0)):
             traced = report["traced"][side]
             assert (traced["seed"], traced["seconds"], traced["correct"]) == (1, 1.0, True)
+            assert len(traced["passes"]) == bench_pairs.TRACED_PASSES == 3
             assert set(traced["metrics"]) == set(bench_pairs.TRACED_METRICS)
-            assert traced["metrics"]["vmd.us_per_sweep"] == sweep_us
+            # The median of the passes' figures: 1, 2 and 3 times the pass figure.
+            assert [p["metrics"]["vmd.us_per_sweep"] for p in traced["passes"]] == [
+                sweep_us, 2 * sweep_us, 3 * sweep_us]
+            assert traced["metrics"]["vmd.us_per_sweep"] == 2 * sweep_us
         # The traced figures stay out of the untraced runs and their summary.
         assert len(report["runs"]) == 20
         assert "vmd.us_per_sweep" not in report["summary"]
@@ -201,8 +215,18 @@ class TestMain:
     def test_incorrect_traced_pass_voids_gains_and_exits_nonzero(self, monkeypatch, tmp_path):
         code, report = self.run_main(monkeypatch, tmp_path, trace_correct=False)
         assert code == 1
-        assert report["incorrect_runs"] == [{"traced": True, "seed": 1, "side": "base"},
-                                            {"traced": True, "seed": 1, "side": "change"}]
+        assert report["incorrect_runs"] == [
+            {"traced": True, "pass": i, "seed": 1, "side": side}
+            for side in ("base", "change") for i in range(3)]
+        assert not any(s["gain"] for s in report["summary"].values())
+
+    def test_one_incorrect_traced_pass_is_named(self, monkeypatch, tmp_path):
+        code, report = self.run_main(monkeypatch, tmp_path, trace_correct=True,
+                                     incorrect_traced=(False, 2))
+        assert code == 1
+        assert report["incorrect_runs"] == [{"traced": True, "pass": 1, "seed": 1,
+                                             "side": "base"}]
+        assert not report["traced"]["base"]["correct"] and report["traced"]["change"]["correct"]
         assert not any(s["gain"] for s in report["summary"].values())
 
     def test_trace_records_radar_layer_figures(self, monkeypatch, tmp_path):

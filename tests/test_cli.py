@@ -490,6 +490,18 @@ class TestCliFlows:
         rc = main(["estimate", str(flat), "-o", str(tmp_path / "out")])
         assert rc == 4
 
+    def test_constant_trace_degraded_quality_exit(self, tmp_path, capsys):
+        # A nonzero constant band-passes to rounding noise alone, which once
+        # read as a heartbeat and exited 0.
+        constant = tmp_path / "constant.csv"
+        lines = ["time_s,displacement_mm"] + [
+            f"{i/100:.6f},1.000000000000e+00" for i in range(6600)
+        ]
+        constant.write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", str(constant), "-o", str(tmp_path / "out")])
+        assert rc == 4
+        assert "no window produced a usable HR estimate" in capsys.readouterr().err
+
     def test_eval_subcommand_with_scenario_filter(self, tmp_path):
         out = tmp_path / "eval"
         rc = main([

@@ -8,11 +8,13 @@ import pytest
 
 from hrrkit import pipeline, vmd
 from hrrkit.config import PipelineConfig
-from hrrkit.errors import InputError
+from hrrkit.errors import DegradedQualityError, InputError
 from hrrkit.evaluate import default_scenarios
 from hrrkit.hr_estimate import run_composite_windows
 from hrrkit.io import read_trace, write_hr_series, write_mode_dump, write_report, write_trace
+from hrrkit.preprocess import bandpass
 from hrrkit.signal_model import (
+    ChestMotionTrace,
     ExponentialRecovery,
     HeartbeatModel,
     RespirationModel,
@@ -220,6 +222,20 @@ def test_window_after_a_search_less_one_starts_cold(monkeypatch):
     after_idle = stage(segment, fs, 8.0, idle)
     assert calls[0][3:5] == (None, None)
     assert after_idle.mode_table == stage(segment, fs, 8.0).mode_table
+
+
+@pytest.mark.parametrize(
+    "level, fs", [(1.0, 100.0), (1e-3, 100.0), (1e3, 100.0), (7.3, 1000.0), (1.0, 20.0)]
+)
+def test_constant_trace_finds_no_heartbeat(level, fs):
+    # Band-passed, a constant trace leaves only the filter's rounding noise.
+    cfg = PipelineConfig()
+    constant = ChestMotionTrace(np.full(round(66 * fs), level), fs)
+    filtered = bandpass(constant, cfg.filter_spec()).samples
+    assert np.max(np.abs(filtered)) < pipeline.PASSBAND_FLOOR * level
+    assert not np.any(pipeline.preprocess_trace(constant, cfg).samples)
+    with pytest.raises(DegradedQualityError, match="no window produced"):
+        pipeline.estimate_trace(constant)
 
 
 def panel_trace(scenario_name, seed, tmp_path):

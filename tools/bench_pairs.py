@@ -16,14 +16,17 @@ the metric's ``BENCHMARK.json`` bound, taken relative to the base's median,
 and ``unresolved`` when the distance between the base's own quartiles is
 wider than that bound, unless every change run beats every base run.
 
-With ``--trace``, each side also runs one ``--trace 1 --seconds 1`` pass on
-the first pair's seed, after the pairs. Its per-layer work and cost figures
+With ``--trace``, each side also runs ``TRACED_PASSES`` ``--trace 1 --seconds 1``
+passes on the first pair's seed, after the pairs; which side goes first
+alternates from pass to pass. Their per-layer work and cost figures
 (``TRACED_METRICS``: µs per ADMM sweep, sweeps, decompositions, unconverged
 and relaxed-gate shares; the band-pass filter's seconds per operation; the
 radar simulator's seconds per operation and µs per frame, and the tracker's
-µs per frame) go under ``traced`` in the
-report, apart from the untraced runs, whose times alone decide the gains.
-A workload that never reaches a layer records 0 for its figures.
+µs per frame) go under ``traced`` in the report, each pass under
+``traced[side]["passes"]`` and each figure's median over the passes under
+``traced[side]["metrics"]``, apart from the untraced runs, whose times alone
+decide the gains. A workload that never reaches a layer records 0 for its
+figures.
 
 A run whose operations failed their output check, traced or not, is listed
 under ``incorrect_runs``. Then no metric shows a gain, whatever its times,
@@ -45,6 +48,8 @@ TRACED_METRICS = ("vmd.us_per_sweep", "vmd.admm_sweeps", "vmd.decompose_calls",
                   "vmd.unconverged_frac", "pipeline.gates_relaxed_frac",
                   "preprocess.bandpass_s", "radar.simulate_us_per_frame",
                   "radar.simulate_s", "radar.track_us_per_frame")
+# One 1 s traced pass cannot resolve a 10% change in µs per ADMM sweep.
+TRACED_PASSES = 3
 
 
 def git(*args: str) -> str:
@@ -78,6 +83,11 @@ def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "min": min(values)}
+
+
+def traced_median(values: list):
+    """The median of one figure over the traced passes; None if a pass lacks it."""
+    return None if None in values else statistics.median(values)
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
@@ -134,7 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", default="pairs", help="writes BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     parser.add_argument("--trace", action="store_true",
-                        help="add one traced 1 s pass per side for the per-layer figures")
+                        help=f"add {TRACED_PASSES} traced 1 s passes per side for the "
+                             f"per-layer figures")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -153,18 +164,27 @@ def main(argv=None) -> int:
                 runs.append({"pair": p, "seed": seed, "side": side, "position": position, **run})
                 print(f"pair {p} seed {seed} {side}: op_s {run['metrics']['op_s']:.4f} "
                       f"correct {run['correct']}", flush=True)
-        traced = {}
-        for side in SIDES if args.trace else ():
-            run = run_once(trees[side], args.workload, args.seed_start, 1.0, trace=1)
-            traced[side] = {"seed": args.seed_start, "seconds": 1.0, "correct": run["correct"],
-                            "metrics": {k: run["metrics"].get(k) for k in TRACED_METRICS}}
-            print(f"traced {side}: {traced[side]['metrics']} correct {run['correct']}",
-                  flush=True)
+        passes = {side: [] for side in SIDES}
+        for i in range(TRACED_PASSES if args.trace else 0):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                run = run_once(trees[side], args.workload, args.seed_start, 1.0, trace=1)
+                passes[side].append({"correct": run["correct"],
+                                     "metrics": {k: run["metrics"].get(k)
+                                                 for k in TRACED_METRICS}})
+                print(f"traced {side} pass {i}: {passes[side][-1]['metrics']} "
+                      f"correct {run['correct']}", flush=True)
+        traced = {side: {"seed": args.seed_start, "seconds": 1.0,
+                         "correct": all(p["correct"] for p in side_passes),
+                         "metrics": {k: traced_median([p["metrics"][k] for p in side_passes])
+                                     for k in TRACED_METRICS},
+                         "passes": side_passes}
+                  for side, side_passes in passes.items() if side_passes}
 
     summary = summarize(runs, declared)
     incorrect = [{k: r[k] for k in ("pair", "seed", "side")} for r in runs if not r["correct"]]
-    incorrect += [{"traced": True, "seed": t["seed"], "side": side}
-                  for side, t in traced.items() if not t["correct"]]
+    incorrect += [{"traced": True, "pass": i, "seed": t["seed"], "side": side}
+                  for side, t in traced.items()
+                  for i, p in enumerate(t["passes"]) if not p["correct"]]
     if incorrect:
         for s in summary.values():
             s["gain"] = False
