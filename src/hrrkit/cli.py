@@ -5,14 +5,16 @@ estimate (trace or cube to HR series + recovery report, optionally the
 per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
-quality. Only InputError and a missing file are input errors; any other
-ValueError is a pipeline failure. A negative --seed or --seed-base, or
---reps below the suite's minimum, is a usage error.
+quality. Only InputError, a missing file and an input file that cannot be
+read (a directory, say) are input errors; any other ValueError is a
+pipeline failure. A negative --seed or --seed-base, or --reps below the
+suite's minimum, is a usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -195,8 +197,18 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _reading_input(path):
+    """Raise an OSError from reading the input file as an InputError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read input: {exc.strerror or exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
-    trace = read_trace(args.trace)
+    with _reading_input(args.trace):
+        trace = read_trace(args.trace)
     try:
         config = RadarConfig(
             carrier_freq=args.carrier,
@@ -217,14 +229,16 @@ def _cmd_simulate(args) -> int:
 
 def _load_input_trace(args):
     path = Path(args.input)
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-    if head.startswith(b"hrrkit-cube"):
+    with _reading_input(path):
+        with open(path, "rb") as fh:
+            head = fh.read(16)
+        if not head.startswith(b"hrrkit-cube"):
+            return read_trace(path)
         if args.expected_range is None:
             raise ConfigError("cube input requires --expected-range")
-        seq = track_target(read_cube(path), args.expected_range)
-        return phase_to_displacement(seq, args.wavelength)
-    return read_trace(path)
+        cube = read_cube(path)
+    seq = track_target(cube, args.expected_range)
+    return phase_to_displacement(seq, args.wavelength)
 
 
 def _cmd_estimate(args) -> int:

@@ -103,24 +103,20 @@ class WindowConfig:
         return 2.0 * self.l_b_max
 
 
-def condition_heartbeat(
-    mode: np.ndarray,
-    fs: float,
-    smooth_window: float = SMOOTH_WINDOW,
-    envelope_floor: float = ENVELOPE_FLOOR,
-) -> Optional[np.ndarray]:
+def condition_heartbeat(mode: np.ndarray, fs: float) -> Optional[np.ndarray]:
     """Smooth the heartbeat mode and normalize its amplitude by the envelope.
 
-    The envelope is a cubic spline through the local maxima of the smoothed
-    absolute signal, held constant beyond the outermost maxima and floored
-    at ``envelope_floor`` times its median so quiet stretches cannot blow
-    up the division. Returns None for a mode too flat to normalize: all
-    zero, fewer than two envelope maxima, or a non-positive floor.
+    The smoother is a running mean over ``SMOOTH_WINDOW``. The envelope is a
+    cubic spline through the local maxima of the smoothed absolute signal,
+    held constant beyond the outermost maxima and floored at
+    ``ENVELOPE_FLOOR`` times its median so quiet stretches cannot blow up
+    the division. Returns None for a mode too flat to normalize: all zero,
+    fewer than two envelope maxima, or a non-positive floor.
     """
     x = np.asarray(mode, dtype=float)
     if not np.any(x):
         return None
-    win = max(1, round(smooth_window * fs))
+    win = max(1, round(SMOOTH_WINDOW * fs))
     if win % 2 == 0:
         win += 1  # odd length keeps the smoother zero-phase
     smoothed = _running_mean(x, win)
@@ -133,7 +129,7 @@ def condition_heartbeat(
     knots_v[0] = magnitude[maxima[0]]
     knots_v[-1] = magnitude[maxima[-1]]
     envelope = _natural_spline(knots_i, knots_v, np.arange(len(x)))
-    floor = envelope_floor * np.median(envelope)
+    floor = ENVELOPE_FLOOR * np.median(envelope)
     if floor <= 0.0:
         return None
     envelope = np.maximum(envelope, floor)
@@ -390,7 +386,6 @@ def run_composite_windows(
     trace: ChestMotionTrace,
     cfg: WindowConfig,
     stage: StageFn,
-    carry_limit: float = CARRY_LIMIT,
 ) -> HrSeries:
     """Sweep W_b at the output cadence, advancing W_a per the containment rule.
 
@@ -398,7 +393,7 @@ def run_composite_windows(
     hands it the previous placement's result. Makes the default-l_min pass,
     then repeats with l_min adapted per point from the first pass.
     Windows with no usable heartbeat carry the last valid estimate forward,
-    flagged; more than ``carry_limit`` of carried points raises
+    flagged; more than ``CARRY_LIMIT`` of carried points raises
     DegradedQualityError.
 
     Before any window runs, a trace shorter than ``cfg.l_a``, or one whose
@@ -480,10 +475,10 @@ def run_composite_windows(
         if p is not None:
             p.hr_first_pass = q.hr_bpm
     n_carry = sum(1 for p in points if p.flag == FLAG_CARRY)
-    if points and n_carry > carry_limit * len(points):
+    if points and n_carry > CARRY_LIMIT * len(points):
         raise DegradedQualityError(
             f"{n_carry}/{len(points)} output points carried forward "
-            f"(limit {carry_limit:.0%})"
+            f"(limit {CARRY_LIMIT:.0%})"
         )
     return HrSeries(points=points, cadence=cfg.cadence, window_results=cache)
 

@@ -155,7 +155,10 @@ def read_trace(path: str | Path) -> ChestMotionTrace:
     if "sample_rate" not in meta and times[-1] <= times[0]:
         raise InputError(f"{path}: timestamps do not increase")
     try:
-        sample_rate = float(meta.get("sample_rate", 0.0)) or (len(times) - 1) / (times[-1] - times[0])
+        if "sample_rate" in meta:
+            sample_rate = float(meta["sample_rate"])
+        else:
+            sample_rate = (len(times) - 1) / (times[-1] - times[0])
         ground_truth = _parse_ground_truth(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{mp}: bad sidecar entry: {exc}") from exc

@@ -62,19 +62,12 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
             fs,
             params,
             gates=gates,
-            alpha_range=(cfg.alpha_lo, cfg.alpha_hi),
-            ratio_tol=cfg.alpha_ratio_tol,
             init_freqs=prev.search.unmerged_freqs if prev and prev.search else None,
         )
         labels, hb_index = classify_modes(search.modes)
         if hb_index is None:
             return WindowResult(t0, None, "no_heartbeat", search, labels)
-        conditioned = condition_heartbeat(
-            search.modes.modes[hb_index],
-            fs,
-            smooth_window=cfg.smooth_window,
-            envelope_floor=cfg.envelope_floor,
-        )
+        conditioned = condition_heartbeat(search.modes.modes[hb_index], fs)
         if conditioned is None:
             return WindowResult(t0, None, "degenerate", search, labels)
         train = detect_peaks(conditioned, fs).shifted(t0)
@@ -84,13 +77,13 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     return stage
 
 
-def preprocess_trace(trace: ChestMotionTrace, cfg: PipelineConfig) -> ChestMotionTrace:
+def preprocess_trace(trace: ChestMotionTrace) -> ChestMotionTrace:
     """Vital-band filter followed by the first difference.
 
     A filtered trace below ``PASSBAND_FLOOR`` of the input's peak is set to
     zero, so it finds no heartbeat, as an all-zero trace does.
     """
-    filtered = bandpass(trace, cfg.filter_spec())
+    filtered = bandpass(trace)
     peak = np.max(np.abs(trace.samples), initial=0.0)
     if np.max(np.abs(filtered.samples), initial=0.0) < PASSBAND_FLOOR * peak:
         filtered = ChestMotionTrace(np.zeros_like(filtered.samples), filtered.sample_rate,
@@ -119,10 +112,8 @@ def estimate_trace(
         raise InputError(
             f"trace peak |displacement| {peak:g} mm lies outside [{lo:g}, {hi:g}] mm"
         )
-    prepared = preprocess_trace(trace, cfg)
-    series = run_composite_windows(
-        prepared, cfg.window_config(), make_window_stage(cfg), carry_limit=cfg.carry_limit
-    )
+    prepared = preprocess_trace(trace)
+    series = run_composite_windows(prepared, cfg.window_config(), make_window_stage(cfg))
     truth = None
     gt = trace.ground_truth
     if gt is not None and gt.heartbeat is not None:

@@ -68,7 +68,7 @@ import numpy as np
 
 MIN_SIGNAL_LENGTH = 64
 
-# Default bracket and stopping ratio of the alpha bisection.
+# Bracket and stopping ratio of the alpha bisection.
 ALPHA_LO = 10.0
 ALPHA_HI = 1e6
 ALPHA_RATIO_TOL = 1.1
@@ -407,18 +407,6 @@ def energy_loss(ms: ModeSet) -> float:
     return float(np.dot(residual, residual)) / ms.input_energy
 
 
-def check_alpha_bracket(alpha_range: tuple[float, float], ratio_tol: float) -> None:
-    """Reject a bisection bracket or stopping ratio the search cannot finish.
-
-    Requires ``0 < lo < hi < inf`` and ``ratio_tol > 1``; NaN fails both.
-    """
-    lo, hi = alpha_range
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"require 0 < alpha_lo < alpha_hi < inf, got {alpha_range}")
-    if not ratio_tol > 1.0:
-        raise ValueError(f"alpha_ratio_tol must be > 1, got {ratio_tol}")
-
-
 @dataclass
 class AlphaSearch:
     """Outcome of one select_alpha run.
@@ -445,39 +433,36 @@ def select_alpha(
     sample_rate: float,
     params: VmdParams,
     gates: GateThresholds = GateThresholds(),
-    alpha_range: tuple[float, float] = (ALPHA_LO, ALPHA_HI),
-    ratio_tol: float = ALPHA_RATIO_TOL,
     merge_hz: float = MERGE_HZ,
     init_freqs: np.ndarray | None = None,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
 
-    Bisects alpha in log space: too much mode correlation pushes the lower
-    bound up, too much energy loss pushes the upper bound down. Energy loss
-    takes priority when both gates fail at once, because that regime sits
-    at the over-decomposed high end where shrinking alpha restores both
-    diagnostics. Stops as soon as a feasible decomposition is found. Once
-    the bracket ratio falls below ``ratio_tol`` it returns the
-    least-violating attempt (the earliest on ties) with ``feasible=False``.
-    Every decomposition uses ``params`` with its alpha replaced by the
-    bisection midpoint. The first starts its center frequencies at
-    ``init_freqs``, K values in Hz taken in ascending order (None: the
-    uniform cold start), and its mode spectra at zero. Each later one
-    starts from the previous step's center frequencies in ascending order,
-    which saves sweeps because neighbouring alphas settle on nearby
-    frequencies. When the two alphas are within a factor of
-    ``_SPECTRA_WARM_RATIO``, the previous step's mode spectra go along in
-    the same order.
+    Bisects alpha in log space from the bracket [``ALPHA_LO``, ``ALPHA_HI``]:
+    too much mode correlation pushes the lower bound up, too much energy
+    loss pushes the upper bound down. Energy loss takes priority when both
+    gates fail at once, because that regime sits at the over-decomposed
+    high end where shrinking alpha restores both diagnostics. Stops as soon
+    as a feasible decomposition is found. Once the bracket ratio falls
+    below ``ALPHA_RATIO_TOL`` it returns the least-violating attempt (the
+    earliest on ties) with ``feasible=False``. Every decomposition uses
+    ``params`` with its alpha replaced by the bisection midpoint. The first
+    starts its center frequencies at ``init_freqs``, K values in Hz taken
+    in ascending order (None: the uniform cold start), and its mode spectra
+    at zero. Each later one starts from the previous step's center
+    frequencies in ascending order, which saves sweeps because
+    neighbouring alphas settle on nearby frequencies. When the two alphas
+    are within a factor of ``_SPECTRA_WARM_RATIO``, the previous step's
+    mode spectra go along in the same order.
 
     Each decomposition's modes closer than ``merge_hz``, in Hz, are summed
     by ``merge_close_modes`` before the gates judge them, and the merged set
     is the one returned. The next step still starts from the unmerged
     decomposition. ``merge_hz=0`` merges nothing: the published search.
     """
-    check_alpha_bracket(alpha_range, ratio_tol)
     if not merge_hz >= 0.0:
         raise ValueError(f"merge_hz must be >= 0, got {merge_hz}")
-    lo, hi = alpha_range
+    lo, hi = ALPHA_LO, ALPHA_HI
     if init_freqs is not None:
         init_freqs = np.sort(init_freqs)
     path = []
@@ -511,5 +496,5 @@ def select_alpha(
             hi = mid
         else:
             lo = mid
-        if hi / lo < ratio_tol:
+        if hi / lo < ALPHA_RATIO_TOL:
             return best

@@ -196,11 +196,11 @@ class TestMain:
         traced_calls = [c for c in self.calls if c[3] == 1]
         # Base first on passes 0 and 2, the change first on pass 1.
         assert [change for change, *_ in traced_calls] == [False, True, True, False, False, True]
-        assert all(c[1:] == (1, 1.0, 1) for c in traced_calls)
+        assert all(c[1:] == (1, 5.0, 1) for c in traced_calls)
         assert set(report["traced"]) == {"base", "change"}
         for side, sweep_us in (("base", 140.0), ("change", 70.0)):
             traced = report["traced"][side]
-            assert (traced["seed"], traced["seconds"], traced["correct"]) == (1, 1.0, True)
+            assert (traced["seed"], traced["seconds"], traced["correct"]) == (1, 5.0, True)
             assert len(traced["passes"]) == bench_pairs.TRACED_PASSES == 3
             assert set(traced["metrics"]) == set(bench_pairs.TRACED_METRICS)
             # The median of the passes' figures: 1, 2 and 3 times the pass figure.

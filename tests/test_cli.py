@@ -1,4 +1,3 @@
-import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,13 +6,20 @@ import pytest
 from hrrkit import cli
 from hrrkit.cli import main
 from hrrkit.evaluate import DURATION, RECOVERY_HEART, RECOVERY_RESP, SAMPLE_RATE
-from hrrkit.config import PipelineConfig, parse_config
+from hrrkit.config import SWEEP_EDGE_HZ, PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
-from hrrkit.hr_estimate import WindowConfig, condition_heartbeat, run_composite_windows
+from hrrkit.hr_estimate import WindowConfig
 from hrrkit.io import read_trace, write_trace
-from hrrkit.preprocess import FilterSpec
 from hrrkit.signal_model import ExponentialRecovery, synthesize_trace
-from hrrkit.vmd import GateThresholds, VmdParams, select_alpha
+from hrrkit.vmd import GateThresholds, VmdParams
+
+# Stage values that were config keys until they were pinned in the module
+# that reads them.
+PINNED_KEYS = (
+    "pass_low", "pass_high", "alpha_lo", "alpha_hi", "alpha_ratio_tol",
+    "vmd_tolerance", "vmd_max_iters", "l_min_lo", "l_min_hi", "cadence",
+    "smooth_window", "envelope_floor", "carry_limit",
+)
 
 
 class TestParseConfig:
@@ -30,9 +36,9 @@ class TestParseConfig:
             parse_config(overrides={"mu2": "1.5"})
 
     def test_unknown_key_lists_valid(self):
-        # tau, mirror_frac and rel_peak_floor were keys once; a config
-        # naming them is rejected like any unknown key.
-        for key in ("nonsense", "tau", "mirror_frac", "rel_peak_floor"):
+        # These were keys once, and are now pinned where they are read; a
+        # config naming them is rejected like any unknown key.
+        for key in ("nonsense", "tau", "mirror_frac", "rel_peak_floor", *PINNED_KEYS):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'.*valid keys"):
                 parse_config(overrides={key: "1"})
 
@@ -44,23 +50,16 @@ class TestParseConfig:
 
     def test_inconsistent_window_bounds_rejected(self):
         with pytest.raises(ConfigError, match="l_min_bounds"):
-            parse_config(overrides={"l_b_max": "6"})  # default l_min_hi=7 exceeds it
+            parse_config(overrides={"l_b_max": "6"})  # l_min_bounds' upper 7 s exceeds it
 
     def test_defaults_come_from_stage_classes(self):
         cfg = PipelineConfig()
-        assert cfg.filter_spec() == FilterSpec()
+        assert [f.name for f in fields(cfg)] == ["k_modes", "mu1", "mu2", "l_min", "l_b_max"]
         # The sweep edge is the one VMD value the pipeline sets itself.
+        assert cfg.vmd_params().max_freq == SWEEP_EDGE_HZ == 25.0
         assert replace(cfg.vmd_params(), max_freq=None) == VmdParams()
         assert cfg.gates() == GateThresholds()
         assert cfg.window_config() == WindowConfig()
-        alpha_search = inspect.signature(select_alpha).parameters
-        assert alpha_search["alpha_range"].default == (cfg.alpha_lo, cfg.alpha_hi)
-        assert alpha_search["ratio_tol"].default == cfg.alpha_ratio_tol
-        conditioning = inspect.signature(condition_heartbeat).parameters
-        assert conditioning["smooth_window"].default == cfg.smooth_window
-        assert conditioning["envelope_floor"].default == cfg.envelope_floor
-        sweep = inspect.signature(run_composite_windows).parameters
-        assert sweep["carry_limit"].default == cfg.carry_limit
 
     def test_non_finite_values_rejected(self):
         for key in (f.name for f in fields(PipelineConfig)):
@@ -72,33 +71,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "overrides, match",
-        [({"smooth_window": -1.0}, "smooth_window must be > 0"),
-         ({"carry_limit": 5.0}, "carry_limit must be in")],
+        [({"k_modes": 9}, "K must be in"),
+         ({"l_min": 9.0}, "l_min must be in")],
     )
     def test_config_built_in_code_is_checked(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             PipelineConfig(**overrides)
 
-    @pytest.mark.parametrize("key", ["smooth_window", "cadence", "envelope_floor"])
-    @pytest.mark.parametrize("raw", ["0", "-1"])
-    def test_non_positive_width_rejected(self, key, raw):
-        with pytest.raises(ConfigError, match=f"{key} must be > 0"):
-            parse_config(overrides={key: raw})
-
-    @pytest.mark.parametrize(
-        "overrides, match",
-        [
-            ({"alpha_lo": "2e6"}, "alpha_lo < alpha_hi"),
-            ({"alpha_lo": "0"}, "alpha_lo < alpha_hi"),
-            ({"alpha_ratio_tol": "1.0"}, "alpha_ratio_tol must be > 1"),
-        ],
-    )
-    def test_bad_alpha_bracket_rejected(self, overrides, match):
-        with pytest.raises(ConfigError, match=match):
-            parse_config(overrides=overrides)
-
     def test_echo_round_trip(self, tmp_path):
-        cfg = parse_config(overrides={"mu1": "0.3", "l_b_max": "6", "l_min_hi": "5"})
+        cfg = parse_config(overrides={"mu1": "0.3", "k_modes": "5", "l_min": "4.5",
+                                      "l_b_max": "9"})
         f = tmp_path / "echo.txt"
         f.write_text(cfg.echo())
         assert parse_config(f) == cfg
@@ -206,6 +188,13 @@ class TestCliFlows:
         rc = main(["estimate", str(synth_dir / "nope.csv"), "-o", str(synth_dir / "z")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_directory_input_is_input_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, str(tmp_path), "-o", str(out)]) == 2
+        assert f"input error: {tmp_path}: cannot read input" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [ValueError("internal")])
     def test_internal_value_error_is_pipeline_failure(
         self, synth_dir, monkeypatch, capsys, exc
@@ -238,7 +227,7 @@ class TestCliFlows:
         assert "estimate" not in err
         assert not (tmp_path / "c.bin").exists()
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", "-100.0"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-100.0", "0"])
     def test_unusable_sidecar_rate_is_input_error(self, synth_dir, tmp_path, capsys, rate):
         (tmp_path / "t.csv").write_bytes((synth_dir / "trace.csv").read_bytes())
         meta = (synth_dir / "trace.meta").read_text()
@@ -249,15 +238,6 @@ class TestCliFlows:
         err = capsys.readouterr().err
         assert f"{tmp_path / 't.csv'}: sample_rate must be finite and >= 20.0 Hz" in err
         assert not out.exists()
-
-    def test_pass_band_above_nyquist_is_input_error(self, synth_dir, tmp_path, capsys):
-        rc = main([
-            "estimate", str(synth_dir / "trace.csv"), "-o", str(tmp_path / "out"),
-            "--set", "pass_high=60",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "input error" in err and "pass_high=60.0 Hz violates Nyquist" in err
 
     def test_bad_synth_argument_is_input_error(self, tmp_path):
         rc = main(["synth", "-o", str(tmp_path / "t.csv"), "--resp-amps", "1.0,x"])
@@ -475,6 +455,16 @@ class TestCliFlows:
         ])
         assert rc == 1
         assert "config error: unknown config key 'tau'" in capsys.readouterr().err
+
+    def test_pinned_key_is_usage_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([
+            "estimate", str(synth_dir / "trace.csv"), "-o", str(out),
+            "--set", "vmd_max_iters=250",
+        ])
+        assert rc == 1
+        assert "config error: unknown config key 'vmd_max_iters'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_writes_ground_truth(self, synth_dir):
         trace = read_trace(synth_dir / "trace.csv")

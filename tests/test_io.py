@@ -222,6 +222,17 @@ class TestTraceCsv:
         with pytest.raises(InputError, match="t.meta: bad sidecar entry"):
             read_trace(path)
 
+    def test_sidecar_rate_zero_is_used_as_given(self, tmp_path):
+        # A sidecar rate that is present is the trace's rate, even where the
+        # timestamps would give another; zero is below the floor.
+        trace = synthesize_trace(RespirationModel(0.3, (1.0,)), None, 0.0, 50.0, 10.0, 4)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        meta = tmp_path / "t.meta"
+        meta.write_text(meta.read_text().replace("sample_rate=50.0", "sample_rate=0"))
+        with pytest.raises(InputError, match="t.csv: sample_rate must be finite and >= 20.0 Hz"):
+            read_trace(path)
+
 
     @pytest.mark.parametrize("sample_rate", [100.0, 99.7])
     def test_bytes_match_per_row_form(self, tmp_path, sample_rate):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hrrkit import vmd
-from hrrkit.config import PipelineConfig
 from hrrkit.pipeline import preprocess_trace
 from hrrkit.vmd import (
     MERGE_HZ,
@@ -823,7 +822,7 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
 
 def recovery_window(start_s):
     """The 16 s analysis window of recovery seed 120 from ``start_s``."""
-    prepared = preprocess_trace(noisy_recovery(120), PipelineConfig())
+    prepared = preprocess_trace(noisy_recovery(120))
     fs = prepared.sample_rate
     first = round(start_s * fs)
     return prepared.samples[first : first + round(16.0 * fs)], fs, VmdParams(), GateThresholds()
@@ -1018,24 +1017,6 @@ class TestSelectAlpha:
         assert len(warm_iters) == len(path) == 7
         assert warm_iters[0] == cold_iters[0]
         assert sum(warm_iters) < sum(cold_iters)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"ratio_tol": math.nan}, "alpha_ratio_tol must be > 1"),
-            ({"ratio_tol": 1.0}, "alpha_ratio_tol must be > 1"),
-            ({"alpha_range": (10.0, math.inf)}, "alpha_lo < alpha_hi < inf"),
-            ({"alpha_range": (math.nan, 1e6)}, "alpha_lo < alpha_hi < inf"),
-            ({"alpha_range": (1e6, 10.0)}, "alpha_lo < alpha_hi < inf"),
-        ],
-    )
-    def test_unfinishable_bracket_raises_before_decomposing(self, monkeypatch, kwargs, match):
-        def no_decomposition(*args):
-            raise AssertionError("decomposed before checking the bracket")
-
-        monkeypatch.setattr(vmd, "vmd_decompose", no_decomposition)
-        with pytest.raises(ValueError, match=match):
-            select_alpha(two_tone(), FS, VmdParams(K=2), **kwargs)
 
 
 class TestMonotonicity:

@@ -16,9 +16,9 @@ the metric's ``BENCHMARK.json`` bound, taken relative to the base's median,
 and ``unresolved`` when the distance between the base's own quartiles is
 wider than that bound, unless every change run beats every base run.
 
-With ``--trace``, each side also runs ``TRACED_PASSES`` ``--trace 1 --seconds 1``
-passes on the first pair's seed, after the pairs; which side goes first
-alternates from pass to pass. Their per-layer work and cost figures
+With ``--trace``, each side also runs ``TRACED_PASSES`` ``--trace 1`` passes of
+``TRACED_SECONDS`` each on the first pair's seed, after the pairs; which side
+goes first alternates from pass to pass. Their per-layer work and cost figures
 (``TRACED_METRICS``: µs per ADMM sweep, sweeps, decompositions, unconverged
 and relaxed-gate shares; the band-pass filter's seconds per operation; the
 radar simulator's seconds per operation and µs per frame, and the tracker's
@@ -48,8 +48,12 @@ TRACED_METRICS = ("vmd.us_per_sweep", "vmd.admm_sweeps", "vmd.decompose_calls",
                   "vmd.unconverged_frac", "pipeline.gates_relaxed_frac",
                   "preprocess.bandpass_s", "radar.simulate_us_per_frame",
                   "radar.simulate_s", "radar.track_us_per_frame")
-# One 1 s traced pass cannot resolve a 10% change in µs per ADMM sweep.
+# One 1 s traced pass cannot resolve a 10% change in µs per ADMM sweep: three
+# read 24.9 to 31.2 µs on unchanged VMD code. 5 s passes resolved a change
+# that 1 s passes missed, though on a loaded 2-vCPU host three of them still
+# spread by 11-27%.
 TRACED_PASSES = 3
+TRACED_SECONDS = 5.0
 
 
 def git(*args: str) -> str:
@@ -144,8 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", default="pairs", help="writes BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     parser.add_argument("--trace", action="store_true",
-                        help=f"add {TRACED_PASSES} traced 1 s passes per side for the "
-                             f"per-layer figures")
+                        help=f"add {TRACED_PASSES} traced {TRACED_SECONDS:g} s passes per "
+                             f"side for the per-layer figures")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -167,13 +171,14 @@ def main(argv=None) -> int:
         passes = {side: [] for side in SIDES}
         for i in range(TRACED_PASSES if args.trace else 0):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = run_once(trees[side], args.workload, args.seed_start, 1.0, trace=1)
+                run = run_once(trees[side], args.workload, args.seed_start, TRACED_SECONDS,
+                               trace=1)
                 passes[side].append({"correct": run["correct"],
                                      "metrics": {k: run["metrics"].get(k)
                                                  for k in TRACED_METRICS}})
                 print(f"traced {side} pass {i}: {passes[side][-1]['metrics']} "
                       f"correct {run['correct']}", flush=True)
-        traced = {side: {"seed": args.seed_start, "seconds": 1.0,
+        traced = {side: {"seed": args.seed_start, "seconds": TRACED_SECONDS,
                          "correct": all(p["correct"] for p in side_passes),
                          "metrics": {k: traced_median([p["metrics"][k] for p in side_passes])
                                      for k in TRACED_METRICS},
