@@ -5,10 +5,12 @@ estimate (trace or cube to HR series + recovery report, optionally the
 per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
-quality. Only InputError, a missing file and an input file that cannot be
-read (a directory, say) are input errors; any other ValueError is a
-pipeline failure. A negative --seed or --seed-base, or --reps below the
-suite's minimum, is a usage error.
+quality. Only InputError and an input file that cannot be read (missing,
+or a directory, say) are input errors; any other ValueError is a pipeline
+failure. A negative --seed or --seed-base, --reps below the suite's
+minimum, a --config file that cannot be read and an output that cannot be
+written (-o in a missing directory, or naming a directory) are usage
+errors.
 """
 from __future__ import annotations
 
@@ -192,9 +194,14 @@ def _cmd_synth(args) -> int:
     trace = synthesize_trace(
         resp, heart, noise_std, args.sample_rate, args.duration, args.seed
     )
-    write_trace(trace, args.output)
+    with _writing_output(args.output):
+        write_trace(trace, args.output)
     print(f"wrote {args.output} ({trace.duration:.1f} s at {trace.sample_rate:.0f} Hz)")
     return EXIT_OK
+
+
+class OutputError(Exception):
+    """An output path that cannot be written; a usage error, since -o names it."""
 
 
 @contextmanager
@@ -204,6 +211,15 @@ def _reading_input(path):
         yield
     except OSError as exc:
         raise InputError(f"{path}: cannot read input: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def _writing_output(path):
+    """Raise an OSError from writing the outputs as an OutputError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -222,7 +238,8 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad radar argument: {exc}") from exc
     cube = simulate_frames(config, scene, trace.duration, args.seed)
-    write_cube(cube, args.output)
+    with _writing_output(args.output):
+        write_cube(cube, args.output)
     print(f"wrote {args.output} ({cube.n_frames} frames x {cube.iq.shape[1]} samples)")
     return EXIT_OK
 
@@ -245,12 +262,13 @@ def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
     series, report = estimate_trace(_load_input_trace(args), cfg)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_hr_series(series, out / "hr.csv")
-    write_report(report, out / "report.txt")
-    (out / "config_echo.txt").write_text(cfg.echo())
-    if args.dump_modes:
-        write_mode_dump(series, out / "modes.csv")
+    with _writing_output(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_hr_series(series, out / "hr.csv")
+        write_report(report, out / "report.txt")
+        (out / "config_echo.txt").write_text(cfg.echo())
+        if args.dump_modes:
+            write_mode_dump(series, out / "modes.csv")
     print(
         f"initial {report.initial_hr:.1f} bpm, at 60 s {report.hr_at_60s:.1f} bpm, "
         f"drop {report.hrr_60:.1f} bpm ({report.n_carry}/{report.n_points} carried)"
@@ -261,7 +279,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing_output(out):
+        out.mkdir(parents=True, exist_ok=True)
     scenarios = default_scenarios(repetitions=args.reps, seed_base=args.seed_base)
     if args.scenario:
         known = {s.name for s in scenarios}
@@ -272,9 +291,10 @@ def _cmd_eval(args) -> int:
             )
         scenarios = [s for s in scenarios if s.name in args.scenario]
     table = sweep(scenarios, cfg=cfg, archive_dir=out / "archive")
-    (out / "scoretable.csv").write_text(table.to_csv())
-    (out / "summary.csv").write_text(table.summary_csv())
-    (out / "config_echo.txt").write_text(cfg.echo())
+    with _writing_output(out):
+        (out / "scoretable.csv").write_text(table.to_csv())
+        (out / "summary.csv").write_text(table.summary_csv())
+        (out / "config_echo.txt").write_text(cfg.echo())
     print(table.summary_csv(), end="")
     failed = [r for r in table.rows if r.status != "ok"]
     if failed:
@@ -298,7 +318,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"hrrkit: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, FileNotFoundError) as exc:
+    except OutputError as exc:
+        print(f"hrrkit: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InputError as exc:
         print(f"hrrkit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegradedQualityError as exc:

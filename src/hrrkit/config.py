@@ -10,16 +10,6 @@ from .errors import ConfigError
 from .hr_estimate import WindowConfig
 from .vmd import GateThresholds, VmdParams
 
-# The pipeline's VMD sweeps the bins below SWEEP_EDGE_HZ. The band-pass, a
-# 4th-order Butterworth run forward and backward, is down to about 4**-8 in
-# amplitude at four times its upper edge of 3.4 Hz. What a window holds above
-# 25 Hz is leakage from its edges, which modes swept to Nyquist leave in the
-# residual too: on the windows of a recovery trace, the energy loss at
-# alpha = 3162 moves by at most 1.2e-7 against the gate mu2 = 1e-4. A 12.5 Hz
-# edge measurably costs accuracy. The edge is in Hz, not a share of the
-# sample rate, so slow traces (at or below 50 Hz) keep every bin.
-SWEEP_EDGE_HZ = 25.0
-
 
 @dataclass
 class PipelineConfig:
@@ -52,7 +42,7 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
 
     def vmd_params(self) -> VmdParams:
-        return VmdParams(K=self.k_modes, max_freq=SWEEP_EDGE_HZ)
+        return VmdParams(K=self.k_modes)
 
     def gates(self) -> GateThresholds:
         return GateThresholds(mu1=self.mu1, mu2=self.mu2)
@@ -89,7 +79,11 @@ def parse_config(
     """Resolve a config from defaults, then a key=value file, then overrides."""
     values: dict = {}
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

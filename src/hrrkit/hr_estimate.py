@@ -32,6 +32,11 @@ SMOOTH_WINDOW = 0.12    # s, heartbeat smoother length
 ENVELOPE_FLOOR = 0.1    # envelope floor, fraction of its median
 CARRY_LIMIT = 0.5       # largest tolerated fraction of carried points
 REPORT_TIME_S = 60.0    # s, the report's recovery is the HR drop up to this time
+CADENCE = 1.0           # s, output step
+# Bounds of the second pass's adapted l_min, in s. The upper one is
+# deliberately below l_b_max: with l_min == l_b_max the advance rule can
+# never fire (W_b spans a whole stride) and W_a stalls.
+L_MIN_BOUNDS = (3.0, 7.0)
 
 FLAG_OK = "ok"
 FLAG_CARRY = "carry"
@@ -76,21 +81,15 @@ class WindowConfig:
 
     l_min: float = 5.0                      # first-pass counting-window floor, s
     l_b_max: float = 8.0
-    # Upper bound deliberately below l_b_max: with l_min == l_b_max the
-    # advance rule can never fire (W_b spans a whole stride) and W_a stalls.
-    l_min_bounds: tuple[float, float] = (3.0, 7.0)
-    cadence: float = 1.0                    # output step, s
 
     def __post_init__(self):
-        lo, hi = self.l_min_bounds
-        if not 0 < lo <= hi <= self.l_b_max:
+        if not L_MIN_BOUNDS[1] <= self.l_b_max:
             raise ValueError(
-                f"l_min_bounds must lie within (0, l_b_max={self.l_b_max}], got {self.l_min_bounds}"
+                f"l_b_max must be >= {L_MIN_BOUNDS[1]} s, the adapted l_min's upper "
+                f"bound, got {self.l_b_max}"
             )
         if not 0 < self.l_min <= self.l_b_max:
             raise ValueError(f"l_min must be in (0, l_b_max], got {self.l_min}")
-        if self.cadence <= 0:
-            raise ValueError("cadence must be > 0")
 
     @property
     def stride(self) -> float:
@@ -294,9 +293,9 @@ def count_hr(
     )
 
 
-def adapt_lmin(prev_hr: float, cfg: WindowConfig) -> float:
-    """Counting-window floor targeting ~10 beats: clamp(600/HR, bounds)."""
-    lo, hi = cfg.l_min_bounds
+def adapt_lmin(prev_hr: float) -> float:
+    """Counting-window floor targeting ~10 beats: clamp(600/HR, L_MIN_BOUNDS)."""
+    lo, hi = L_MIN_BOUNDS
     if prev_hr <= 0:
         return hi
     return float(min(max(600.0 / prev_hr, lo), hi))
@@ -359,7 +358,6 @@ class HrSeries:
     """Timestamped HR estimates at a fixed cadence plus window diagnostics."""
 
     points: list[HrPoint]
-    cadence: float
     window_results: dict[int, WindowResult]
 
     @property
@@ -377,7 +375,7 @@ class HrSeries:
     def value_at(self, t: float) -> HrPoint:
         times = self.times
         i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > self.cadence / 2 + 1e-9:
+        if abs(times[i] - t) > CADENCE / 2 + 1e-9:
             raise ValueError(f"series has no point within half a cadence of t={t}")
         return self.points[i]
 
@@ -408,9 +406,9 @@ def run_composite_windows(
             f"trace duration {duration:.2f} s is shorter than the analysis "
             f"window l_a={cfg.l_a:.2f} s"
         )
-    grid = output_times(duration, cfg.cadence)
+    grid = output_times(duration)
     last = grid[-1] if len(grid) else 0.0
-    if last < REPORT_TIME_S - cfg.cadence / 2:
+    if last < REPORT_TIME_S - CADENCE / 2:
         raise InputError(
             f"trace lasts {duration:.2f} s but the recovery report needs "
             f"HR up to {REPORT_TIME_S:g} s (last output at {last:.2f} s)"
@@ -469,7 +467,7 @@ def run_composite_windows(
     if start is None:
         raise DegradedQualityError("no window produced a usable HR estimate")
     # Grid index i identifies the first-pass point: first[max(i, start)].
-    second = sweep([adapt_lmin(first[max(i, start)].hr_bpm, cfg) for i in range(len(grid))])
+    second = sweep([adapt_lmin(first[max(i, start)].hr_bpm) for i in range(len(grid))])
     points = [p for p in second if p is not None]
     for p, q in zip(second[start:], first[start:]):
         if p is not None:
@@ -480,17 +478,17 @@ def run_composite_windows(
             f"{n_carry}/{len(points)} output points carried forward "
             f"(limit {CARRY_LIMIT:.0%})"
         )
-    return HrSeries(points=points, cadence=cfg.cadence, window_results=cache)
+    return HrSeries(points=points, window_results=cache)
 
 
-def output_times(duration: float, cadence: float) -> np.ndarray:
-    """The output grid: every ``cadence`` step within ``duration``.
+def output_times(duration: float) -> np.ndarray:
+    """The output grid: every ``CADENCE`` step within ``duration``.
 
     Once the series has started, a point is emitted at every grid time, so
     the last grid time is the series' last point.
     """
-    n_steps = int(math.floor(duration / cadence + 1e-9))
-    return np.arange(1, n_steps + 1) * cadence
+    n_steps = int(math.floor(duration / CADENCE + 1e-9))
+    return np.arange(1, n_steps + 1) * CADENCE
 
 
 @dataclass

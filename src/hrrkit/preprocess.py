@@ -9,33 +9,20 @@ content before decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputError
 from .signal_model import ChestMotionTrace
+
+# Pass band of the vital-band filter, in Hz. Every trace is sampled at
+# MIN_SAMPLE_RATE_HZ = 20 Hz or faster, so the upper edge is below Nyquist.
+PASS_LOW_HZ = 0.2
+PASS_HIGH_HZ = 3.4
 
 _FILTER_ORDER = 4  # per band edge; applied twice (forward-backward)
 
 # Samples per block of the block state-space filter: a padded 66 s pass at
 # 100 Hz is about 150 blocks.
 _BLOCK = 64
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Pass band of the vital-band filter, in Hz."""
-
-    pass_low: float = 0.2
-    pass_high: float = 3.4
-
-    def __post_init__(self):
-        if not 0 < self.pass_low < self.pass_high:
-            raise ValueError(
-                f"require 0 < pass_low < pass_high, got "
-                f"({self.pass_low}, {self.pass_high})"
-            )
 
 
 def butter_bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
@@ -170,7 +157,7 @@ def _block_filter(form: tuple, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     return y.reshape(-1)[:len(x)]
 
 
-def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestMotionTrace:
+def bandpass(trace: ChestMotionTrace) -> ChestMotionTrace:
     """Zero-phase band-pass of the trace to the vital band.
 
     Forward-backward 4th-order Butterworth filter; the pad length is sized
@@ -178,13 +165,8 @@ def bandpass(trace: ChestMotionTrace, spec: FilterSpec = FilterSpec()) -> ChestM
     of the high-pass section settle.
     """
     fs = trace.sample_rate
-    if spec.pass_high * 2.0 >= fs:
-        raise InputError(
-            f"pass_high={spec.pass_high} Hz violates Nyquist at "
-            f"sample_rate={fs} Hz"
-        )
-    sos = butter_bandpass_sos(spec.pass_low, spec.pass_high, fs)
-    padlen = min(len(trace.samples) - 1, int(3.0 * fs / spec.pass_low))
+    sos = butter_bandpass_sos(PASS_LOW_HZ, PASS_HIGH_HZ, fs)
+    padlen = min(len(trace.samples) - 1, int(3.0 * fs / PASS_LOW_HZ))
     filtered = sosfiltfilt(sos, trace.samples, padlen)
     return ChestMotionTrace(filtered, fs, trace.ground_truth)
 

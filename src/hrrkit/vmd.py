@@ -6,10 +6,11 @@ means, at the noise-tolerant setting tau = 0, so with no dual ascent. The
 window is mirror-extended by ``_MIRROR_FRAC`` of its length at each end
 before the FFT and cropped afterwards to tame edge artifacts.
 
-With ``VmdParams.max_freq`` set, the sweeps run only on the one-sided bins
-below that edge, in Hz. The inverse transform zero-pads the bins above it,
-so content there stays in the residual and counts towards the energy loss.
-The default, None, sweeps every bin up to Nyquist, as published VMD does.
+The sweeps run only on the one-sided bins below ``SWEEP_EDGE_HZ``. The
+inverse transform zero-pads the bins above it, so content there stays in the
+residual and counts towards the energy loss. At a sample rate of 50 Hz or
+less the edge lies at or above Nyquist, and every bin is swept, as published
+VMD does.
 
 The sweep is held in residual form. It keeps resid = f_hat - sum_k u_k, so
 each mode update adds its own old spectrum back, takes the Wiener gain of
@@ -17,12 +18,12 @@ the sum and subtracts the new spectrum again. The power |u_k|^2 comes from
 the squares of the spectra's real and imaginary parts, and one BLAS product
 gives every mode's power and first moment, so all K center frequencies at
 once. The sweeps stop once the squared change of the mode spectra is at
-most ``tolerance`` times the spectral power of the sweep before. The change
-is taken as |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>: the two powers come
-from the center-frequency product and the inner product is one BLAS dot, so
-no difference pass runs. Near convergence the terms cancel, so it matches
+most ``TOLERANCE`` times the spectral power of the sweep before, or after
+``MAX_ITERS`` sweeps. The change is taken as |u_hat|^2 + |u_prev|^2 -
+2 <u_hat, u_prev>: the two powers come from the center-frequency product
+and the inner product is one BLAS dot, so no difference pass runs. Near convergence the terms cancel, so it matches
 the exact sum of |u_hat - u_prev|^2 only to a few eps of the power, about
-1e-8 of the threshold at the default tolerance; tolerances below about
+1e-8 of the threshold at ``TOLERANCE``; tolerances below about
 1e-12 no longer resolve the stopping sweep. This is the same ADMM iteration
 as the literal form of vmdpy, which keeps sum_k u_k and takes |.|^2 through
 np.abs: the two differ only in rounding. The tests pin the core to that
@@ -57,7 +58,7 @@ modes a few hundredths of a Hz apart. Such a pair is highly correlated, so
 it fails mu1 at every alpha the search tries. So ``select_alpha`` first
 sums modes closer than ``MERGE_HZ`` (``merge_close_modes``) and judges the
 gates on the merged set, a departure from the paper, which gates the K
-modes as they come. ``merge_hz=0`` runs the paper's search.
+modes as they come. ``MERGE_HZ = 0`` runs the paper's search.
 """
 from __future__ import annotations
 
@@ -67,6 +68,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 MIN_SIGNAL_LENGTH = 64
+
+# The sweeps stop once the squared change of the mode spectra is at most
+# TOLERANCE times their power, or after MAX_ITERS sweeps.
+TOLERANCE = 1e-7
+MAX_ITERS = 500
+
+# The sweeps run on the bins below SWEEP_EDGE_HZ. The band-pass, a 4th-order
+# Butterworth run forward and backward, is down to about 4**-8 in amplitude
+# at four times its upper edge of 3.4 Hz. What a window holds above 25 Hz is
+# leakage from its edges, which modes swept to Nyquist leave in the residual
+# too: on the windows of a recovery trace, the energy loss at alpha = 3162
+# moves by at most 1.2e-7 against the gate mu2 = 1e-4. A 12.5 Hz edge
+# measurably costs accuracy. The edge is in Hz, not a share of the sample
+# rate, so slow traces (at or below 50 Hz) keep every bin.
+SWEEP_EDGE_HZ = 25.0
 
 # Bracket and stopping ratio of the alpha bisection.
 ALPHA_LO = 10.0
@@ -100,22 +116,12 @@ class VmdParams:
 
     K: int = 6
     alpha: float = 2000.0
-    tolerance: float = 1e-7
-    max_iters: int = 500
-    # Hz; the sweeps run on the bins below it. None sweeps every bin.
-    max_freq: float | None = None
 
     def __post_init__(self):
         if not 2 <= self.K <= 7:
             raise ValueError(f"K must be in [2, 7], got {self.K}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_freq is not None and not 0.0 < self.max_freq < math.inf:
-            raise ValueError(f"max_freq must be finite and > 0, got {self.max_freq}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ class ModeSet:
     converged: bool
     n_iters: int
     # (K, P) one-sided spectra of the mirrored window, aligned with mode
-    # order, over the swept bins only (those below VmdParams.max_freq); None
+    # order, over the swept bins only (those below SWEEP_EDGE_HZ); None
     # on a set not built by vmd_decompose, a merged one included.
     spectra: np.ndarray | None = None
     # On a set built by merge_close_modes: for each mode, the indices of the
@@ -179,12 +185,11 @@ def vmd_decompose(
     at zero, or at ``init_spectra``: K one-sided spectra of the mirrored
     window, shaped like ``ModeSet.spectra`` and matching ``init_freqs`` row
     for row, which they need. The first sweep then measures its change
-    against their power. With ``params.max_freq`` set, only the bins below
-    it are swept, and ``init_spectra`` and ``ModeSet.spectra`` hold those
-    bins only; the modes of the mirrored window are zero above it.
-    Iteration stops when the relative change of the mode spectra drops
-    below ``params.tolerance`` or after ``params.max_iters`` sweeps; the
-    termination reason is recorded on the result.
+    against their power. Only the bins below ``SWEEP_EDGE_HZ`` are swept,
+    and ``init_spectra`` and ``ModeSet.spectra`` hold those bins only; the
+    modes of the mirrored window are zero above it. Iteration stops when the
+    relative change of the mode spectra drops below ``TOLERANCE`` or after
+    ``MAX_ITERS`` sweeps; the termination reason is recorded on the result.
 
     A sweep is about 30 numpy calls on buffers allocated once, and numpy's
     dispatch of each costs as much as its arithmetic at these sizes. So the
@@ -227,13 +232,11 @@ def vmd_decompose(
 
     # Only the non-negative bins are kept: DC up to just below Nyquist, in
     # cycles/sample. For even T the Nyquist bin (which fftfreq counts as
-    # -0.5) is left out, so every mode is zero there. An edge cuts them
+    # -0.5) is left out, so every mode is zero there. The edge cuts them
     # further, to the bins below it; at or above Nyquist it cuts none.
-    P = (T + 1) // 2
-    freqs = np.fft.fftfreq(T)[:P]
-    if params.max_freq is not None:
-        P = int(np.searchsorted(freqs, params.max_freq / sample_rate))
-        freqs = freqs[:P]
+    freqs = np.fft.fftfreq(T)[: (T + 1) // 2]
+    P = int(np.searchsorted(freqs, SWEEP_EDGE_HZ / sample_rate))
+    freqs = freqs[:P]
     if init_spectra is not None:
         init_spectra = np.asarray(init_spectra)
         if init_spectra.shape != (K, P):
@@ -248,7 +251,7 @@ def vmd_decompose(
     # alpha is a 0-d array, so no call converts it.
     dot, square, add, subtract = np.dot, np.square, np.add, np.subtract
     multiply, reciprocal, divide, greater = np.multiply, np.reciprocal, np.divide, np.greater
-    alpha, tolerance = np.array(params.alpha), params.tolerance
+    alpha, tolerance = np.array(params.alpha), TOLERANCE
     # The sweep's (K, P) buffers are allocated once. Sweep ``it`` writes
     # bufs[it % 2] and reads the one the sweep before wrote, so the two trade
     # places instead of copying; bufs[0] holds the start.
@@ -293,7 +296,7 @@ def vmd_decompose(
     norm = add.reduce(power)
 
     converged = False
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         triples, parts, u_flat, prev_flat = parities[it & 1]
         # Mode k's Wiener gain 1 / (alpha (f - omega_k)^2 + 1) reads omega_k
         # from the previous sweep, so all K gains are formed up front; only
@@ -314,8 +317,8 @@ def vmd_decompose(
         # |u_hat - u_prev|^2 = |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>, from
         # the powers at hand and one dot, with no difference pass. Near
         # convergence the terms cancel, so this is the exact sum of squares
-        # only to a few eps of the power: about 1e-8 of the threshold at the
-        # default tolerance.
+        # only to a few eps of the power: about 1e-8 of the threshold at
+        # TOLERANCE.
         new_norm = add.reduce(power)
         change = new_norm + norm - 2.0 * dot(u_flat, prev_flat)
         threshold = tolerance * max(norm, 1e-300)
@@ -433,7 +436,6 @@ def select_alpha(
     sample_rate: float,
     params: VmdParams,
     gates: GateThresholds = GateThresholds(),
-    merge_hz: float = MERGE_HZ,
     init_freqs: np.ndarray | None = None,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
@@ -455,13 +457,11 @@ def select_alpha(
     are within a factor of ``_SPECTRA_WARM_RATIO``, the previous step's
     mode spectra go along in the same order.
 
-    Each decomposition's modes closer than ``merge_hz``, in Hz, are summed
-    by ``merge_close_modes`` before the gates judge them, and the merged set
-    is the one returned. The next step still starts from the unmerged
-    decomposition. ``merge_hz=0`` merges nothing: the published search.
+    Each decomposition's modes closer than ``MERGE_HZ`` are summed by
+    ``merge_close_modes`` before the gates judge them, and the merged set is
+    the one returned. The next step still starts from the unmerged
+    decomposition. ``MERGE_HZ = 0`` merges nothing: the published search.
     """
-    if not merge_hz >= 0.0:
-        raise ValueError(f"merge_hz must be >= 0, got {merge_hz}")
     lo, hi = ALPHA_LO, ALPHA_HI
     if init_freqs is not None:
         init_freqs = np.sort(init_freqs)
@@ -479,7 +479,7 @@ def select_alpha(
                 init_spectra = ms.spectra[order]
         ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
                            init_freqs=init_freqs, init_spectra=init_spectra)
-        gated = merge_close_modes(ms, merge_hz)
+        gated = merge_close_modes(ms, MERGE_HZ)
         r = mode_correlation_max(gated)
         p = energy_loss(gated)
         path.append((mid, r, p))

@@ -207,6 +207,9 @@ class TestMain:
             assert [p["metrics"]["vmd.us_per_sweep"] for p in traced["passes"]] == [
                 sweep_us, 2 * sweep_us, 3 * sweep_us]
             assert traced["metrics"]["vmd.us_per_sweep"] == 2 * sweep_us
+            # The fastest pass, beside the median.
+            assert set(traced["min"]) == set(bench_pairs.TRACED_METRICS)
+            assert traced["min"]["vmd.us_per_sweep"] == sweep_us
         # The traced figures stay out of the untraced runs and their summary.
         assert len(report["runs"]) == 20
         assert "vmd.us_per_sweep" not in report["summary"]
@@ -236,3 +239,4 @@ class TestMain:
             metrics = report["traced"][side]["metrics"]
             assert metrics["radar.simulate_us_per_frame"] == frame_us
             assert metrics["radar.simulate_s"] == metrics["radar.track_us_per_frame"] == 2.0
+            assert report["traced"][side]["min"]["radar.simulate_us_per_frame"] == frame_us

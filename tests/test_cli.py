@@ -3,10 +3,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hrrkit import cli
+from hrrkit import cli, hr_estimate, preprocess, vmd
 from hrrkit.cli import main
 from hrrkit.evaluate import DURATION, RECOVERY_HEART, RECOVERY_RESP, SAMPLE_RATE
-from hrrkit.config import SWEEP_EDGE_HZ, PipelineConfig, parse_config
+from hrrkit.config import PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
 from hrrkit.hr_estimate import WindowConfig
 from hrrkit.io import read_trace, write_trace
@@ -14,12 +14,22 @@ from hrrkit.signal_model import ExponentialRecovery, synthesize_trace
 from hrrkit.vmd import GateThresholds, VmdParams
 
 # Stage values that were config keys until they were pinned in the module
-# that reads them.
-PINNED_KEYS = (
-    "pass_low", "pass_high", "alpha_lo", "alpha_hi", "alpha_ratio_tol",
-    "vmd_tolerance", "vmd_max_iters", "l_min_lo", "l_min_hi", "cadence",
-    "smooth_window", "envelope_floor", "carry_limit",
-)
+# that reads them: each key's module, constant and value.
+PINNED_KEYS = {
+    "pass_low": (preprocess, "PASS_LOW_HZ", 0.2),
+    "pass_high": (preprocess, "PASS_HIGH_HZ", 3.4),
+    "alpha_lo": (vmd, "ALPHA_LO", 10.0),
+    "alpha_hi": (vmd, "ALPHA_HI", 1e6),
+    "alpha_ratio_tol": (vmd, "ALPHA_RATIO_TOL", 1.1),
+    "vmd_tolerance": (vmd, "TOLERANCE", 1e-7),
+    "vmd_max_iters": (vmd, "MAX_ITERS", 500),
+    "l_min_lo": (hr_estimate, "L_MIN_BOUNDS", (3.0, 7.0)),
+    "l_min_hi": (hr_estimate, "L_MIN_BOUNDS", (3.0, 7.0)),
+    "cadence": (hr_estimate, "CADENCE", 1.0),
+    "smooth_window": (hr_estimate, "SMOOTH_WINDOW", 0.12),
+    "envelope_floor": (hr_estimate, "ENVELOPE_FLOOR", 0.1),
+    "carry_limit": (hr_estimate, "CARRY_LIMIT", 0.5),
+}
 
 
 class TestParseConfig:
@@ -49,17 +59,31 @@ class TestParseConfig:
         assert cfg.mu1 == 0.25 and cfg.k_modes == 5
 
     def test_inconsistent_window_bounds_rejected(self):
-        with pytest.raises(ConfigError, match="l_min_bounds"):
-            parse_config(overrides={"l_b_max": "6"})  # l_min_bounds' upper 7 s exceeds it
+        # The adapted l_min's upper bound, 7 s, exceeds it.
+        with pytest.raises(ConfigError, match="l_b_max must be >= 7.0 s"):
+            parse_config(overrides={"l_b_max": "6"})
 
     def test_defaults_come_from_stage_classes(self):
         cfg = PipelineConfig()
         assert [f.name for f in fields(cfg)] == ["k_modes", "mu1", "mu2", "l_min", "l_b_max"]
-        # The sweep edge is the one VMD value the pipeline sets itself.
-        assert cfg.vmd_params().max_freq == SWEEP_EDGE_HZ == 25.0
-        assert replace(cfg.vmd_params(), max_freq=None) == VmdParams()
+        # The stage objects hold the five keys and alpha, nothing else.
+        assert [f.name for f in fields(VmdParams)] == ["K", "alpha"]
+        assert [f.name for f in fields(GateThresholds)] == ["mu1", "mu2"]
+        assert [f.name for f in fields(WindowConfig)] == ["l_min", "l_b_max"]
+        assert cfg.vmd_params() == VmdParams()
         assert cfg.gates() == GateThresholds()
         assert cfg.window_config() == WindowConfig()
+
+    def test_pinned_keys_are_module_constants(self):
+        for key, (module, name, value) in PINNED_KEYS.items():
+            assert getattr(module, name) == value, key
+        assert vmd.SWEEP_EDGE_HZ == 25.0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file_rejected(self, tmp_path, kind):
+        path = tmp_path / "nope.txt" if kind == "missing" else tmp_path
+        with pytest.raises(ConfigError, match=f"{path}: cannot read config"):
+            parse_config(path)
 
     def test_non_finite_values_rejected(self):
         for key in (f.name for f in fields(PipelineConfig)):
@@ -193,6 +217,35 @@ class TestCliFlows:
         out = tmp_path / "out"
         assert main([command, str(tmp_path), "-o", str(out)]) == 2
         assert f"input error: {tmp_path}: cannot read input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "t.csv"
+        assert main(["synth", "-o", str(target), "--duration", "20"]) == 1
+        err = capsys.readouterr().err
+        assert f"hrrkit: cannot write output: {target}: No such file or directory" in err
+        assert "input error" not in err
+
+    def test_simulate_onto_directory_is_usage_error(self, synth_dir, tmp_path, capsys):
+        assert main(["simulate", str(synth_dir / "trace.csv"), "-o", str(tmp_path)]) == 1
+        assert f"hrrkit: cannot write output: {tmp_path}: Is a directory" in (
+            capsys.readouterr().err)
+
+    def test_estimate_into_a_file_is_usage_error(self, synth_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["estimate", str(synth_dir / "trace.csv"), "-o", str(blocker / "out")])
+        assert rc == 1
+        assert f"hrrkit: cannot write output: {blocker / 'out'}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, synth_dir, tmp_path, capsys, kind):
+        config = tmp_path / "nope.txt" if kind == "missing" else tmp_path
+        out = tmp_path / "out"
+        rc = main(["estimate", str(synth_dir / "trace.csv"), "-o", str(out),
+                   "--config", str(config)])
+        assert rc == 1
+        assert f"config error: {config}: cannot read config" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("exc", [ValueError("internal")])

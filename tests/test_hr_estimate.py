@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
+from hrrkit import hr_estimate
 from hrrkit.errors import InputError
 from hrrkit.hr_estimate import (
     _find_peaks,
@@ -223,21 +224,21 @@ class TestCountHr:
 
 
 class TestAdaptLmin:
-    def test_ten_beat_target(self):
-        cfg = WindowConfig(l_min_bounds=(3.0, 8.0))
-        assert adapt_lmin(150.0, cfg) == pytest.approx(4.0)
+    @pytest.fixture
+    def wide_bounds(self, monkeypatch):
+        monkeypatch.setattr(hr_estimate, "L_MIN_BOUNDS", (3.0, 8.0))
 
-    def test_clamped_high(self):
-        cfg = WindowConfig(l_min_bounds=(3.0, 8.0))
-        assert adapt_lmin(60.0, cfg) == pytest.approx(8.0)  # 600/60 = 10 > 8
+    def test_ten_beat_target(self, wide_bounds):
+        assert adapt_lmin(150.0) == pytest.approx(4.0)
 
-    def test_clamped_low(self):
-        cfg = WindowConfig(l_min_bounds=(3.0, 8.0))
-        assert adapt_lmin(220.0, cfg) == pytest.approx(3.0)
+    def test_clamped_high(self, wide_bounds):
+        assert adapt_lmin(60.0) == pytest.approx(8.0)  # 600/60 = 10 > 8
+
+    def test_clamped_low(self, wide_bounds):
+        assert adapt_lmin(220.0) == pytest.approx(3.0)
 
     def test_monotone_non_increasing(self):
-        cfg = WindowConfig()
-        values = [adapt_lmin(hr, cfg) for hr in np.arange(40.0, 220.0, 5.0)]
+        values = [adapt_lmin(hr) for hr in np.arange(40.0, 220.0, 5.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -263,9 +264,10 @@ class TestCompositeWindows:
         assert cfg.stride == 8.0
         assert cfg.l_a == 16.0
 
-    def test_lmin_bounds_validation(self):
-        with pytest.raises(ValueError):
-            WindowConfig(l_b_max=8.0, l_min_bounds=(3.0, 9.0))
+    def test_lmin_bounds_validation(self, monkeypatch):
+        monkeypatch.setattr(hr_estimate, "L_MIN_BOUNDS", (3.0, 9.0))
+        with pytest.raises(ValueError, match="l_b_max must be >= 9.0 s"):
+            WindowConfig(l_b_max=8.0)
 
     def test_constant_rate_tracked_exactly(self):
         series = run_composite_windows(
@@ -367,7 +369,7 @@ class TestCompositeWindows:
         ]
         assert deltas and max(deltas) <= 10.0
 
-    def test_second_pass_starting_before_first(self):
+    def test_second_pass_starting_before_first(self, monkeypatch):
         # Window 0 has no peaks, so both passes start once W_a advances. The
         # shorter adapted l_min lets the second pass start a step earlier.
         beats = HeartbeatModel(LinearRamp(150.0, 100.0, 66.0), 1.0).beat_times(66.0)
@@ -381,8 +383,9 @@ class TestCompositeWindows:
         cfg = WindowConfig()
         series = run_composite_windows(self.make_trace(), cfg, late_stage)
         # With l_min pinned at its default, the second pass is the first.
-        fixed = WindowConfig(l_min_bounds=(cfg.l_min, cfg.l_min))
-        first_start = run_composite_windows(self.make_trace(), fixed, late_stage).points[0].time
+        with monkeypatch.context() as mp:
+            mp.setattr(hr_estimate, "L_MIN_BOUNDS", (cfg.l_min, cfg.l_min))
+            first_start = run_composite_windows(self.make_trace(), cfg, late_stage).points[0].time
         assert series.points[0].time == 13.0 and first_start == 14.0
         for p in series.points:
             assert math.isnan(p.hr_first_pass) == (p.time < first_start)
@@ -391,12 +394,12 @@ class TestCompositeWindows:
         for p in series.points:
             h = h_start if p.time < first_start else p.hr_first_pass
             est = count_hr(series.window_results[p.wa_index].peaks, cfg, p.time,
-                           l_min=adapt_lmin(h, cfg))
+                           l_min=adapt_lmin(h))
             assert (p.hr_bpm, p.wb_start) == (est.hr_bpm, est.window_start)
 
     def test_out_of_band_rate_clamped(self):
         series = run_composite_windows(
-            self.make_trace(), WindowConfig(l_min_bounds=(3.0, 7.0)),
+            self.make_trace(), WindowConfig(),
             uniform_peak_stage(30.0),  # 2 s spacing: below the 36 bpm floor
         )
         clamped = [p for p in series.points if p.flag == "clamped"]
@@ -438,7 +441,7 @@ class TestBuildReport:
             HrPoint(float(t), float(truth(float(t))), 5.0, "ok", 0, t - 5.0, float(t))
             for t in np.arange(0.0, 66.0, 1.0)
         ]
-        series = HrSeries(points=points, cadence=1.0, window_results={})
+        series = HrSeries(points=points, window_results={})
         report = build_report(series, truth=truth)
         assert report.initial_hr == pytest.approx(152.0)
         assert report.hr_at_60s == pytest.approx(120.0)

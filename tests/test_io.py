@@ -452,7 +452,7 @@ class TestModeDump:
     def test_rows_name_the_modes_they_merge(self, tmp_path):
         path = tmp_path / "modes.csv"
         write_mode_dump(
-            HrSeries([], 1.0, {1: labelled_window(), 0: WindowResult(0.0, None)}), path
+            HrSeries([], {1: labelled_window(), 0: WindowResult(0.0, None)}), path
         )
         assert MODES_HEADER.endswith(",energy,merged_from")
         assert path.read_text().splitlines() == [

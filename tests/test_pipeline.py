@@ -1,7 +1,6 @@
 """The window stage keeps its alpha search and mode labels, and ends every
 window with a status."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,11 +157,9 @@ def test_twenty_hz_run_equals_its_full_band_run(monkeypatch, tmp_path):
     resp = RespirationModel(0.35, (1.0, 0.25))
     heart = HeartbeatModel(ExponentialRecovery(150.0, 120.0, 30.0), 0.15)
     trace = synthesize_trace(resp, heart, 0.05, 20.0, 66.0, 7)
-    cfg = PipelineConfig()
-    series, report = pipeline.estimate_trace(trace, cfg)
-    full_band = replace(cfg.vmd_params(), max_freq=None)
-    monkeypatch.setattr(PipelineConfig, "vmd_params", lambda self: full_band)
-    full_series, full_report = pipeline.estimate_trace(trace, cfg)
+    series, report = pipeline.estimate_trace(trace)
+    monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", math.inf)
+    full_series, full_report = pipeline.estimate_trace(trace)
     assert written(series, report, tmp_path / "edge") == written(
         full_series, full_report, tmp_path / "full"
     )
@@ -286,11 +283,11 @@ def test_cold_windows_stop_on_the_exact_sum_sweep(monkeypatch, tmp_path, scenari
     for signal, fs, params, init_freqs, init_spectra, ms in calls:
         record = []
         *_, converged, n_iters = allocating_reference(
-            signal, fs, params, init_freqs, init_spectra, params.max_freq, record
+            signal, fs, params, init_freqs, init_spectra, record
         )
         assert (n_iters, converged) == (ms.n_iters, ms.converged)
         for change, norm, exact in record:
-            threshold = params.tolerance * max(norm, 1e-300)
+            threshold = vmd.TOLERANCE * max(norm, 1e-300)
             assert (exact <= threshold) == (change <= threshold)
 
 

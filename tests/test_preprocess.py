@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from hrrkit.errors import InputError
 from hrrkit.preprocess import (
     _BLOCK,
-    FilterSpec,
+    PASS_HIGH_HZ,
     _steady_state,
     bandpass,
     butter_bandpass_sos,
     difference,
     sosfiltfilt,
 )
-from hrrkit.signal_model import ChestMotionTrace
+from hrrkit.signal_model import MIN_SAMPLE_RATE_HZ, ChestMotionTrace
 
 from conftest import tone
 
@@ -99,9 +98,12 @@ class TestBandpass:
         xc = [float(np.dot(y[mid.start + l : mid.stop + l], x[mid])) for l in lags]
         assert lags[int(np.argmax(xc))] == 0
 
-    def test_nyquist_rejection(self):
-        with pytest.raises(InputError, match="Nyquist"):
-            bandpass(trace_of(tone(1.0, FS, 10.0)), FilterSpec(pass_low=0.2, pass_high=60.0))
+    def test_pass_band_below_nyquist_at_every_accepted_rate(self):
+        # A trace cannot be sampled below MIN_SAMPLE_RATE_HZ, so bandpass
+        # needs no Nyquist check of its own.
+        assert 2.0 * PASS_HIGH_HZ < MIN_SAMPLE_RATE_HZ
+        with pytest.raises(ValueError, match="sample_rate"):
+            trace_of(np.zeros(100), fs=2.0 * PASS_HIGH_HZ)
 
     def test_linearity(self):
         a = tone(0.5, FS, 30.0)
@@ -109,10 +111,6 @@ class TestBandpass:
         combined = bandpass(trace_of(a + 2.0 * b)).samples
         separate = bandpass(trace_of(a)).samples + 2.0 * bandpass(trace_of(b)).samples
         assert np.allclose(combined, separate, atol=1e-9)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FilterSpec(pass_low=2.0, pass_high=1.0)
 
 
 DESIGN_GRID = [

@@ -65,7 +65,7 @@ def two_sided_reference(signal, fs, params):
     resid = f_plus
     denom = np.zeros(K)
     converged = False
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, vmd.MAX_ITERS + 1):
         u_prev = u_hat.copy()
         norm = denom.sum()
         gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
@@ -78,7 +78,7 @@ def two_sided_reference(signal, fs, params):
         live = denom > 1e-300
         omega[live] = first_moment[live] / denom[live]
         parts = np.ascontiguousarray((u_hat - u_prev)[:, pos]).view(float).ravel()
-        if np.dot(parts, parts) <= params.tolerance * max(norm, 1e-300):
+        if np.dot(parts, parts) <= vmd.TOLERANCE * max(norm, 1e-300):
             converged = True
             break
     half = (T - 1) // 2
@@ -91,8 +91,11 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def one_sided_setup(signal, fs, params, init_freqs, max_freq):
-    """Mirror extension, swept frequencies, one-sided spectrum and start omega."""
+def one_sided_setup(signal, fs, params, init_freqs):
+    """Mirror extension, swept frequencies, one-sided spectrum and start omega.
+
+    The swept frequencies are the one-sided bins below ``vmd.SWEEP_EDGE_HZ``.
+    """
     f = np.asarray(signal, dtype=float)
     n = len(f)
     m = max(1, round(vmd._MIRROR_FRAC * n))
@@ -101,9 +104,8 @@ def one_sided_setup(signal, fs, params, init_freqs, max_freq):
     P = (T + 1) // 2
     freqs = np.fft.fftfreq(T)[:P]
     f_plus = np.fft.fft(ext)[:P]
-    if max_freq is not None:
-        keep = freqs < max_freq / fs
-        freqs, f_plus = freqs[keep], f_plus[keep]
+    keep = freqs < vmd.SWEEP_EDGE_HZ / fs
+    freqs, f_plus = freqs[keep], f_plus[keep]
     if init_freqs is None:
         omega = (np.arange(params.K) + 0.5) / params.K * 0.25
     else:
@@ -111,21 +113,21 @@ def one_sided_setup(signal, fs, params, init_freqs, max_freq):
     return n, m, T, freqs, f_plus, omega
 
 
-def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
-                         max_freq=None, record=None):
+def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None, record=None):
     """The residual-form sweep, one fresh array per operation.
 
     ``init_freqs`` holds the starting center frequencies in Hz; None starts
     them uniformly over [0, fs/4]. ``init_spectra`` holds the starting mode
-    spectra; None starts them at zero. ``max_freq`` in Hz keeps only the
-    bins below it, which the inverse transform pads with zeros; None keeps
-    every bin. The sweeps stop on |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>,
+    spectra; None starts them at zero. It sweeps the bins below
+    ``vmd.SWEEP_EDGE_HZ``, which the inverse transform pads with zeros, and
+    reads ``vmd.TOLERANCE`` and ``vmd.MAX_ITERS`` as the core does. The
+    sweeps stop on |u_hat|^2 + |u_prev|^2 - 2 <u_hat, u_prev>,
     the squared change of the spectra from their powers and one dot.
     ``record``, a list, gets each sweep's stopping quantity, the power it is
     measured against and the exact sum of |u_hat - u_prev|^2. The in-place
     core must reproduce it bit for bit.
     """
-    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs, max_freq)
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs)
     K, P = params.K, len(freqs)
     u_hat = np.zeros((K, P), dtype=complex)
     if init_spectra is not None:
@@ -139,7 +141,7 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     denom = np.dot(np.square(u_hat.view(float)), weights.T)[:, 1]
     converged = False
     it = 0
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, vmd.MAX_ITERS + 1):
         u_prev = u_hat.copy()
         norm = denom.sum()
         gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
@@ -155,7 +157,7 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
         if record is not None:
             parts = (u_hat - u_prev).view(float).ravel()
             record.append((change, norm, np.dot(parts, parts)))
-        if change <= params.tolerance * max(norm, 1e-300):
+        if change <= vmd.TOLERANCE * max(norm, 1e-300):
             converged = True
             break
     modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
@@ -171,7 +173,7 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
     np.abs(u_hat - u_prev) ** 2. Arguments as for ``allocating_reference``.
     The core differs from it in rounding only.
     """
-    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs, None)
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs)
     K, P = params.K, len(freqs)
     alpha = params.alpha
     u_hat = np.zeros((K, P), dtype=complex)
@@ -182,7 +184,7 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
         sum_u = sum_u + u_hat[k]
     converged = False
     it = 0
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, vmd.MAX_ITERS + 1):
         u_prev = u_hat.copy()
         for k in range(K):
             sum_u = sum_u - u_hat[k]
@@ -194,7 +196,7 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
                 omega[k] = float(np.dot(freqs, power) / denom)
         diff = np.sum(np.abs(u_hat - u_prev) ** 2)
         norm = np.sum(np.abs(u_prev) ** 2)
-        if diff <= params.tolerance * max(norm, 1e-300):
+        if diff <= vmd.TOLERANCE * max(norm, 1e-300):
             converged = True
             break
     modes = np.fft.irfft(u_hat, n=T, axis=1)[:, m : m + n]
@@ -229,9 +231,12 @@ IN_PLACE_IDS = [f"{n}-{TAU_SLOT}-{alpha}-{tol}-{iters}" for n, alpha, tol, iters
 
 class TestInPlaceSweep:
     @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES, ids=IN_PLACE_IDS)
-    def test_matches_allocating_reference_bit_for_bit(self, n, alpha, tolerance, max_iters):
+    def test_matches_allocating_reference_bit_for_bit(self, monkeypatch, n, alpha, tolerance,
+                                                       max_iters):
         sig = three_tone(n)
-        params = VmdParams(K=4, alpha=alpha, tolerance=tolerance, max_iters=max_iters)
+        monkeypatch.setattr(vmd, "TOLERANCE", tolerance)
+        monkeypatch.setattr(vmd, "MAX_ITERS", max_iters)
+        params = VmdParams(K=4, alpha=alpha)
         modes, center_freqs, converged, n_iters = allocating_reference(sig, FS, params)
         ms = vmd_decompose(sig, FS, params)
         assert ms.n_iters == n_iters and ms.converged == converged
@@ -336,11 +341,12 @@ class TestInitSpectra:
         with pytest.raises(ValueError, match=match):
             vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs, init_spectra)
 
-    def test_restart_from_converged_decomposition_stops_within_two_sweeps(self):
+    def test_restart_from_converged_decomposition_stops_within_two_sweeps(self, monkeypatch):
         # Every step of a benchmark window's search, decomposed cold, then
         # restarted at its own alpha from its own center frequencies and spectra.
         sig, fs, params, gates = relaxed_recovery_window()
-        for alpha, _, _ in select_alpha(sig, fs, params, gates, merge_hz=0.0).path:
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        for alpha, _, _ in select_alpha(sig, fs, params, gates).path:
             step = replace(params, alpha=alpha)
             ms = vmd_decompose(sig, fs, step)
             assert ms.converged
@@ -357,7 +363,8 @@ class TestInitSpectra:
             return decompose(signal, sample_rate, step, init_freqs, init_spectra)
 
         monkeypatch.setattr(vmd, "vmd_decompose", recording)
-        select_alpha(sig, fs, params, gates, merge_hz=0.0)
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        select_alpha(sig, fs, params, gates)
         alphas = [alpha for alpha, _, _ in calls]
         ratios = [max(a / b, b / a) for a, b in zip(alphas[1:], alphas)]
         assert [round(r, 2) for r in ratios] == [17.78, 4.22, 2.05, 1.43, 1.2, 1.09]
@@ -365,12 +372,11 @@ class TestInitSpectra:
         assert [warm_spectra for _, _, warm_spectra in calls] == [False] * 4 + [True] * 3
 
 
-def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None,
-                                        max_freq=None):
+def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None):
     modes, center_freqs, converged, n_iters = allocating_reference(
-        sig, fs, params, init_freqs, init_spectra, max_freq
+        sig, fs, params, init_freqs, init_spectra
     )
-    ms = vmd_decompose(sig, fs, replace(params, max_freq=max_freq), init_freqs, init_spectra)
+    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
     assert ms.n_iters == n_iters and ms.converged == converged
     assert np.array_equal(ms.center_freqs, center_freqs)
     assert np.array_equal(ms.modes, modes)
@@ -386,8 +392,10 @@ def tie_tolerances(signal, params, sweeps):
     threshold at that sweep is within an ulp or so of the stopping quantity.
     """
     record = []
-    allocating_reference(signal, FS, replace(params, tolerance=1e-300, max_iters=sweeps),
-                         record=record)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vmd, "TOLERANCE", 1e-300)
+        mp.setattr(vmd, "MAX_ITERS", sweeps)
+        allocating_reference(signal, FS, params, record=record)
     tolerances, lowest = [], math.inf
     for change, norm, _ in record[1:]:   # the first sweep's u_prev is all zero
         ratio = change / norm
@@ -420,66 +428,67 @@ def assert_agrees_with_literal_sweep(sig, fs, params, init_freqs=None, init_spec
 
 
 class TestSweepBand:
-    """``VmdParams.max_freq`` limits the sweeps to the bins below it."""
-
-    @pytest.mark.parametrize("max_freq", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_bad_edge_rejected(self, max_freq):
-        with pytest.raises(ValueError, match="max_freq"):
-            VmdParams(max_freq=max_freq)
+    """``vmd.SWEEP_EDGE_HZ`` limits the sweeps to the bins below it."""
 
     # n = 768 extends to T = 922 bins, n = 769 to T = 923. At 20 Hz, 6 Hz
     # keeps 277 of 461 bins and 4.0 Hz cuts right through the 4 Hz tone.
     @pytest.mark.parametrize("n", [768, 769])
-    @pytest.mark.parametrize("max_freq", [6.0, 4.0, 1.0], ids=lambda f: f"{f}-{TAU_SLOT}")
-    def test_matches_allocating_reference(self, n, max_freq):
+    @pytest.mark.parametrize("edge", [6.0, 4.0, 1.0], ids=lambda f: f"{f}-{TAU_SLOT}")
+    def test_matches_allocating_reference(self, monkeypatch, n, edge):
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", edge)
         params = VmdParams(K=4, alpha=2000.0)
-        assert_matches_allocating_reference(three_tone(n), FS, params, max_freq=max_freq)
+        assert_matches_allocating_reference(three_tone(n), FS, params)
 
-    def test_warm_start_matches_allocating_reference(self):
+    def test_warm_start_matches_allocating_reference(self, monkeypatch):
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", 6.0)
         sig = three_tone(768)
-        prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0, max_freq=6.0))
+        prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0))
         order = np.argsort(prev.center_freqs, kind="stable")
         assert_matches_allocating_reference(
-            sig, FS, VmdParams(K=4, alpha=2000.0),
-            prev.center_freqs[order], prev.spectra[order], max_freq=6.0,
+            sig, FS, VmdParams(K=4, alpha=2000.0), prev.center_freqs[order], prev.spectra[order]
         )
 
     @pytest.mark.parametrize("n", [768, 769])
-    @pytest.mark.parametrize("max_freq", [FS / 2, FS / 2 + 1e-9, 25.0, 1e300])
-    def test_edge_at_or_above_nyquist_keeps_every_bin(self, n, max_freq):
+    @pytest.mark.parametrize("edge", [FS / 2, FS / 2 + 1e-9, 25.0, 1e300])
+    def test_edge_at_or_above_nyquist_keeps_every_bin(self, monkeypatch, n, edge):
         sig = three_tone(n)
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", math.inf)
         full = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0))
-        edge = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0, max_freq=max_freq))
-        assert (edge.n_iters, edge.converged) == (full.n_iters, full.converged)
-        assert np.array_equal(edge.center_freqs, full.center_freqs)
-        assert np.array_equal(edge.modes, full.modes)
-        assert np.array_equal(edge.spectra, full.spectra)
+        assert full.spectra.shape == (4, (len(sig) + 2 * round(0.1 * n) + 1) // 2)
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", edge)
+        at_edge = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0))
+        assert (at_edge.n_iters, at_edge.converged) == (full.n_iters, full.converged)
+        assert np.array_equal(at_edge.center_freqs, full.center_freqs)
+        assert np.array_equal(at_edge.modes, full.modes)
+        assert np.array_equal(at_edge.spectra, full.spectra)
 
-    def test_tone_above_edge_goes_to_the_residual(self):
+    def test_tone_above_edge_goes_to_the_residual(self, monkeypatch):
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", 6.0)
         sig = three_tone(768)
         high = tone(8.0, FS, DURATION, amp=0.3, phase=0.7)
         mixed = sig + high
-        ms = vmd_decompose(mixed, FS, VmdParams(K=3, alpha=2000.0, max_freq=6.0))
+        ms = vmd_decompose(mixed, FS, VmdParams(K=3, alpha=2000.0))
         share = np.dot(high, high) / np.dot(mixed, mixed)
         # The three in-band tones alone leave about 1e-3 of their energy.
         assert energy_loss(ms) == pytest.approx(share, rel=0.03)
         assert np.corrcoef(mixed - ms.modes.sum(axis=0), high)[0, 1] > 0.99
         assert np.all(ms.center_freqs < 6.0)
 
-    def test_spectra_cover_the_band_only(self):
+    def test_spectra_cover_the_band_only(self, monkeypatch):
         # 768 samples extend to T = 922: bins k / 922 * 20 Hz below 6 Hz are
         # k = 0..276.
-        ms = vmd_decompose(three_tone(768), FS, VmdParams(K=4, alpha=2000.0, max_freq=6.0))
+        monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", 6.0)
+        ms = vmd_decompose(three_tone(768), FS, VmdParams(K=4, alpha=2000.0))
         assert ms.spectra.shape == (4, 277)
         with pytest.raises(ValueError, match=r"shape \(K, P\) = \(4, 277\)"):
-            vmd_decompose(three_tone(768), FS, VmdParams(K=4, max_freq=6.0),
+            vmd_decompose(three_tone(768), FS, VmdParams(K=4),
                           FREQS_4, np.ones((4, 461), dtype=complex))
 
 
 class TestStoppingRule:
     """The stopping test from the powers and one BLAS dot, against its references."""
 
-    def test_threshold_on_the_exact_sum(self):
+    def test_threshold_on_the_exact_sum(self, monkeypatch):
         # Each tolerance puts a sweep's threshold on the core's stopping
         # quantity, which allocating_reference takes the same way.
         sig = three_tone(768)
@@ -487,14 +496,16 @@ class TestStoppingRule:
         tolerances = tie_tolerances(sig, params, 40)
         assert len(tolerances) >= 20
         for tol in tolerances:
-            assert_matches_allocating_reference(sig, FS, replace(params, tolerance=tol))
+            monkeypatch.setattr(vmd, "TOLERANCE", tol)
+            assert_matches_allocating_reference(sig, FS, params)
 
-    def test_benchmark_window_on_its_alpha_path(self):
+    def test_benchmark_window_on_its_alpha_path(self, monkeypatch):
         # Each step starts where select_alpha starts it: the first cold, the
         # rest from the step before, as warm_start gives it.
         sig, fs, params, gates = relaxed_recovery_window()
         assert (params.K, fs, len(sig)) == (6, 100.0, 1600)
-        path = select_alpha(sig, fs, params, gates, merge_hz=0.0).path
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        path = select_alpha(sig, fs, params, gates).path
         assert len(path) == 7
         ms = prev_alpha = None
         for alpha, _, _ in path:
@@ -503,14 +514,15 @@ class TestStoppingRule:
             )
             prev_alpha = alpha
 
-    def test_stopping_quantity_near_the_exact_sum_on_the_benchmark_alpha_path(self):
+    def test_stopping_quantity_near_the_exact_sum_on_the_benchmark_alpha_path(self, monkeypatch):
         # The powers-and-dot form cancels near convergence. On every sweep
         # of the 7 steps (1,301 sweeps) it stays within 64 eps of the power
         # of the exact sum of |u_hat - u_prev|^2: below 1.5e-7 of the
         # threshold at the default tolerance. Measured: at most 7.8 eps, 1.7
         # eps in the median.
         sig, fs, params, gates = relaxed_recovery_window()
-        path = select_alpha(sig, fs, params, gates, merge_hz=0.0).path
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        path = select_alpha(sig, fs, params, gates).path
         assert len(path) == 7
         eps = np.finfo(float).eps
         ms = prev_alpha = None
@@ -523,18 +535,20 @@ class TestStoppingRule:
                 assert abs(change - exact) <= 64.0 * eps * norm
             ms = vmd_decompose(sig, fs, step, *init)
             prev_alpha = alpha
-        assert 64.0 * eps < 1.5e-7 * params.tolerance
+        assert 64.0 * eps < 1.5e-7 * vmd.TOLERANCE
 
     @pytest.mark.parametrize("n, alpha, tolerance, max_iters", IN_PLACE_CASES, ids=IN_PLACE_IDS)
-    def test_exact_sum_on_every_sweep(self, n, alpha, tolerance, max_iters):
+    def test_exact_sum_on_every_sweep(self, monkeypatch, n, alpha, tolerance, max_iters):
         # The literal sweep stops on the exact sum of np.abs(delta) ** 2,
         # taken on every sweep; the core's dot stops at the same sweep.
-        params = VmdParams(K=4, alpha=alpha, tolerance=tolerance, max_iters=max_iters)
-        assert_agrees_with_literal_sweep(three_tone(n), FS, params)
+        monkeypatch.setattr(vmd, "TOLERANCE", tolerance)
+        monkeypatch.setattr(vmd, "MAX_ITERS", max_iters)
+        assert_agrees_with_literal_sweep(three_tone(n), FS, VmdParams(K=4, alpha=alpha))
 
-    def test_literal_sweep_on_the_benchmark_alpha_path(self):
+    def test_literal_sweep_on_the_benchmark_alpha_path(self, monkeypatch):
         sig, fs, params, gates = relaxed_recovery_window()
-        path = select_alpha(sig, fs, params, gates, merge_hz=0.0).path
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        path = select_alpha(sig, fs, params, gates).path
         assert len(path) == 7
         ms = prev_alpha = None
         for alpha, _, _ in path:
@@ -549,7 +563,7 @@ class TestStoppingRule:
         # Every sweep's threshold is at most tolerance times the spectral
         # power, below 1e-250: the squares of the change's small parts
         # underflow.
-        assert params.tolerance * np.sum(np.abs(np.fft.fft(sig)) ** 2) < 1e-250
+        assert vmd.TOLERANCE * np.sum(np.abs(np.fft.fft(sig)) ** 2) < 1e-250
         assert_matches_allocating_reference(sig, FS, params)
 
 
@@ -606,10 +620,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="finite"):
             vmd_decompose(bad, FS, VmdParams())
 
-    def test_termination_recorded(self):
+    def test_termination_recorded(self, monkeypatch):
         ms = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0))
         assert ms.converged and 1 <= ms.n_iters <= 500
-        ms2 = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0, max_iters=3))
+        monkeypatch.setattr(vmd, "MAX_ITERS", 3)
+        ms2 = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0))
         assert not ms2.converged and ms2.n_iters == 3
 
     def test_mode_narrowbandedness(self):
@@ -830,7 +845,7 @@ def recovery_window(start_s):
 
 def relaxed_recovery_window():
     """The first analysis window of recovery seed 120. Its heartbeat splits,
-    so the paper's search (``merge_hz=0``) runs all 7 steps and relaxes its
+    so the paper's search (``MERGE_HZ = 0``) runs all 7 steps and relaxes its
     gates; merged, the first step passes."""
     return recovery_window(0.0)
 
@@ -910,12 +925,13 @@ class TestSelectAlpha:
 
     # A merge width of 0 is the published search.
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-    def test_matches_raising_reference_bit_for_bit(self, case):
-        assert assert_matches_raising_reference(case, merge_hz=0.0).modes.merged_from is None
+    def test_matches_raising_reference_bit_for_bit(self, monkeypatch, case):
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        assert assert_matches_raising_reference(case).modes.merged_from is None
 
-    def test_no_init_freqs_is_the_cold_search_bit_for_bit(self):
-        search = assert_matches_raising_reference("relaxed_recovery_window", merge_hz=0.0,
-                                                  init_freqs=None)
+    def test_no_init_freqs_is_the_cold_search_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        search = assert_matches_raising_reference("relaxed_recovery_window", init_freqs=None)
         assert len(search.path) == 7
 
     def test_first_step_starts_at_init_freqs(self, monkeypatch):
@@ -941,7 +957,8 @@ class TestSelectAlpha:
         assert np.array_equal(search.unmerged_freqs, first.center_freqs)
         # Unmerged, all 7 steps run, each after the first from the step before.
         calls.clear()
-        search = select_alpha(sig, fs, params, gates, merge_hz=0.0, init_freqs=start)
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        search = select_alpha(sig, fs, params, gates, init_freqs=start)
         assert len(calls) == len(search.path) == 7
         assert np.array_equal(calls[0][1], start) and calls[0][2] is None
         for (prev_alpha, _, _, prev), (alpha, init_freqs, init_spectra, _) in zip(calls, calls[1:]):
@@ -960,7 +977,8 @@ class TestSelectAlpha:
             return decomps[-1]
 
         monkeypatch.setattr(vmd, "vmd_decompose", recording)
-        search = select_alpha(sig, fs, params, gates, merge_hz=0.0)
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        search = select_alpha(sig, fs, params, gates)
         assert not search.feasible
         chosen = [alpha for alpha, _, _ in search.path].index(search.alpha)
         assert np.array_equal(search.unmerged_freqs, decomps[chosen].center_freqs)
@@ -984,21 +1002,14 @@ class TestSelectAlpha:
         assert chosen_step(search) == (alpha, mode_correlation_max(modes), energy_loss(modes))
         assert [a for a, _, _ in search.path] == ref_alphas
 
-    def test_merge_makes_the_relaxed_window_feasible(self):
+    def test_merge_makes_the_relaxed_window_feasible(self, monkeypatch):
         signal, fs, params, gates = relaxed_recovery_window()
-        assert not select_alpha(signal, fs, params, gates, merge_hz=0.0).feasible
+        with monkeypatch.context() as mp:
+            mp.setattr(vmd, "MERGE_HZ", 0.0)
+            assert not select_alpha(signal, fs, params, gates).feasible
         search = select_alpha(signal, fs, params, gates)
         assert search.feasible
         assert search.modes.n_modes < params.K
-
-    @pytest.mark.parametrize("merge_hz", [-0.1, math.nan])
-    def test_bad_merge_width_raises_before_decomposing(self, monkeypatch, merge_hz):
-        def no_decomposition(*args):
-            raise AssertionError("decomposed before checking the merge width")
-
-        monkeypatch.setattr(vmd, "vmd_decompose", no_decomposition)
-        with pytest.raises(ValueError, match="merge_hz must be >= 0"):
-            select_alpha(two_tone(), FS, VmdParams(K=2), merge_hz=merge_hz)
 
     def test_warm_search_takes_fewer_sweeps_than_cold_steps(self, monkeypatch):
         sig, fs, params, gates = relaxed_recovery_window()
@@ -1011,7 +1022,8 @@ class TestSelectAlpha:
             return ms
 
         monkeypatch.setattr(vmd, "vmd_decompose", counting)
-        path = select_alpha(sig, fs, params, gates, merge_hz=0.0).path
+        monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
+        path = select_alpha(sig, fs, params, gates).path
         monkeypatch.undo()
         cold_iters = [vmd_decompose(sig, fs, replace(params, alpha=a)).n_iters for a, _, _ in path]
         assert len(warm_iters) == len(path) == 7

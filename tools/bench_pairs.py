@@ -23,9 +23,10 @@ goes first alternates from pass to pass. Their per-layer work and cost figures
 and relaxed-gate shares; the band-pass filter's seconds per operation; the
 radar simulator's seconds per operation and µs per frame, and the tracker's
 µs per frame) go under ``traced`` in the report, each pass under
-``traced[side]["passes"]`` and each figure's median over the passes under
-``traced[side]["metrics"]``, apart from the untraced runs, whose times alone
-decide the gains. A workload that never reaches a layer records 0 for its
+``traced[side]["passes"]``, each figure's median over the passes under
+``traced[side]["metrics"]`` and its minimum, the fastest pass's reading for a
+cost, under ``traced[side]["min"]``, apart from the untraced runs, whose
+times alone decide the gains. A workload that never reaches a layer records 0 for its
 figures.
 
 A run whose operations failed their output check, traced or not, is listed
@@ -89,9 +90,9 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "min": min(values)}
 
 
-def traced_median(values: list):
-    """The median of one figure over the traced passes; None if a pass lacks it."""
-    return None if None in values else statistics.median(values)
+def over_passes(statistic, values: list):
+    """``statistic`` of one figure over the traced passes; None if a pass lacks it."""
+    return None if None in values else statistic(values)
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
@@ -178,12 +179,18 @@ def main(argv=None) -> int:
                                                  for k in TRACED_METRICS}})
                 print(f"traced {side} pass {i}: {passes[side][-1]['metrics']} "
                       f"correct {run['correct']}", flush=True)
-        traced = {side: {"seed": args.seed_start, "seconds": TRACED_SECONDS,
-                         "correct": all(p["correct"] for p in side_passes),
-                         "metrics": {k: traced_median([p["metrics"][k] for p in side_passes])
-                                     for k in TRACED_METRICS},
-                         "passes": side_passes}
-                  for side, side_passes in passes.items() if side_passes}
+        traced = {}
+        for side, side_passes in passes.items():
+            if not side_passes:
+                continue
+            figures = {k: [p["metrics"][k] for p in side_passes] for k in TRACED_METRICS}
+            traced[side] = {
+                "seed": args.seed_start, "seconds": TRACED_SECONDS,
+                "correct": all(p["correct"] for p in side_passes),
+                "metrics": {k: over_passes(statistics.median, v) for k, v in figures.items()},
+                "min": {k: over_passes(min, v) for k, v in figures.items()},
+                "passes": side_passes,
+            }
 
     summary = summarize(runs, declared)
     incorrect = [{k: r[k] for k in ("pair", "seed", "side")} for r in runs if not r["correct"]]
