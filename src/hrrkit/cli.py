@@ -5,12 +5,16 @@ estimate (trace or cube to HR series + recovery report, optionally the
 per-window decomposition table), eval (scenario sweep).
 
 Exit codes: 0 ok, 1 usage, 2 input error, 3 pipeline failure, 4 degraded
-quality. Only InputError and an input file that cannot be read (missing,
-or a directory, say) are input errors; any other ValueError is a pipeline
-failure. A negative --seed or --seed-base, --reps below the suite's
-minimum, a --config file that cannot be read and an output that cannot be
-written (-o in a missing directory, or naming a directory) are usage
-errors.
+quality (too many carried points, no estimate at all, or a first estimate
+after the report time). Only InputError and an input file that cannot be
+read (missing, or a directory, say) are input errors; any other ValueError
+is a pipeline failure. A negative --seed or --seed-base, --reps below the
+suite's minimum, a --config file that cannot be read and an output that
+cannot be written (-o in a missing directory, or naming a directory) are
+usage errors. estimate checks that its -o, or the nearest existing
+ancestor of it, is a directory before it reads the input, so a bad -o
+costs no run. The five config keys resolve to one PipelineConfig, which
+the stages read as it is.
 """
 from __future__ import annotations
 
@@ -258,10 +262,21 @@ def _load_input_trace(args):
     return phase_to_displacement(seq, args.wavelength)
 
 
+def _check_output_dir(out: Path) -> None:
+    """Raise OutputError unless ``out``, or its nearest existing ancestor, is a directory."""
+    with _writing_output(out):
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise OutputError(f"{out}: {existing} is not a directory")
+
+
 def _cmd_estimate(args) -> int:
     cfg = _resolve_config(args)
-    series, report = estimate_trace(_load_input_trace(args), cfg)
     out = Path(args.output_dir)
+    # Checked before the run, which it would waste, and without creating
+    # anything, so an input error leaves no output directory.
+    _check_output_dir(out)
+    series, report = estimate_trace(_load_input_trace(args), cfg)
     with _writing_output(out):
         out.mkdir(parents=True, exist_ok=True)
         write_hr_series(series, out / "hr.csv")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import DegradedQualityError, InputError
 from .mode_select import LABEL_HEARTBEAT, ModeLabel
 from .signal_model import ChestMotionTrace
 from .vmd import AlphaSearch
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 PEAK_AMPLITUDE_FLOOR = 0.5
 PEAK_MIN_INTERVAL_S = 0.27   # 220 bpm ceiling
@@ -73,33 +76,6 @@ class PeakTrain:
 
     def shifted(self, offset: float) -> "PeakTrain":
         return PeakTrain(self.peak_times + offset)
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Composite-window geometry. Stride and outer length derive from l_b_max."""
-
-    l_min: float = 5.0                      # first-pass counting-window floor, s
-    l_b_max: float = 8.0
-
-    def __post_init__(self):
-        if not L_MIN_BOUNDS[1] <= self.l_b_max:
-            raise ValueError(
-                f"l_b_max must be >= {L_MIN_BOUNDS[1]} s, the adapted l_min's upper "
-                f"bound, got {self.l_b_max}"
-            )
-        if not 0 < self.l_min <= self.l_b_max:
-            raise ValueError(f"l_min must be in (0, l_b_max], got {self.l_min}")
-
-    @property
-    def stride(self) -> float:
-        """Outer-window advance per step (the paper's delta-l = max l_b)."""
-        return self.l_b_max
-
-    @property
-    def l_a(self) -> float:
-        """Outer (decomposition) window length, twice the maximum l_b."""
-        return 2.0 * self.l_b_max
 
 
 def condition_heartbeat(mode: np.ndarray, fs: float) -> Optional[np.ndarray]:
@@ -262,25 +238,22 @@ class HrEstimate:
     window_end: float     # time of the last peak in W_b
 
 
-def count_hr(
-    train: PeakTrain, cfg: WindowConfig, t: float, l_min: Optional[float] = None
-) -> Optional[HrEstimate]:
+def count_hr(train: PeakTrain, t: float, l_min: float) -> Optional[HrEstimate]:
     """HR at time t from the peak-delimited window ending at the last peak <= t.
 
     The window start is the latest earlier peak keeping the span at or above
     l_min; with both endpoints on peaks, N peaks span N-1 beats, so
     HR = (N - 1) / l_b * 60. Returns None when no such window exists.
     """
-    floor = cfg.l_min if l_min is None else l_min
     times = train.peak_times
     end = int(np.searchsorted(times, t, side="right")) - 1
     if end < 1:
         return None
-    target = times[end] - floor
+    target = times[end] - l_min
     start = int(np.searchsorted(times[: end + 1], target, side="right")) - 1
-    # times[end] - floor can round onto a peak time whose span to the end
-    # is still below the floor; step back past it.
-    while start >= 0 and times[end] - times[start] < floor:
+    # times[end] - l_min can round onto a peak time whose span to the end
+    # is still below l_min; step back past it.
+    while start >= 0 and times[end] - times[start] < l_min:
         start -= 1
     if start < 0:
         return None
@@ -382,17 +355,20 @@ class HrSeries:
 
 def run_composite_windows(
     trace: ChestMotionTrace,
-    cfg: WindowConfig,
+    cfg: PipelineConfig,
     stage: StageFn,
 ) -> HrSeries:
     """Sweep W_b at the output cadence, advancing W_a per the containment rule.
 
     Runs the stage once per W_a placement (cached), in placement order, and
-    hands it the previous placement's result. Makes the default-l_min pass,
+    hands it the previous placement's result. W_a is ``cfg.l_a`` long and
+    advances by ``cfg.stride``. Makes a pass with l_min = ``cfg.l_min``,
     then repeats with l_min adapted per point from the first pass.
     Windows with no usable heartbeat carry the last valid estimate forward,
-    flagged; more than ``CARRY_LIMIT`` of carried points raises
-    DegradedQualityError.
+    flagged. DegradedQualityError is raised when no window gives an
+    estimate, when the series starts too late to have a point at
+    REPORT_TIME_S (naming the first estimate's time), and when more than
+    ``CARRY_LIMIT`` of the points are carried.
 
     Before any window runs, a trace shorter than ``cfg.l_a``, or one whose
     output grid ends short of REPORT_TIME_S less half a cadence, raises
@@ -425,7 +401,7 @@ def run_composite_windows(
             # has always run.
             cache[k] = stage(x[i0:i1], fs, t0, cache.get(k - 1))
         peaks = cache[k].peaks
-        return None if peaks is None else count_hr(peaks, cfg, t, l_min=l_min)
+        return None if peaks is None else count_hr(peaks, t, l_min)
 
     # One l_min per grid time in, one entry per grid time out: None before
     # the pass's first estimate, a point at every grid time after it.
@@ -469,6 +445,11 @@ def run_composite_windows(
     # Grid index i identifies the first-pass point: first[max(i, start)].
     second = sweep([adapt_lmin(first[max(i, start)].hr_bpm) for i in range(len(grid))])
     points = [p for p in second if p is not None]
+    if points and points[0].time > REPORT_TIME_S + CADENCE / 2:
+        raise DegradedQualityError(
+            f"the first HR estimate is at {points[0].time:g} s, after the "
+            f"report time {REPORT_TIME_S:g} s"
+        )
     for p, q in zip(second[start:], first[start:]):
         if p is not None:
             p.hr_first_pass = q.hr_bpm

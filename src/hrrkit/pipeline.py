@@ -50,9 +50,6 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
     the two segments differ. Without a previous window, or after one that
     ran no search, it starts cold.
     """
-    params = cfg.vmd_params()
-    gates = cfg.gates()
-
     def stage(segment: np.ndarray, fs: float, t0: float,
               prev: Optional[WindowResult] = None) -> WindowResult:
         if not np.any(segment):
@@ -60,8 +57,7 @@ def make_window_stage(cfg: PipelineConfig) -> StageFn:
         search = select_alpha(
             segment,
             fs,
-            params,
-            gates=gates,
+            cfg,
             init_freqs=prev.search.unmerged_freqs if prev and prev.search else None,
         )
         labels, hb_index = classify_modes(search.modes)
@@ -113,7 +109,7 @@ def estimate_trace(
             f"trace peak |displacement| {peak:g} mm lies outside [{lo:g}, {hi:g}] mm"
         )
     prepared = preprocess_trace(trace)
-    series = run_composite_windows(prepared, cfg.window_config(), make_window_stage(cfg))
+    series = run_composite_windows(prepared, cfg, make_window_stage(cfg))
     truth = None
     gt = trace.ground_truth
     if gt is not None and gt.heartbeat is not None:

@@ -64,8 +64,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 MIN_SIGNAL_LENGTH = 64
 
@@ -110,36 +114,6 @@ _MIRROR_FRAC = 0.1
 _NEGLIGIBLE_VAR_FRACTION = 1e-10
 
 
-@dataclass(frozen=True)
-class VmdParams:
-    """Decomposition knobs. ``alpha`` is in the vmdpy normalized convention."""
-
-    K: int = 6
-    alpha: float = 2000.0
-
-    def __post_init__(self):
-        if not 2 <= self.K <= 7:
-            raise ValueError(f"K must be in [2, 7], got {self.K}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class GateThresholds:
-    """Acceptance ceilings for the two decomposition diagnostics."""
-
-    mu1: float = 0.2    # max pairwise |Pearson r| between modes
-    mu2: float = 1e-4   # max residual-to-input energy ratio
-
-    def __post_init__(self):
-        if not 0.0 < self.mu1 < 1.0:
-            raise ValueError(f"mu1 must be in (0, 1), got {self.mu1}")
-        # mu2 == 0 is permitted so an unsatisfiable energy gate can be
-        # expressed; the search then always ends infeasible.
-        if not 0.0 <= self.mu2 < 1.0:
-            raise ValueError(f"mu2 must be in [0, 1), got {self.mu2}")
-
-
 @dataclass
 class ModeSet:
     """Result of one decomposition, modes ordered by descending energy."""
@@ -172,11 +146,14 @@ class ModeSet:
 def vmd_decompose(
     signal: np.ndarray,
     sample_rate: float,
-    params: VmdParams,
+    K: int,
+    alpha: float,
     init_freqs: np.ndarray | None = None,
     init_spectra: np.ndarray | None = None,
 ) -> ModeSet:
-    """Decompose ``signal`` into ``params.K`` narrowband modes.
+    """Decompose ``signal`` into ``K`` narrowband modes at penalty ``alpha``.
+
+    ``alpha`` is in the vmdpy normalized convention.
 
     Center frequencies start at ``init_freqs``, K values in Hz in
     [0, sample_rate/2), or, when it is None, uniformly over
@@ -209,7 +186,6 @@ def vmd_decompose(
     if not np.all(np.isfinite(f)):
         raise ValueError("signal contains non-finite values")
 
-    K = params.K
     if init_spectra is not None and init_freqs is None:
         raise ValueError("init_spectra needs init_freqs")
     if init_freqs is None:
@@ -251,7 +227,7 @@ def vmd_decompose(
     # alpha is a 0-d array, so no call converts it.
     dot, square, add, subtract = np.dot, np.square, np.add, np.subtract
     multiply, reciprocal, divide, greater = np.multiply, np.reciprocal, np.divide, np.greater
-    alpha, tolerance = np.array(params.alpha), TOLERANCE
+    alpha, tolerance = np.array(alpha), TOLERANCE
     # The sweep's (K, P) buffers are allocated once. Sweep ``it`` writes
     # bufs[it % 2] and reads the one the sweep before wrote, so the two trade
     # places instead of copying; bufs[0] holds the start.
@@ -434,8 +410,7 @@ class AlphaSearch:
 def select_alpha(
     signal: np.ndarray,
     sample_rate: float,
-    params: VmdParams,
-    gates: GateThresholds = GateThresholds(),
+    cfg: PipelineConfig,
     init_freqs: np.ndarray | None = None,
 ) -> AlphaSearch:
     """Find a penalty factor whose decomposition passes both gates.
@@ -447,8 +422,9 @@ def select_alpha(
     high end where shrinking alpha restores both diagnostics. Stops as soon
     as a feasible decomposition is found. Once the bracket ratio falls
     below ``ALPHA_RATIO_TOL`` it returns the least-violating attempt (the
-    earliest on ties) with ``feasible=False``. Every decomposition uses
-    ``params`` with its alpha replaced by the bisection midpoint. The first
+    earliest on ties) with ``feasible=False``. Every decomposition has
+    ``cfg.k_modes`` modes and the bisection midpoint as its alpha, and the
+    gates are ``cfg.mu1`` and ``cfg.mu2``. The first
     starts its center frequencies at ``init_freqs``, K values in Hz taken
     in ascending order (None: the uniform cold start), and its mode spectra
     at zero. Each later one starts from the previous step's center
@@ -462,6 +438,7 @@ def select_alpha(
     the one returned. The next step still starts from the unmerged
     decomposition. ``MERGE_HZ = 0`` merges nothing: the published search.
     """
+    K, mu1, mu2 = cfg.k_modes, cfg.mu1, cfg.mu2
     lo, hi = ALPHA_LO, ALPHA_HI
     if init_freqs is not None:
         init_freqs = np.sort(init_freqs)
@@ -477,22 +454,22 @@ def select_alpha(
             prev_alpha = path[-1][0]
             if max(mid / prev_alpha, prev_alpha / mid) <= _SPECTRA_WARM_RATIO:
                 init_spectra = ms.spectra[order]
-        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
+        ms = vmd_decompose(signal, sample_rate, K, mid,
                            init_freqs=init_freqs, init_spectra=init_spectra)
         gated = merge_close_modes(ms, MERGE_HZ)
         r = mode_correlation_max(gated)
         p = energy_loss(gated)
         path.append((mid, r, p))
-        feasible = r <= gates.mu1 and p <= gates.mu2
+        feasible = r <= mu1 and p <= mu2
         search = AlphaSearch(mid, gated, feasible, path, ms.center_freqs)
         if feasible:
             return search
-        violation = max(r / gates.mu1 - 1.0, 0.0) + (
-            max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
+        violation = max(r / mu1 - 1.0, 0.0) + (
+            max(p / mu2 - 1.0, 0.0) if mu2 > 0 else math.inf
         )
         if best is None or violation < best_violation:
             best, best_violation = search, violation
-        if p > gates.mu2:
+        if p > mu2:
             hi = mid
         else:
             lo = mid

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hrrkit.evaluate import Scenario, ScoreTable, Subject, run_scenario
-from hrrkit.hr_estimate import FLAG_CARRY, PeakTrain, WindowConfig, count_hr, detect_peaks
+from hrrkit.config import PipelineConfig
+from hrrkit.hr_estimate import FLAG_CARRY, PeakTrain, count_hr, detect_peaks
 from hrrkit.pipeline import estimate_trace
 from hrrkit.preprocess import PASS_HIGH_HZ, PASS_LOW_HZ, bandpass
 from hrrkit.radar import RadarConfig, Target, TargetScene, phase_to_displacement, simulate_frames, track_target
@@ -22,14 +23,7 @@ from hrrkit.signal_model import (
     noise_std_for_snr,
     synthesize_trace,
 )
-from hrrkit.vmd import (
-    GateThresholds,
-    VmdParams,
-    energy_loss,
-    mode_correlation_max,
-    select_alpha,
-    vmd_decompose,
-)
+from hrrkit.vmd import energy_loss, mode_correlation_max, select_alpha, vmd_decompose
 
 from conftest import tone
 
@@ -124,7 +118,7 @@ def test_criterion_03_vmd_oracle_equivalence():
             comps = [tone(f, fs, duration, amp=a, phase=p)
                      for f, a, p in zip(freqs, amps, phases)]
             signal = np.sum(comps, axis=0)
-            ms = select_alpha(signal, fs, VmdParams(K=len(freqs))).modes
+            ms = select_alpha(signal, fs, PipelineConfig(k_modes=len(freqs))).modes
             for f, comp in zip(freqs, comps):
                 k = int(np.argmin(np.abs(ms.center_freqs - f)))
                 assert abs(ms.center_freqs[k] - f) <= 0.05
@@ -150,8 +144,8 @@ def test_criterion_04_gate_soundness_randomized():
     with criterion(4, "100 randomized select_alpha runs all pass r<=0.2, p<=1e-4"):
         fs = 20.0
         t = np.arange(round(38.4 * fs)) / fs
-        gates = GateThresholds()
-        assert gates.mu1 == 0.2 and gates.mu2 == 1e-4
+        cfg = PipelineConfig()
+        assert cfg.mu1 == 0.2 and cfg.mu2 == 1e-4
         for i in range(100):
             rng = np.random.default_rng(1000 + i)
             n_tones = int(rng.integers(2, 4))
@@ -165,14 +159,14 @@ def test_criterion_04_gate_soundness_randomized():
                 [a * np.cos(2 * np.pi * f * t + p) for f, a, p in zip(freqs, amps, phases)],
                 axis=0,
             )
-            search = select_alpha(signal, fs, VmdParams(K=n_tones), gates)
+            search = select_alpha(signal, fs, PipelineConfig(k_modes=n_tones))
             assert search.feasible
             ms = search.modes
-            assert mode_correlation_max(ms) <= gates.mu1
-            assert energy_loss(ms) <= gates.mu2
+            assert mode_correlation_max(ms) <= cfg.mu1
+            assert energy_loss(ms) <= cfg.mu2
         assert not select_alpha(
             np.sum([tone(0.4, fs, 38.4), tone(1.6, fs, 38.4)], axis=0),
-            fs, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0),
+            fs, PipelineConfig(k_modes=2, mu2=0.0),
         ).feasible
 
 
@@ -183,7 +177,7 @@ def test_criterion_05_monotone_alpha_diagnostics():
         alphas = np.geomspace(10.0, 8000.0, 41)
         r_vals, p_vals = [], []
         for a in alphas:
-            ms = vmd_decompose(signal, fs, VmdParams(K=2, alpha=float(a)))
+            ms = vmd_decompose(signal, fs, 2, float(a))
             r_vals.append(mode_correlation_max(ms))
             p_vals.append(energy_loss(ms))
         n_pairs = len(alphas) - 1
@@ -227,13 +221,12 @@ def test_criterion_06_radar_round_trip_and_stitching_invariance():
 
 def test_criterion_07_peak_counting_exactness():
     with criterion(7, "uniform trains 60-220 bpm exact; detector honors 0.5 floor, 0.27 s gap"):
-        cfg = WindowConfig()
         for rate in np.arange(60.0, 220.1, 7.3):
             spacing = 60.0 / rate
             train = PeakTrain(np.arange(120) * spacing)
             for l_min in (3.0, 4.5, 6.0, 7.0):
                 for t in (30.0, 41.234, 55.0):
-                    est = count_hr(train, cfg, t, l_min=l_min)
+                    est = count_hr(train, t, l_min)
                     assert est.hr_bpm == pytest.approx(rate, rel=1e-12)
 
         x = np.zeros(800)
@@ -276,7 +269,7 @@ def test_criterion_08_filter_spec():
 def test_criterion_09_composite_window_structure(recovery_run):
     with criterion(9, "W_b inside W_a at every instant; W_a advances per the stride rule"):
         _, series, _, _ = recovery_run
-        cfg = WindowConfig()
+        cfg = PipelineConfig()
         assert cfg.stride == cfg.l_b_max
         assert cfg.l_a == 2.0 * cfg.l_b_max
         k_max = math.floor((66.0 - cfg.l_a) / cfg.stride)

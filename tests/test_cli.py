@@ -8,10 +8,8 @@ from hrrkit.cli import main
 from hrrkit.evaluate import DURATION, RECOVERY_HEART, RECOVERY_RESP, SAMPLE_RATE
 from hrrkit.config import PipelineConfig, parse_config
 from hrrkit.errors import ConfigError
-from hrrkit.hr_estimate import WindowConfig
 from hrrkit.io import read_trace, write_trace
 from hrrkit.signal_model import ExponentialRecovery, synthesize_trace
-from hrrkit.vmd import GateThresholds, VmdParams
 
 # Stage values that were config keys until they were pinned in the module
 # that reads them: each key's module, constant and value.
@@ -39,7 +37,7 @@ class TestParseConfig:
 
     def test_override_propagates(self):
         cfg = parse_config(overrides={"mu1": "0.5"})
-        assert cfg.gates().mu1 == 0.5
+        assert cfg.mu1 == 0.5
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="mu2"):
@@ -63,16 +61,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="l_b_max must be >= 7.0 s"):
             parse_config(overrides={"l_b_max": "6"})
 
-    def test_defaults_come_from_stage_classes(self):
+    def test_fields_and_defaults(self):
         cfg = PipelineConfig()
-        assert [f.name for f in fields(cfg)] == ["k_modes", "mu1", "mu2", "l_min", "l_b_max"]
-        # The stage objects hold the five keys and alpha, nothing else.
-        assert [f.name for f in fields(VmdParams)] == ["K", "alpha"]
-        assert [f.name for f in fields(GateThresholds)] == ["mu1", "mu2"]
-        assert [f.name for f in fields(WindowConfig)] == ["l_min", "l_b_max"]
-        assert cfg.vmd_params() == VmdParams()
-        assert cfg.gates() == GateThresholds()
-        assert cfg.window_config() == WindowConfig()
+        assert {f.name: getattr(cfg, f.name) for f in fields(cfg)} == {
+            "k_modes": 6, "mu1": 0.2, "mu2": 1e-4, "l_min": 5.0, "l_b_max": 8.0,
+        }
+        assert (cfg.stride, cfg.l_a) == (8.0, 16.0)
 
     def test_pinned_keys_are_module_constants(self):
         for key, (module, name, value) in PINNED_KEYS.items():
@@ -96,7 +90,14 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "overrides, match",
         [({"k_modes": 9}, "K must be in"),
-         ({"l_min": 9.0}, "l_min must be in")],
+         ({"l_min": 9.0}, "l_min must be in"),
+         # Both ends of the K, mu1 and mu2 ranges.
+         ({"k_modes": 1}, "K must be in"),
+         ({"k_modes": 8}, "K must be in"),
+         ({"mu1": 0.0}, "mu1 must be in"),
+         ({"mu1": 1.0}, "mu1 must be in"),
+         ({"mu2": -1e-9}, "mu2 must be in"),
+         ({"mu2": 1.0}, "mu2 must be in")],
     )
     def test_config_built_in_code_is_checked(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
@@ -237,6 +238,39 @@ class TestCliFlows:
         rc = main(["estimate", str(synth_dir / "trace.csv"), "-o", str(blocker / "out")])
         assert rc == 1
         assert f"hrrkit: cannot write output: {blocker / 'out'}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below-a-file", "a-file"])
+    def test_output_under_a_file_fails_before_the_estimate(
+        self, synth_dir, tmp_path, monkeypatch, capsys, below
+    ):
+        def never(trace, cfg):
+            raise AssertionError("estimated before checking the output path")
+
+        monkeypatch.setattr(cli, "estimate_trace", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        rc = main(["estimate", str(synth_dir / "trace.csv"), "-o", str(out)])
+        assert rc == 1
+        assert f"hrrkit: cannot write output: {out}: {blocker} is not a directory" in (
+            capsys.readouterr().err)
+        assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_series_starting_after_report_time_is_degraded(self, tmp_path, capsys):
+        # With its first 64 s zeroed, a 100 s trace's first estimate comes
+        # after 60 s, where the report reads its HR.
+        assert main(["synth", "-o", str(tmp_path / "t100.csv"), "--duration", "100"]) == 0
+        trace = read_trace(tmp_path / "t100.csv")
+        samples = trace.samples.copy()
+        samples[: round(64 * trace.sample_rate)] = 0.0
+        write_trace(replace(trace, samples=samples), tmp_path / "late.csv")
+        out = tmp_path / "out"
+        rc = main(["estimate", str(tmp_path / "late.csv"), "-o", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "hrrkit: degraded quality: the first HR estimate is at" in err
+        assert "after the report time 60 s" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_is_usage_error(self, synth_dir, tmp_path, capsys, kind):

@@ -10,7 +10,8 @@ from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
 from hrrkit import hr_estimate
-from hrrkit.errors import InputError
+from hrrkit.config import PipelineConfig
+from hrrkit.errors import ConfigError, DegradedQualityError, InputError
 from hrrkit.hr_estimate import (
     _find_peaks,
     _natural_spline,
@@ -19,7 +20,6 @@ from hrrkit.hr_estimate import (
     HrPoint,
     HrSeries,
     PeakTrain,
-    WindowConfig,
     WindowResult,
     adapt_lmin,
     build_report,
@@ -187,8 +187,7 @@ class TestCountHr:
     def test_uniform_train_exact(self):
         times = np.arange(40) * 0.5  # 120 bpm
         train = PeakTrain(times)
-        cfg = WindowConfig()
-        est = count_hr(train, cfg, 19.7, l_min=3.0)
+        est = count_hr(train, 19.7, 3.0)
         assert est.hr_bpm == pytest.approx(120.0, abs=1e-9)
 
     @settings(max_examples=80, deadline=None)
@@ -204,23 +203,23 @@ class TestCountHr:
         t = times[-1] * t_frac
         if t < l_min + 2 * spacing:
             return
-        est = count_hr(PeakTrain(times), WindowConfig(), t, l_min=l_min)
+        est = count_hr(PeakTrain(times), t, l_min)
         assert est.hr_bpm == pytest.approx(60.0 / spacing, rel=1e-12)
         assert est.l_b >= l_min
 
     def test_chirped_train_matches_window_mean_oracle(self):
         heart = HeartbeatModel(LinearRamp(160.0, 140.0, 10.0), 1.0)
         train = PeakTrain(heart.beat_times(10.0))
-        est = count_hr(train, WindowConfig(), 10.0, l_min=4.0)
+        est = count_hr(train, 10.0, 4.0)
         oracle = quad(lambda x: 160.0 - 2.0 * x, est.window_start, est.window_end)[0] / est.l_b
         assert est.hr_bpm == pytest.approx(oracle, abs=1.0)
 
     def test_lmin_larger_than_span(self):
         train = PeakTrain(np.array([0.0, 0.5, 1.0, 1.5]))
-        assert count_hr(train, WindowConfig(), 1.5, l_min=5.0) is None
+        assert count_hr(train, 1.5, 5.0) is None
 
     def test_fewer_than_two_peaks(self):
-        assert count_hr(PeakTrain(np.array([1.0])), WindowConfig(), 2.0) is None
+        assert count_hr(PeakTrain(np.array([1.0])), 2.0, 5.0) is None
 
 
 class TestAdaptLmin:
@@ -260,27 +259,27 @@ class TestCompositeWindows:
         return ChestMotionTrace(np.zeros(round(duration * FS)), FS)
 
     def test_window_geometry_defaults(self):
-        cfg = WindowConfig(l_b_max=8.0)
+        cfg = PipelineConfig(l_b_max=8.0)
         assert cfg.stride == 8.0
         assert cfg.l_a == 16.0
 
     def test_lmin_bounds_validation(self, monkeypatch):
         monkeypatch.setattr(hr_estimate, "L_MIN_BOUNDS", (3.0, 9.0))
-        with pytest.raises(ValueError, match="l_b_max must be >= 9.0 s"):
-            WindowConfig(l_b_max=8.0)
+        with pytest.raises(ConfigError, match="l_b_max must be >= 9.0 s"):
+            PipelineConfig(l_b_max=8.0)
 
     def test_constant_rate_tracked_exactly(self):
         series = run_composite_windows(
-            self.make_trace(), WindowConfig(), uniform_peak_stage(120.0)
+            self.make_trace(), PipelineConfig(), uniform_peak_stage(120.0)
         )
         assert len(series.points) > 50
         assert np.allclose(series.hr_bpm, 120.0, atol=1e-9)
 
     def test_containment_and_advance_rule(self):
         series = run_composite_windows(
-            self.make_trace(), WindowConfig(), uniform_peak_stage(100.0)
+            self.make_trace(), PipelineConfig(), uniform_peak_stage(100.0)
         )
-        cfg = WindowConfig()
+        cfg = PipelineConfig()
         k_max = math.floor((66.0 - cfg.l_a) / cfg.stride)
         for p in series.points:
             if p.flag == FLAG_CARRY:
@@ -292,7 +291,7 @@ class TestCompositeWindows:
 
     def test_wa_indices_monotone(self):
         series = run_composite_windows(
-            self.make_trace(), WindowConfig(), uniform_peak_stage(90.0)
+            self.make_trace(), PipelineConfig(), uniform_peak_stage(90.0)
         )
         idx = [p.wa_index for p in series.points]
         assert all(a <= b for a, b in zip(idx, idx[1:]))
@@ -301,7 +300,7 @@ class TestCompositeWindows:
     def test_too_short_trace_rejected(self):
         with pytest.raises(ValueError, match="l_a"):
             run_composite_windows(
-                self.make_trace(10.0), WindowConfig(), uniform_peak_stage(100.0)
+                self.make_trace(10.0), PipelineConfig(), uniform_peak_stage(100.0)
             )
 
     @pytest.mark.parametrize("duration", [59.99, 30.0])
@@ -310,14 +309,27 @@ class TestCompositeWindows:
             raise AssertionError("a window ran")
 
         with pytest.raises(InputError, match="recovery report needs HR up to 60 s"):
-            run_composite_windows(self.make_trace(duration), WindowConfig(), refuse)
+            run_composite_windows(self.make_trace(duration), PipelineConfig(), refuse)
 
     def test_trace_reaching_report_time_runs(self):
         series = run_composite_windows(
-            self.make_trace(60.0), WindowConfig(), uniform_peak_stage(100.0)
+            self.make_trace(60.0), PipelineConfig(), uniform_peak_stage(100.0)
         )
         assert series.times[-1] == 60.0
         assert build_report(series).hr_at_60s == pytest.approx(100.0)
+
+    def test_series_starting_after_report_time_is_degraded(self):
+        # No window before 64 s holds a peak. The second pass's l_min of 6 s
+        # puts its first estimate at 71 s, so the report has no HR at 60 s.
+        inner = uniform_peak_stage(100.0)
+
+        def late_stage(segment, fs, t0, prev):
+            return WindowResult(t0, PeakTrain(np.array([]))) if t0 < 64.0 else inner(
+                segment, fs, t0, prev)
+
+        with pytest.raises(DegradedQualityError,
+                           match=r"first HR estimate is at 71 s, after the report time 60 s"):
+            run_composite_windows(self.make_trace(100.0), PipelineConfig(), late_stage)
 
     def test_stage_gets_the_placement_before(self):
         seen = []
@@ -327,7 +339,7 @@ class TestCompositeWindows:
             seen.append((t0, prev))
             return inner(segment, fs, t0, prev)
 
-        series = run_composite_windows(self.make_trace(), WindowConfig(), stage)
+        series = run_composite_windows(self.make_trace(), PipelineConfig(), stage)
         # Once per placement, in order, each after the one before.
         assert [t0 for t0, _ in seen] == [8.0 * k for k in range(len(seen))]
         assert len(seen) == len(series.window_results) > 2
@@ -344,7 +356,7 @@ class TestCompositeWindows:
                 return WindowResult(t0, None, status="no_heartbeat")
             return uniform_peak_stage(110.0)(segment, fs, t0, prev)
 
-        series = run_composite_windows(self.make_trace(), WindowConfig(), flaky_stage)
+        series = run_composite_windows(self.make_trace(), PipelineConfig(), flaky_stage)
         flags = series.flags
         assert FLAG_CARRY in flags
         carried = [p for p in series.points if p.flag == FLAG_CARRY]
@@ -359,7 +371,7 @@ class TestCompositeWindows:
             inside = beats[(beats >= t0) & (beats <= t0 + len(segment) / fs)]
             return WindowResult(t0, PeakTrain(inside))
 
-        series = run_composite_windows(self.make_trace(), WindowConfig(), ramp_stage)
+        series = run_composite_windows(self.make_trace(), PipelineConfig(), ramp_stage)
         truth = LinearRamp(150.0, 120.0, 66.0)(series.times)
         assert np.max(np.abs(series.hr_bpm - truth)) <= 10.0
         deltas = [
@@ -380,7 +392,7 @@ class TestCompositeWindows:
             inside = beats[(beats >= t0) & (beats <= t0 + len(segment) / fs)]
             return WindowResult(t0, PeakTrain(inside))
 
-        cfg = WindowConfig()
+        cfg = PipelineConfig()
         series = run_composite_windows(self.make_trace(), cfg, late_stage)
         # With l_min pinned at its default, the second pass is the first.
         with monkeypatch.context() as mp:
@@ -393,13 +405,12 @@ class TestCompositeWindows:
         assert set(series.flags) == {"ok"}
         for p in series.points:
             h = h_start if p.time < first_start else p.hr_first_pass
-            est = count_hr(series.window_results[p.wa_index].peaks, cfg, p.time,
-                           l_min=adapt_lmin(h))
+            est = count_hr(series.window_results[p.wa_index].peaks, p.time, adapt_lmin(h))
             assert (p.hr_bpm, p.wb_start) == (est.hr_bpm, est.window_start)
 
     def test_out_of_band_rate_clamped(self):
         series = run_composite_windows(
-            self.make_trace(), WindowConfig(),
+            self.make_trace(), PipelineConfig(),
             uniform_peak_stage(30.0),  # 2 s spacing: below the 36 bpm floor
         )
         clamped = [p for p in series.points if p.flag == "clamped"]
@@ -412,7 +423,7 @@ class TestBuildReport:
     def make_series(self, rate=120.0):
         return run_composite_windows(
             ChestMotionTrace(np.zeros(round(66.0 * FS)), FS),
-            WindowConfig(),
+            PipelineConfig(),
             uniform_peak_stage(rate),
         )
 

@@ -75,7 +75,7 @@ def test_window_stage_does_not_recompute_gate_diagnostics(monkeypatch, tmp_path)
 def first_window(trace, cfg):
     prepared = pipeline.preprocess_trace(trace)
     fs = prepared.sample_rate
-    return prepared.samples[: round(cfg.window_config().l_a * fs)], fs
+    return prepared.samples[: round(cfg.l_a * fs)], fs
 
 
 def test_window_without_heartbeat_mode():
@@ -171,9 +171,9 @@ def recording_decompositions(monkeypatch):
     calls = []
     decompose = vmd.vmd_decompose
 
-    def recording(signal, fs, params, init_freqs=None, init_spectra=None):
-        ms = decompose(signal, fs, params, init_freqs, init_spectra)
-        calls.append((signal, fs, params, init_freqs, init_spectra, ms))
+    def recording(signal, fs, K, alpha, init_freqs=None, init_spectra=None):
+        ms = decompose(signal, fs, K, alpha, init_freqs, init_spectra)
+        calls.append((signal, fs, K, alpha, init_freqs, init_spectra, ms))
         return ms
 
     monkeypatch.setattr(vmd, "vmd_decompose", recording)
@@ -196,7 +196,7 @@ def test_each_window_starts_where_the_window_before_ended(monkeypatch):
     assert list(windows) == list(range(len(windows))) and len(searches) == len(windows) > 2
     for k, (first, search) in enumerate(zip(firsts, searches)):
         assert windows[k].search is search
-        _, _, _, init_freqs, init_spectra, _ = calls[first]
+        *_, init_freqs, init_spectra, _ = calls[first]
         assert init_spectra is None
         if k == 0:
             assert init_freqs is None
@@ -212,7 +212,7 @@ def test_window_after_a_search_less_one_starts_cold(monkeypatch):
     assert idle.status == "no_heartbeat" and idle.search is None
     calls = recording_decompositions(monkeypatch)
     after_idle = stage(segment, fs, 8.0, idle)
-    assert calls[0][3:5] == (None, None)
+    assert calls[0][4:6] == (None, None)
     assert after_idle.mode_table == stage(segment, fs, 8.0).mode_table
 
 
@@ -277,13 +277,12 @@ def test_cold_windows_stop_on_the_exact_sum_sweep(monkeypatch, tmp_path, scenari
     prepared = pipeline.preprocess_trace(panel_trace(scenario_name, seed, tmp_path))
     calls = recording_decompositions(monkeypatch)
     stage = pipeline.make_window_stage(cfg)
-    run_composite_windows(prepared, cfg.window_config(),
-                          lambda segment, fs, t0, prev: stage(segment, fs, t0))
+    run_composite_windows(prepared, cfg, lambda segment, fs, t0, prev: stage(segment, fs, t0))
     assert len(calls) > 10
-    for signal, fs, params, init_freqs, init_spectra, ms in calls:
+    for signal, fs, K, alpha, init_freqs, init_spectra, ms in calls:
         record = []
         *_, converged, n_iters = allocating_reference(
-            signal, fs, params, init_freqs, init_spectra, record
+            signal, fs, K, alpha, init_freqs, init_spectra, record
         )
         assert (n_iters, converged) == (ms.n_iters, ms.converged)
         for change, norm, exact in record:

@@ -1,16 +1,14 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hrrkit import vmd
+from hrrkit.config import PipelineConfig
 from hrrkit.pipeline import preprocess_trace
 from hrrkit.vmd import (
     MERGE_HZ,
-    GateThresholds,
     ModeSet,
-    VmdParams,
     energy_loss,
     merge_close_modes,
     mode_correlation_max,
@@ -43,7 +41,7 @@ def modeset_from(modes, residual=None, input_signal=None, fs=FS):
     )
 
 
-def two_sided_reference(signal, fs, params):
+def two_sided_reference(signal, fs, K, alpha):
     """The residual-form sweep over the full two-sided spectrum.
 
     The negative half is held at zero throughout and each mode is inverted
@@ -59,7 +57,6 @@ def two_sided_reference(signal, fs, params):
     pos = freqs >= 0.0
     f_plus = np.where(pos, np.fft.fft(ext), 0.0)
     weights = np.stack([np.repeat(freqs[pos], 2), np.ones(2 * np.count_nonzero(pos))])
-    K = params.K
     u_hat = np.zeros((K, T), dtype=complex)
     omega = (np.arange(K) + 0.5) / K * 0.25
     resid = f_plus
@@ -68,7 +65,7 @@ def two_sided_reference(signal, fs, params):
     for it in range(1, vmd.MAX_ITERS + 1):
         u_prev = u_hat.copy()
         norm = denom.sum()
-        gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
+        gain = 1.0 / (alpha * (freqs - omega[:, None]) ** 2 + 1.0)
         for k in range(K):
             resid = resid + u_prev[k]
             u_hat[k] = resid * gain[k]
@@ -91,7 +88,7 @@ def two_sided_reference(signal, fs, params):
     return modes[order], omega[order] * fs, converged, it
 
 
-def one_sided_setup(signal, fs, params, init_freqs):
+def one_sided_setup(signal, fs, K, init_freqs):
     """Mirror extension, swept frequencies, one-sided spectrum and start omega.
 
     The swept frequencies are the one-sided bins below ``vmd.SWEEP_EDGE_HZ``.
@@ -107,13 +104,13 @@ def one_sided_setup(signal, fs, params, init_freqs):
     keep = freqs < vmd.SWEEP_EDGE_HZ / fs
     freqs, f_plus = freqs[keep], f_plus[keep]
     if init_freqs is None:
-        omega = (np.arange(params.K) + 0.5) / params.K * 0.25
+        omega = (np.arange(K) + 0.5) / K * 0.25
     else:
         omega = np.array(init_freqs, dtype=float) / fs
     return n, m, T, freqs, f_plus, omega
 
 
-def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None, record=None):
+def allocating_reference(signal, fs, K, alpha, init_freqs=None, init_spectra=None, record=None):
     """The residual-form sweep, one fresh array per operation.
 
     ``init_freqs`` holds the starting center frequencies in Hz; None starts
@@ -127,8 +124,8 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     measured against and the exact sum of |u_hat - u_prev|^2. The in-place
     core must reproduce it bit for bit.
     """
-    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs)
-    K, P = params.K, len(freqs)
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, K, init_freqs)
+    P = len(freqs)
     u_hat = np.zeros((K, P), dtype=complex)
     if init_spectra is not None:
         u_hat = np.array(init_spectra, dtype=complex)
@@ -144,7 +141,7 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     for it in range(1, vmd.MAX_ITERS + 1):
         u_prev = u_hat.copy()
         norm = denom.sum()
-        gain = 1.0 / (params.alpha * (freqs - omega[:, None]) ** 2 + 1.0)
+        gain = 1.0 / (alpha * (freqs - omega[:, None]) ** 2 + 1.0)
         for k in range(K):
             resid = resid + u_prev[k]
             u_hat[k] = resid * gain[k]
@@ -165,7 +162,7 @@ def allocating_reference(signal, fs, params, init_freqs=None, init_spectra=None,
     return modes[order], omega[order] * fs, converged, it
 
 
-def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
+def literal_reference(signal, fs, K, alpha, init_freqs=None, init_spectra=None):
     """The one-sided sweep in vmdpy's literal form, one fresh array per operation.
 
     It keeps sum_k u_hat[k] instead of the residual, updates omega_k after
@@ -173,9 +170,8 @@ def literal_reference(signal, fs, params, init_freqs=None, init_spectra=None):
     np.abs(u_hat - u_prev) ** 2. Arguments as for ``allocating_reference``.
     The core differs from it in rounding only.
     """
-    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, params, init_freqs)
-    K, P = params.K, len(freqs)
-    alpha = params.alpha
+    n, m, T, freqs, f_plus, omega = one_sided_setup(signal, fs, K, init_freqs)
+    P = len(freqs)
     u_hat = np.zeros((K, P), dtype=complex)
     if init_spectra is not None:
         u_hat = np.array(init_spectra, dtype=complex)
@@ -236,9 +232,8 @@ class TestInPlaceSweep:
         sig = three_tone(n)
         monkeypatch.setattr(vmd, "TOLERANCE", tolerance)
         monkeypatch.setattr(vmd, "MAX_ITERS", max_iters)
-        params = VmdParams(K=4, alpha=alpha)
-        modes, center_freqs, converged, n_iters = allocating_reference(sig, FS, params)
-        ms = vmd_decompose(sig, FS, params)
+        modes, center_freqs, converged, n_iters = allocating_reference(sig, FS, 4, alpha)
+        ms = vmd_decompose(sig, FS, 4, alpha)
         assert ms.n_iters == n_iters and ms.converged == converged
         assert np.array_equal(ms.center_freqs, center_freqs)
         assert np.array_equal(ms.modes, modes)
@@ -255,19 +250,17 @@ class TestInPlaceSweep:
         ids=[f"init_freqs{i}-{TAU_SLOT}" for i in range(3)],
     )
     def test_explicit_init_matches_allocating_reference(self, init_freqs):
-        params = VmdParams(K=4, alpha=2000.0)
-        assert_matches_allocating_reference(three_tone(768), FS, params, init_freqs)
+        assert_matches_allocating_reference(three_tone(768), FS, 4, 2000.0, init_freqs)
 
 
 class TestInitFreqs:
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
     def test_none_is_the_uniform_init(self, K):
         sig = three_tone(768)
-        params = VmdParams(K=K, alpha=2000.0)
         # At 20 Hz these Hz values divide back to the normalized ones exactly.
         uniform = (np.arange(K) + 0.5) / K * FS / 4.0
-        cold = vmd_decompose(sig, FS, params)
-        explicit = vmd_decompose(sig, FS, params, uniform)
+        cold = vmd_decompose(sig, FS, K, 2000.0)
+        explicit = vmd_decompose(sig, FS, K, 2000.0, uniform)
         assert (cold.n_iters, cold.converged) == (explicit.n_iters, explicit.converged)
         assert np.array_equal(cold.center_freqs, explicit.center_freqs)
         assert np.array_equal(cold.modes, explicit.modes)
@@ -290,7 +283,7 @@ class TestInitFreqs:
 
         monkeypatch.setattr(vmd.np.fft, "fft", no_spectrum)
         with pytest.raises(ValueError, match=match):
-            vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs)
+            vmd_decompose(three_tone(768), FS, 4, 2000.0, init_freqs)
 
 
 FREQS_4 = [0.35, 1.5, 4.0, 6.0]
@@ -320,15 +313,14 @@ class TestInitSpectra:
     def test_matches_allocating_reference(self, start):
         sig = three_tone(768)
         if start == "other_alpha":
-            prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0))
+            prev = vmd_decompose(sig, FS, 4, 1500.0)
             order = np.argsort(prev.center_freqs, kind="stable")
             init_freqs, init_spectra = prev.center_freqs[order], prev.spectra[order]
         else:
             rng = np.random.default_rng(3)
             init_freqs = FREQS_4
             init_spectra = rng.normal(size=(4, 461)) + 1j * rng.normal(size=(4, 461))
-        params = VmdParams(K=4, alpha=2000.0)
-        assert_matches_allocating_reference(sig, FS, params, init_freqs, init_spectra)
+        assert_matches_allocating_reference(sig, FS, 4, 2000.0, init_freqs, init_spectra)
 
     @pytest.mark.parametrize("init_freqs, init_spectra, match", spectra_cases())
     def test_bad_init_spectra_raises_before_any_sweep(
@@ -339,32 +331,31 @@ class TestInitSpectra:
 
         monkeypatch.setattr(vmd.np.fft, "fft", no_spectrum)
         with pytest.raises(ValueError, match=match):
-            vmd_decompose(three_tone(768), FS, VmdParams(K=4), init_freqs, init_spectra)
+            vmd_decompose(three_tone(768), FS, 4, 2000.0, init_freqs, init_spectra)
 
     def test_restart_from_converged_decomposition_stops_within_two_sweeps(self, monkeypatch):
         # Every step of a benchmark window's search, decomposed cold, then
         # restarted at its own alpha from its own center frequencies and spectra.
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        for alpha, _, _ in select_alpha(sig, fs, params, gates).path:
-            step = replace(params, alpha=alpha)
-            ms = vmd_decompose(sig, fs, step)
+        for alpha, _, _ in select_alpha(sig, fs, cfg).path:
+            ms = vmd_decompose(sig, fs, cfg.k_modes, alpha)
             assert ms.converged
-            again = vmd_decompose(sig, fs, step, ms.center_freqs, ms.spectra)
+            again = vmd_decompose(sig, fs, cfg.k_modes, alpha, ms.center_freqs, ms.spectra)
             assert again.converged and again.n_iters <= 2
 
     def test_spectra_go_along_on_close_steps_only(self, monkeypatch):
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         calls = []
         decompose = vmd.vmd_decompose
 
-        def recording(signal, sample_rate, step, init_freqs=None, init_spectra=None):
-            calls.append((step.alpha, init_freqs is not None, init_spectra is not None))
-            return decompose(signal, sample_rate, step, init_freqs, init_spectra)
+        def recording(signal, sample_rate, K, alpha, init_freqs=None, init_spectra=None):
+            calls.append((alpha, init_freqs is not None, init_spectra is not None))
+            return decompose(signal, sample_rate, K, alpha, init_freqs, init_spectra)
 
         monkeypatch.setattr(vmd, "vmd_decompose", recording)
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        select_alpha(sig, fs, params, gates)
+        select_alpha(sig, fs, cfg)
         alphas = [alpha for alpha, _, _ in calls]
         ratios = [max(a / b, b / a) for a, b in zip(alphas[1:], alphas)]
         assert [round(r, 2) for r in ratios] == [17.78, 4.22, 2.05, 1.43, 1.2, 1.09]
@@ -372,18 +363,18 @@ class TestInitSpectra:
         assert [warm_spectra for _, _, warm_spectra in calls] == [False] * 4 + [True] * 3
 
 
-def assert_matches_allocating_reference(sig, fs, params, init_freqs=None, init_spectra=None):
+def assert_matches_allocating_reference(sig, fs, K, alpha, init_freqs=None, init_spectra=None):
     modes, center_freqs, converged, n_iters = allocating_reference(
-        sig, fs, params, init_freqs, init_spectra
+        sig, fs, K, alpha, init_freqs, init_spectra
     )
-    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
+    ms = vmd_decompose(sig, fs, K, alpha, init_freqs, init_spectra)
     assert ms.n_iters == n_iters and ms.converged == converged
     assert np.array_equal(ms.center_freqs, center_freqs)
     assert np.array_equal(ms.modes, modes)
     return ms
 
 
-def tie_tolerances(signal, params, sweeps):
+def tie_tolerances(signal, K, alpha, sweeps):
     """Tolerances that put the stopping threshold on a sweep's stopping quantity.
 
     Runs the allocating reference for ``sweeps`` sweeps and, for each of
@@ -395,7 +386,7 @@ def tie_tolerances(signal, params, sweeps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vmd, "TOLERANCE", 1e-300)
         mp.setattr(vmd, "MAX_ITERS", sweeps)
-        allocating_reference(signal, FS, params, record=record)
+        allocating_reference(signal, FS, K, alpha, record=record)
     tolerances, lowest = [], math.inf
     for change, norm, _ in record[1:]:   # the first sweep's u_prev is all zero
         ratio = change / norm
@@ -405,7 +396,7 @@ def tie_tolerances(signal, params, sweeps):
     return tolerances
 
 
-def assert_agrees_with_literal_sweep(sig, fs, params, init_freqs=None, init_spectra=None):
+def assert_agrees_with_literal_sweep(sig, fs, K, alpha, init_freqs=None, init_spectra=None):
     """The core stops where the literal sweep does, and differs only in rounding.
 
     Modes within 1e-12 of their largest magnitude, center frequencies within
@@ -414,13 +405,13 @@ def assert_agrees_with_literal_sweep(sig, fs, params, init_freqs=None, init_spec
     move when its start frequencies move by one ulp.
     """
     modes, center_freqs, converged, n_iters = literal_reference(
-        sig, fs, params, init_freqs, init_spectra
+        sig, fs, K, alpha, init_freqs, init_spectra
     )
-    ms = vmd_decompose(sig, fs, params, init_freqs, init_spectra)
+    ms = vmd_decompose(sig, fs, K, alpha, init_freqs, init_spectra)
     assert (ms.n_iters, ms.converged) == (n_iters, converged)
     assert np.max(np.abs(ms.center_freqs - center_freqs)) <= 1e-12 * np.max(center_freqs)
-    start = (np.arange(params.K) + 0.5) / params.K * fs / 4.0 if init_freqs is None else init_freqs
-    nudged, *_ = literal_reference(sig, fs, params, np.asarray(start) * (1.0 + 2.0**-52),
+    start = (np.arange(K) + 0.5) / K * fs / 4.0 if init_freqs is None else init_freqs
+    nudged, *_ = literal_reference(sig, fs, K, alpha, np.asarray(start) * (1.0 + 2.0**-52),
                                    init_spectra)
     spread = np.max(np.abs(nudged - modes))
     assert np.max(np.abs(ms.modes - modes)) <= 1e-12 * np.max(np.abs(modes)) + 10.0 * spread
@@ -436,16 +427,15 @@ class TestSweepBand:
     @pytest.mark.parametrize("edge", [6.0, 4.0, 1.0], ids=lambda f: f"{f}-{TAU_SLOT}")
     def test_matches_allocating_reference(self, monkeypatch, n, edge):
         monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", edge)
-        params = VmdParams(K=4, alpha=2000.0)
-        assert_matches_allocating_reference(three_tone(n), FS, params)
+        assert_matches_allocating_reference(three_tone(n), FS, 4, 2000.0)
 
     def test_warm_start_matches_allocating_reference(self, monkeypatch):
         monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", 6.0)
         sig = three_tone(768)
-        prev = vmd_decompose(sig, FS, VmdParams(K=4, alpha=1500.0))
+        prev = vmd_decompose(sig, FS, 4, 1500.0)
         order = np.argsort(prev.center_freqs, kind="stable")
         assert_matches_allocating_reference(
-            sig, FS, VmdParams(K=4, alpha=2000.0), prev.center_freqs[order], prev.spectra[order]
+            sig, FS, 4, 2000.0, prev.center_freqs[order], prev.spectra[order]
         )
 
     @pytest.mark.parametrize("n", [768, 769])
@@ -453,10 +443,10 @@ class TestSweepBand:
     def test_edge_at_or_above_nyquist_keeps_every_bin(self, monkeypatch, n, edge):
         sig = three_tone(n)
         monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", math.inf)
-        full = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0))
+        full = vmd_decompose(sig, FS, 4, 2000.0)
         assert full.spectra.shape == (4, (len(sig) + 2 * round(0.1 * n) + 1) // 2)
         monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", edge)
-        at_edge = vmd_decompose(sig, FS, VmdParams(K=4, alpha=2000.0))
+        at_edge = vmd_decompose(sig, FS, 4, 2000.0)
         assert (at_edge.n_iters, at_edge.converged) == (full.n_iters, full.converged)
         assert np.array_equal(at_edge.center_freqs, full.center_freqs)
         assert np.array_equal(at_edge.modes, full.modes)
@@ -467,7 +457,7 @@ class TestSweepBand:
         sig = three_tone(768)
         high = tone(8.0, FS, DURATION, amp=0.3, phase=0.7)
         mixed = sig + high
-        ms = vmd_decompose(mixed, FS, VmdParams(K=3, alpha=2000.0))
+        ms = vmd_decompose(mixed, FS, 3, 2000.0)
         share = np.dot(high, high) / np.dot(mixed, mixed)
         # The three in-band tones alone leave about 1e-3 of their energy.
         assert energy_loss(ms) == pytest.approx(share, rel=0.03)
@@ -478,10 +468,10 @@ class TestSweepBand:
         # 768 samples extend to T = 922: bins k / 922 * 20 Hz below 6 Hz are
         # k = 0..276.
         monkeypatch.setattr(vmd, "SWEEP_EDGE_HZ", 6.0)
-        ms = vmd_decompose(three_tone(768), FS, VmdParams(K=4, alpha=2000.0))
+        ms = vmd_decompose(three_tone(768), FS, 4, 2000.0)
         assert ms.spectra.shape == (4, 277)
         with pytest.raises(ValueError, match=r"shape \(K, P\) = \(4, 277\)"):
-            vmd_decompose(three_tone(768), FS, VmdParams(K=4),
+            vmd_decompose(three_tone(768), FS, 4, 2000.0,
                           FREQS_4, np.ones((4, 461), dtype=complex))
 
 
@@ -492,25 +482,24 @@ class TestStoppingRule:
         # Each tolerance puts a sweep's threshold on the core's stopping
         # quantity, which allocating_reference takes the same way.
         sig = three_tone(768)
-        params = VmdParams(K=4, alpha=2000.0)
-        tolerances = tie_tolerances(sig, params, 40)
+        tolerances = tie_tolerances(sig, 4, 2000.0, 40)
         assert len(tolerances) >= 20
         for tol in tolerances:
             monkeypatch.setattr(vmd, "TOLERANCE", tol)
-            assert_matches_allocating_reference(sig, FS, params)
+            assert_matches_allocating_reference(sig, FS, 4, 2000.0)
 
     def test_benchmark_window_on_its_alpha_path(self, monkeypatch):
         # Each step starts where select_alpha starts it: the first cold, the
         # rest from the step before, as warm_start gives it.
-        sig, fs, params, gates = relaxed_recovery_window()
-        assert (params.K, fs, len(sig)) == (6, 100.0, 1600)
+        sig, fs, cfg = relaxed_recovery_window()
+        assert (cfg.k_modes, fs, len(sig)) == (6, 100.0, 1600)
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        path = select_alpha(sig, fs, params, gates).path
+        path = select_alpha(sig, fs, cfg).path
         assert len(path) == 7
         ms = prev_alpha = None
         for alpha, _, _ in path:
             ms = assert_matches_allocating_reference(
-                sig, fs, replace(params, alpha=alpha), *warm_start(ms, prev_alpha, alpha)
+                sig, fs, cfg.k_modes, alpha, *warm_start(ms, prev_alpha, alpha)
             )
             prev_alpha = alpha
 
@@ -520,20 +509,19 @@ class TestStoppingRule:
         # of the exact sum of |u_hat - u_prev|^2: below 1.5e-7 of the
         # threshold at the default tolerance. Measured: at most 7.8 eps, 1.7
         # eps in the median.
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        path = select_alpha(sig, fs, params, gates).path
+        path = select_alpha(sig, fs, cfg).path
         assert len(path) == 7
         eps = np.finfo(float).eps
         ms = prev_alpha = None
         for alpha, _, _ in path:
-            step = replace(params, alpha=alpha)
             record = []
             init = warm_start(ms, prev_alpha, alpha)
-            allocating_reference(sig, fs, step, *init, record=record)
+            allocating_reference(sig, fs, cfg.k_modes, alpha, *init, record=record)
             for change, norm, exact in record[1:]:
                 assert abs(change - exact) <= 64.0 * eps * norm
-            ms = vmd_decompose(sig, fs, step, *init)
+            ms = vmd_decompose(sig, fs, cfg.k_modes, alpha, *init)
             prev_alpha = alpha
         assert 64.0 * eps < 1.5e-7 * vmd.TOLERANCE
 
@@ -543,28 +531,27 @@ class TestStoppingRule:
         # taken on every sweep; the core's dot stops at the same sweep.
         monkeypatch.setattr(vmd, "TOLERANCE", tolerance)
         monkeypatch.setattr(vmd, "MAX_ITERS", max_iters)
-        assert_agrees_with_literal_sweep(three_tone(n), FS, VmdParams(K=4, alpha=alpha))
+        assert_agrees_with_literal_sweep(three_tone(n), FS, 4, alpha)
 
     def test_literal_sweep_on_the_benchmark_alpha_path(self, monkeypatch):
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        path = select_alpha(sig, fs, params, gates).path
+        path = select_alpha(sig, fs, cfg).path
         assert len(path) == 7
         ms = prev_alpha = None
         for alpha, _, _ in path:
             ms = assert_agrees_with_literal_sweep(
-                sig, fs, replace(params, alpha=alpha), *warm_start(ms, prev_alpha, alpha)
+                sig, fs, cfg.k_modes, alpha, *warm_start(ms, prev_alpha, alpha)
             )
             prev_alpha = alpha
 
     def test_threshold_below_underflow_floor(self):
         sig = three_tone(768) * 1e-150
-        params = VmdParams(K=4)
         # Every sweep's threshold is at most tolerance times the spectral
         # power, below 1e-250: the squares of the change's small parts
         # underflow.
         assert vmd.TOLERANCE * np.sum(np.abs(np.fft.fft(sig)) ** 2) < 1e-250
-        assert_matches_allocating_reference(sig, FS, params)
+        assert_matches_allocating_reference(sig, FS, 4, 2000.0)
 
 
 class TestSpectrumConvention:
@@ -579,9 +566,8 @@ class TestSpectrumConvention:
             + tone(4.0, FS, duration, amp=0.2, phase=0.5)
         )
         assert len(sig) == n
-        params = VmdParams(K=3, alpha=2000.0)
-        modes, center_freqs, converged, n_iters = two_sided_reference(sig, FS, params)
-        ms = vmd_decompose(sig, FS, params)
+        modes, center_freqs, converged, n_iters = two_sided_reference(sig, FS, 3, 2000.0)
+        ms = vmd_decompose(sig, FS, 3, 2000.0)
         assert ms.n_iters == n_iters and ms.converged == converged
         assert np.array_equal(ms.center_freqs, center_freqs)
         assert np.max(np.abs(ms.modes - modes)) <= 1e-12 * np.max(np.abs(modes))
@@ -590,7 +576,7 @@ class TestSpectrumConvention:
 class TestDecompose:
     def test_pure_tone_single_mode(self):
         sig = tone(1.0, FS, DURATION)
-        ms = vmd_decompose(sig, FS, VmdParams(K=2, alpha=200.0))
+        ms = vmd_decompose(sig, FS, 2, 200.0)
         energies = ms.mode_energies
         main = int(np.argmax(energies))
         assert energies[main] / energies.sum() >= 0.99
@@ -598,7 +584,7 @@ class TestDecompose:
 
     def test_two_tone_recovery(self):
         sig = two_tone()
-        ms = vmd_decompose(sig, FS, VmdParams(K=2, alpha=200.0))
+        ms = vmd_decompose(sig, FS, 2, 200.0)
         freqs = np.sort(ms.center_freqs)
         assert freqs == pytest.approx([0.35, 1.5], abs=0.05)
         for f, amp, ph in ((0.35, 1.0, 0.3), (1.5, 0.7, 1.1)):
@@ -607,40 +593,34 @@ class TestDecompose:
             assert abs(np.corrcoef(ms.modes[k], src)[0, 1]) > 0.99
 
     def test_zero_signal(self):
-        ms = vmd_decompose(np.zeros(256), FS, VmdParams(K=3, alpha=500.0))
+        ms = vmd_decompose(np.zeros(256), FS, 3, 500.0)
         assert np.array_equal(ms.modes, np.zeros_like(ms.modes))
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError, match="length"):
-            vmd_decompose(np.ones(32), FS, VmdParams())
+            vmd_decompose(np.ones(32), FS, 6, 2000.0)
 
     def test_rejects_non_finite(self):
         bad = np.ones(128)
         bad[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            vmd_decompose(bad, FS, VmdParams())
+            vmd_decompose(bad, FS, 6, 2000.0)
 
     def test_termination_recorded(self, monkeypatch):
-        ms = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0))
+        ms = vmd_decompose(two_tone(), FS, 2, 200.0)
         assert ms.converged and 1 <= ms.n_iters <= 500
         monkeypatch.setattr(vmd, "MAX_ITERS", 3)
-        ms2 = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0))
+        ms2 = vmd_decompose(two_tone(), FS, 2, 200.0)
         assert not ms2.converged and ms2.n_iters == 3
 
     def test_mode_narrowbandedness(self):
-        ms = vmd_decompose(two_tone(), FS, VmdParams(K=2, alpha=200.0))
+        ms = vmd_decompose(two_tone(), FS, 2, 200.0)
         n = ms.modes.shape[1]
         freqs = np.fft.rfftfreq(n, d=1.0 / FS)
         for k in range(2):
             power = np.abs(np.fft.rfft(ms.modes[k])) ** 2
             in_band = power[np.abs(freqs - ms.center_freqs[k]) <= 0.3].sum()
             assert in_band / power.sum() >= 0.9
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            VmdParams(K=1)
-        with pytest.raises(ValueError):
-            VmdParams(alpha=-1.0)
 
 
 class TestGateDiagnostics:
@@ -790,7 +770,7 @@ class ReferenceInfeasible(Exception):
         self.best_modeset = best_modeset
 
 
-def raising_reference(signal, sample_rate, params, gates, alphas,
+def raising_reference(signal, sample_rate, cfg, alphas,
                       alpha_range=(10.0, 1e6), ratio_tol=1.1, merge_hz=None):
     """The alpha search as it was when exhaustion raised; test-only.
 
@@ -809,14 +789,14 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
     ms = prev_alpha = None
 
     def violation(r, p):
-        return max(r / gates.mu1 - 1.0, 0.0) + (
-            max(p / gates.mu2 - 1.0, 0.0) if gates.mu2 > 0 else math.inf
+        return max(r / cfg.mu1 - 1.0, 0.0) + (
+            max(p / cfg.mu2 - 1.0, 0.0) if cfg.mu2 > 0 else math.inf
         )
 
     while True:
         mid = math.sqrt(lo * hi)
         init_freqs, init_spectra = warm_start(ms, prev_alpha, mid)
-        ms = vmd_decompose(signal, sample_rate, replace(params, alpha=mid),
+        ms = vmd_decompose(signal, sample_rate, cfg.k_modes, mid,
                            init_freqs=init_freqs, init_spectra=init_spectra)
         prev_alpha = mid
         gated = ms if merge_hz is None else merge_close_modes(ms, merge_hz)
@@ -825,9 +805,9 @@ def raising_reference(signal, sample_rate, params, gates, alphas,
         alphas.append(mid)
         if best is None or violation(r, p) < violation(best_r, best_p):
             best_r, best_p, best = r, p, (mid, gated)
-        if r <= gates.mu1 and p <= gates.mu2:
+        if r <= cfg.mu1 and p <= cfg.mu2:
             return mid, gated
-        if p > gates.mu2:
+        if p > cfg.mu2:
             hi = mid
         else:
             lo = mid
@@ -840,7 +820,7 @@ def recovery_window(start_s):
     prepared = preprocess_trace(noisy_recovery(120))
     fs = prepared.sample_rate
     first = round(start_s * fs)
-    return prepared.samples[first : first + round(16.0 * fs)], fs, VmdParams(), GateThresholds()
+    return prepared.samples[first : first + round(16.0 * fs)], fs, PipelineConfig()
 
 
 def relaxed_recovery_window():
@@ -851,10 +831,8 @@ def relaxed_recovery_window():
 
 
 SEARCH_CASES = {
-    "feasible_two_tone": lambda: (two_tone(), FS, VmdParams(K=2), GateThresholds()),
-    "zero_energy_gate": lambda: (
-        two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0)
-    ),
+    "feasible_two_tone": lambda: (two_tone(), FS, PipelineConfig(k_modes=2)),
+    "zero_energy_gate": lambda: (two_tone(), FS, PipelineConfig(k_modes=2, mu2=0.0)),
     "relaxed_recovery_window": relaxed_recovery_window,
 }
 
@@ -867,11 +845,11 @@ def chosen_step(search):
 def assert_matches_raising_reference(case, **kwargs):
     """Run ``select_alpha`` on a search case, with ``kwargs``, and check it
     against ``raising_reference`` bit for bit; return the search."""
-    signal, fs, params, gates = SEARCH_CASES[case]()
-    search = select_alpha(signal, fs, params, gates, **kwargs)
+    signal, fs, cfg = SEARCH_CASES[case]()
+    search = select_alpha(signal, fs, cfg, **kwargs)
     ref_alphas = []
     try:
-        alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas)
+        alpha, modes = raising_reference(signal, fs, cfg, ref_alphas)
         raised = False
     except ReferenceInfeasible as exc:
         alpha, modes = exc.best_alpha, exc.best_modeset
@@ -889,39 +867,27 @@ def assert_matches_raising_reference(case, **kwargs):
 
 class TestSelectAlpha:
     def test_returned_decomposition_passes_gates(self):
-        gates = GateThresholds()
-        ms = select_alpha(two_tone(), FS, VmdParams(K=2), gates).modes
-        assert mode_correlation_max(ms) <= gates.mu1
-        assert energy_loss(ms) <= gates.mu2
-
-    def test_default_gate_values(self):
-        gates = GateThresholds()
-        assert gates.mu1 == 0.2 and gates.mu2 == 1e-4
+        cfg = PipelineConfig(k_modes=2)
+        ms = select_alpha(two_tone(), FS, cfg).modes
+        assert mode_correlation_max(ms) <= cfg.mu1
+        assert energy_loss(ms) <= cfg.mu2
 
     def test_impossible_energy_gate_is_infeasible(self):
-        search = select_alpha(two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0))
+        search = select_alpha(two_tone(), FS, PipelineConfig(k_modes=2, mu2=0.0))
         assert not search.feasible
         assert chosen_step(search)[2] > 0.0
 
     def test_infeasible_search_carries_best_attempt(self):
-        search = select_alpha(
-            two_tone(), FS, VmdParams(K=2), GateThresholds(mu1=0.2, mu2=0.0)
-        )
+        search = select_alpha(two_tone(), FS, PipelineConfig(k_modes=2, mu2=0.0))
         assert not search.feasible
         assert search.alpha in [alpha for alpha, _, _ in search.path]
         assert energy_loss(search.modes) == chosen_step(search)[2]
         assert search.modes.n_modes == 2
 
     def test_search_cost_bounded(self):
-        search = select_alpha(two_tone(), FS, VmdParams(K=2))
+        search = select_alpha(two_tone(), FS, PipelineConfig(k_modes=2))
         budget = math.ceil(math.log2(math.log(1e6 / 10.0) / math.log(1.1))) + 1
         assert len(search.path) <= budget
-
-    def test_gate_threshold_validation(self):
-        with pytest.raises(ValueError):
-            GateThresholds(mu1=0.0)
-        with pytest.raises(ValueError):
-            GateThresholds(mu2=1.5)
 
     # A merge width of 0 is the published search.
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
@@ -937,28 +903,28 @@ class TestSelectAlpha:
     def test_first_step_starts_at_init_freqs(self, monkeypatch):
         # The second window of seed 120, started where the first window's
         # search ended.
-        sig, fs, params, gates = recovery_window(8.0)
+        sig, fs, cfg = recovery_window(8.0)
         start = np.sort(select_alpha(*relaxed_recovery_window()).unmerged_freqs)
         calls = []
         decompose = vmd.vmd_decompose
 
-        def recording(signal, sample_rate, step, init_freqs=None, init_spectra=None):
-            ms = decompose(signal, sample_rate, step, init_freqs, init_spectra)
-            calls.append((step.alpha, init_freqs, init_spectra, ms))
+        def recording(signal, sample_rate, K, alpha, init_freqs=None, init_spectra=None):
+            ms = decompose(signal, sample_rate, K, alpha, init_freqs, init_spectra)
+            calls.append((alpha, init_freqs, init_spectra, ms))
             return ms
 
         monkeypatch.setattr(vmd, "vmd_decompose", recording)
         # Merged, the first step passes; its unmerged K frequencies come back.
-        search = select_alpha(sig, fs, params, gates, init_freqs=start)
+        search = select_alpha(sig, fs, cfg, init_freqs=start)
         assert len(calls) == len(search.path) == 1 and search.feasible
         _, init_freqs, init_spectra, first = calls[0]
         assert np.array_equal(init_freqs, start) and init_spectra is None
-        assert search.modes.n_modes < params.K
+        assert search.modes.n_modes < cfg.k_modes
         assert np.array_equal(search.unmerged_freqs, first.center_freqs)
         # Unmerged, all 7 steps run, each after the first from the step before.
         calls.clear()
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        search = select_alpha(sig, fs, params, gates, init_freqs=start)
+        search = select_alpha(sig, fs, cfg, init_freqs=start)
         assert len(calls) == len(search.path) == 7
         assert np.array_equal(calls[0][1], start) and calls[0][2] is None
         for (prev_alpha, _, _, prev), (alpha, init_freqs, init_spectra, _) in zip(calls, calls[1:]):
@@ -968,7 +934,7 @@ class TestSelectAlpha:
                 init_spectra, warm_spectra)
 
     def test_infeasible_search_ends_at_its_least_violating_step(self, monkeypatch):
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         decomps = []
         decompose = vmd.vmd_decompose
 
@@ -978,7 +944,7 @@ class TestSelectAlpha:
 
         monkeypatch.setattr(vmd, "vmd_decompose", recording)
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        search = select_alpha(sig, fs, params, gates)
+        search = select_alpha(sig, fs, cfg)
         assert not search.feasible
         chosen = [alpha for alpha, _, _ in search.path].index(search.alpha)
         assert np.array_equal(search.unmerged_freqs, decomps[chosen].center_freqs)
@@ -987,11 +953,10 @@ class TestSelectAlpha:
         # The second window of seed 120 merges a split heartbeat on its
         # steps 2-5 and passes both gates on step 5, so steps 3-5 show that
         # each step starts from the unmerged decomposition before it.
-        signal, fs, params, gates = recovery_window(8.0)
-        search = select_alpha(signal, fs, params, gates)
+        signal, fs, cfg = recovery_window(8.0)
+        search = select_alpha(signal, fs, cfg)
         ref_alphas = []
-        alpha, modes = raising_reference(signal, fs, params, gates, ref_alphas,
-                                         merge_hz=MERGE_HZ)
+        alpha, modes = raising_reference(signal, fs, cfg, ref_alphas, merge_hz=MERGE_HZ)
         assert search.feasible
         assert len(search.path) == 5
         assert modes.merged_from is not None
@@ -1003,16 +968,16 @@ class TestSelectAlpha:
         assert [a for a, _, _ in search.path] == ref_alphas
 
     def test_merge_makes_the_relaxed_window_feasible(self, monkeypatch):
-        signal, fs, params, gates = relaxed_recovery_window()
+        signal, fs, cfg = relaxed_recovery_window()
         with monkeypatch.context() as mp:
             mp.setattr(vmd, "MERGE_HZ", 0.0)
-            assert not select_alpha(signal, fs, params, gates).feasible
-        search = select_alpha(signal, fs, params, gates)
+            assert not select_alpha(signal, fs, cfg).feasible
+        search = select_alpha(signal, fs, cfg)
         assert search.feasible
-        assert search.modes.n_modes < params.K
+        assert search.modes.n_modes < cfg.k_modes
 
     def test_warm_search_takes_fewer_sweeps_than_cold_steps(self, monkeypatch):
-        sig, fs, params, gates = relaxed_recovery_window()
+        sig, fs, cfg = relaxed_recovery_window()
         warm_iters = []
         decompose = vmd.vmd_decompose
 
@@ -1023,9 +988,9 @@ class TestSelectAlpha:
 
         monkeypatch.setattr(vmd, "vmd_decompose", counting)
         monkeypatch.setattr(vmd, "MERGE_HZ", 0.0)
-        path = select_alpha(sig, fs, params, gates).path
+        path = select_alpha(sig, fs, cfg).path
         monkeypatch.undo()
-        cold_iters = [vmd_decompose(sig, fs, replace(params, alpha=a)).n_iters for a, _, _ in path]
+        cold_iters = [vmd_decompose(sig, fs, cfg.k_modes, a).n_iters for a, _, _ in path]
         assert len(warm_iters) == len(path) == 7
         assert warm_iters[0] == cold_iters[0]
         assert sum(warm_iters) < sum(cold_iters)
@@ -1038,7 +1003,7 @@ class TestMonotonicity:
         alphas = np.geomspace(10.0, 8000.0, 41)
         r_vals, p_vals = [], []
         for a in alphas:
-            ms = vmd_decompose(sig, FS, VmdParams(K=2, alpha=float(a)))
+            ms = vmd_decompose(sig, FS, 2, float(a))
             r_vals.append(mode_correlation_max(ms))
             p_vals.append(energy_loss(ms))
         p_viol = int(np.sum(np.diff(p_vals) < 0))
