@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -67,6 +68,21 @@ class TestParseConfig:
             "k_modes": 6, "mu1": 0.2, "mu2": 1e-4, "l_min": 5.0, "l_b_max": 8.0,
         }
         assert (cfg.stride, cfg.l_a) == (8.0, 16.0)
+
+    def test_defaults_come_from_stage_classes(self):
+        # The stage classes that held the defaults are folded into
+        # PipelineConfig. No stage keeps a default of its own for a value the
+        # config holds, so PipelineConfig's defaults are the only ones.
+        config_params = {
+            vmd.vmd_decompose: ("K", "alpha"),
+            vmd.select_alpha: ("cfg",),
+            hr_estimate.run_composite_windows: ("cfg",),
+            hr_estimate.count_hr: ("l_min",),
+        }
+        for stage, names in config_params.items():
+            params = inspect.signature(stage).parameters
+            for name in names:
+                assert params[name].default is inspect.Parameter.empty, (stage.__name__, name)
 
     def test_pinned_keys_are_module_constants(self):
         for key, (module, name, value) in PINNED_KEYS.items():

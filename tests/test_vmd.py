@@ -872,6 +872,10 @@ class TestSelectAlpha:
         assert mode_correlation_max(ms) <= cfg.mu1
         assert energy_loss(ms) <= cfg.mu2
 
+    def test_default_gate_values(self):
+        cfg = PipelineConfig()
+        assert cfg.mu1 == 0.2 and cfg.mu2 == 1e-4
+
     def test_impossible_energy_gate_is_infeasible(self):
         search = select_alpha(two_tone(), FS, PipelineConfig(k_modes=2, mu2=0.0))
         assert not search.feasible
